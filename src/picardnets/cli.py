@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--levels", required=True, help="comma list of N:M, e.g. 1:1,2:2,3:3")
     sub.add_argument("--seeds", required=True, help="comma-separated oracle seeds")
     sub.add_argument("--samples", type=int, required=True, help="evaluation point count")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1, help="accepted; rows are computed serially")
     sub.add_argument("--out", required=True, help="output CSV path")
     sub.set_defaults(handler=_cmd_pde_error)
 

@@ -3,11 +3,13 @@
 For fixed level, branching factor, path, and evaluation time, the estimator's
 value at x is an explicit finite expression in x: terminal-datum evaluations at
 shifted points, plus nonlinearity evaluations of recursively defined lower
-levels. Each piece is itself a network (datum net composed with a shift,
-nonlinearity net composed with a recursively compiled child), so the whole
-estimate compiles into a single network via parallel sums with depth padding.
-The compiled network realizes exactly the estimator's value function for the
-same oracle draws, and its shape does not depend on path, time, or seed.
+levels. The compiler reads the same sample tree the estimator reads
+(`engine.draw_tree`) and turns each piece into a network (datum net composed
+with a shift, nonlinearity net composed with a recursively compiled child), so
+the whole estimate compiles into a single network via parallel sums with depth
+padding. It makes no oracle draw of its own: the compiled network realizes
+exactly the estimator's value function for the same tree, and its shape does
+not depend on path, time, or seed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .activations import Activation
 from .calculus import affine, compose, scalar_mul, sum_diff_depth, sum_same_depth
-from .engine import MlpConfig, ProblemFns, mlp_eval
+from .engine import MlpConfig, ProblemFns, Tree, draw_tree, mlp_eval
 from .network import (
     Network,
     depth,
@@ -31,7 +33,7 @@ from .network import (
     param_count,
     realize,
 )
-from .sampling import RandomOracle, ThetaPath, brownian_increment, probe_point, uniform_time
+from .sampling import RandomOracle, ThetaPath, probe_point
 
 PARAM_BOUND_LIMIT = 10**8
 
@@ -110,61 +112,49 @@ def compile_mlp(
     exactly in exact arithmetic. Refuses to build when the a-priori parameter
     bound exceeds 10**8 unless `allow_large` is set.
     """
-    if not 0.0 <= t <= inputs.horizon:
-        raise ValueError(f"need 0 <= t <= horizon, got t={t}, horizon={inputs.horizon}")
+    cfg = MlpConfig(n=inputs.n, M=inputs.M, horizon=inputs.horizon, t=t, d=inputs.d)
     limit = bound_params(inputs)
     if limit > PARAM_BOUND_LIMIT and not allow_large:
         raise ValueError(
             f"parameter bound {limit} exceeds {PARAM_BOUND_LIMIT}; "
             "pass allow_large=True to compile anyway"
         )
-    return _compile(inputs.n, theta, t, inputs)
+    return _compile(draw_tree(cfg, theta, inputs.oracle), t, inputs)
 
 
-def _zero_net(d: int) -> Network:
-    return affine(np.zeros((1, d)), np.zeros(1))
-
-
-def _compile(n: int, theta: ThetaPath, t: float, inputs: CompileInputs) -> Network:
-    if n == 0:
-        return _zero_net(inputs.d)
-    M = inputs.M
-    horizon = inputs.horizon
-    oracle = inputs.oracle
+def _compile(tree: Tree, t: float, inputs: CompileInputs) -> Network:
+    shifts, levels = tree
+    if not levels:
+        return affine(np.zeros((1, inputs.d)), np.zeros(1))
     act = inputs.activation
     eye = np.eye(inputs.d)
 
-    datum_terms = []
-    for k in range(1, M**n + 1):
-        shift = brownian_increment(oracle, theta + (0, -k), horizon - t)
-        datum_terms.append(scalar_mul(1.0 / M**n, compose(inputs.g_net, affine(eye, shift))))
-    block_datum = sum_same_depth(datum_terms)
-
-    level_terms = []
-    level_terms_flip = []
-    for i in range(n):
-        inner = []
-        inner_flip = []
-        for k in range(1, M ** (n - i) + 1):
-            branch = theta + (i, k)
-            s = uniform_time(oracle, branch, t, horizon)
-            shift_net = affine(eye, brownian_increment(oracle, branch, s - t))
-            child = _compile(i, branch, s, inputs)
-            inner.append(compose(compose(inputs.f_net, child), shift_net))
-            child_flip = _compile(max(i - 1, 0), theta + (-i, k), s, inputs)
-            inner_flip.append(compose(compose(inputs.f_net, child_flip), shift_net))
-        scale = (horizon - t) / M ** (n - i)
-        level_terms.append(scalar_mul(scale, sum_diff_depth(inner, inputs.j_net, act)))
-        flip_scale = (t - horizon) / M ** (n - i) if i >= 1 else 0.0
-        level_terms_flip.append(
-            scalar_mul(flip_scale, sum_diff_depth(inner_flip, inputs.j_net, act))
-        )
-    block_levels = sum_diff_depth(level_terms, inputs.j_net, act)
-    block_levels_flip = sum_diff_depth(level_terms_flip, inputs.j_net, act)
-
-    return sum_diff_depth(
-        [block_datum, block_levels, block_levels_flip], inputs.j_net, act
+    block_datum = sum_same_depth(
+        [scalar_mul(1.0 / len(shifts), compose(inputs.g_net, affine(eye, shift))) for shift in shifts]
     )
+
+    # f of the level-i children, and (for i >= 1) minus f of the level-(i-1)
+    # children, one depth-padded sum per level; level 0 has no subtracted term
+    level_terms = []
+    below_terms = []
+    for branches in levels:
+        inner = []
+        inner_below = []
+        for s, shift, child, below in branches:
+            shift_net = affine(eye, shift)
+            inner.append(compose(compose(inputs.f_net, _compile(child, s, inputs)), shift_net))
+            if below is not None:
+                inner_below.append(
+                    compose(compose(inputs.f_net, _compile(below, s, inputs)), shift_net)
+                )
+        scale = (inputs.horizon - t) / len(branches)
+        level_terms.append(scalar_mul(scale, sum_diff_depth(inner, inputs.j_net, act)))
+        if inner_below:
+            below_terms.append(scalar_mul(-scale, sum_diff_depth(inner_below, inputs.j_net, act)))
+    blocks = [block_datum, sum_diff_depth(level_terms, inputs.j_net, act)]
+    if below_terms:
+        blocks.append(sum_diff_depth(below_terms, inputs.j_net, act))
+    return sum_diff_depth(blocks, inputs.j_net, act)
 
 
 @dataclass(frozen=True)
@@ -240,9 +230,11 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Compare the compiled network against the estimator on oracle-drawn probes.
 
-    Both sides use the same oracle: the estimator consumes realize() closures
-    of the very networks the compiler assembles, and the probe points come from
-    a stream whose kind tag never collides with the estimator's draws. The
+    Both sides read one drawn sample tree: the compiler builds its network
+    from `draw_tree`, and the estimator evaluates the same tree at all probes
+    in one `mlp_eval` call, with realize() closures of the very datum and
+    nonlinearity networks the compiler assembles. The probe points come from a
+    stream whose kind tag never collides with the estimator's draws. The
     residual is |compiled(x) - estimate| / (1 + |estimate|).
     """
     compiled = compile_mlp(inputs, theta, t, allow_large=allow_large)
@@ -252,16 +244,12 @@ def verify_equivalence(
         g=lambda pt: float(realize(inputs.g_net, act, pt)[0]),
     )
     cfg = MlpConfig(n=inputs.n, M=inputs.M, horizon=inputs.horizon, t=t, d=inputs.d)
-    worst = 0.0
-    worst_idx = -1
-    for idx in range(probes):
-        x = probe_point(inputs.oracle, idx, probe_low, probe_high)
-        estimate = mlp_eval(cfg, x, theta, fns, inputs.oracle)
-        value = float(realize(compiled, act, x)[0])
-        residual = abs(value - estimate) / (1.0 + abs(estimate))
-        if residual > worst:
-            worst = residual
-            worst_idx = idx
+    xs = np.array([probe_point(inputs.oracle, idx, probe_low, probe_high) for idx in range(probes)])
+    xs = xs.reshape(-1, inputs.d)
+    estimates = mlp_eval(cfg, xs, theta, fns, inputs.oracle)
+    residuals = np.abs(realize(compiled, act, xs)[:, 0] - estimates) / (1.0 + np.abs(estimates))
+    worst = float(residuals.max(initial=0.0))
+    worst_idx = int(np.argmax(residuals)) if residuals.size else -1
     return EquivalenceReport(
         passed=bool(worst <= tol),
         max_residual=worst,

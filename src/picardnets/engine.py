@@ -1,15 +1,19 @@
 """Full-history recursive multilevel Picard estimator.
 
 `mlp_eval` evaluates the level-n estimate of the terminal-form semilinear heat
-equation u_t + (1/2) Lap(u) + f(u) = 0, u(horizon, x) = g(x), at one
-space-time point. Level 0 is identically zero. Level n averages M**n samples
-of the terminal datum over Brownian endpoints, plus for each earlier level i a
+equation u_t + (1/2) Lap(u) + f(u) = 0, u(horizon, x) = g(x), at space-time
+points. Level 0 is identically zero. Level n averages M**n samples of the
+terminal datum over Brownian endpoints, plus for each earlier level i a
 time-averaged difference of the nonlinearity evaluated on the level-i and
 level-(i-1) recursions. Both nonlinearity evaluations inside one summand share
 the same drawn time and the same Brownian displacement; only the subtracted
-recursion descends along its own sign-flipped path. All randomness comes from
-the stateless oracle, so the same (seed, path) always reproduces the same
-sample regardless of evaluation order.
+recursion descends along its own sign-flipped path.
+
+All randomness comes from the stateless oracle and none of it depends on x,
+so `draw_tree` makes every oracle call of one estimate up front and returns
+the draws as a tree of plain tuples. The estimator here and the compiler in
+`compiler.py` only read that tree, so both see the same draws by
+construction, and many points can share one drawn tree.
 """
 
 from __future__ import annotations
@@ -61,51 +65,83 @@ class ProblemFns:
     f_lipschitz: float | None = None
 
 
+# A level-n tree is (shifts, levels): the M**n datum shifts drawn along
+# (theta, 0, -k), and for each level i < n the branches drawn along
+# (theta, i, k), each (s, shift, child, below). `child` is the level-i tree at
+# time s along the branch path; `below` is the level-(i-1) tree at time s
+# along (theta, -i, k) when i >= 1, and None for i = 0. Level 0 is ((), ()).
+Tree = tuple
+
+
+def draw_tree(cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle) -> Tree:
+    """Every oracle draw of the level-cfg.n estimate at (cfg.t, theta), as a tree."""
+    return _draw(cfg.n, cfg.t, theta, cfg, oracle)
+
+
+def _draw(n: int, t: float, theta: ThetaPath, cfg: MlpConfig, oracle: RandomOracle) -> Tree:
+    if n == 0:
+        return (), ()
+    horizon = cfg.horizon
+    M = cfg.M
+    shifts = tuple(
+        brownian_increment(oracle, theta + (0, -k), horizon - t) for k in range(1, M**n + 1)
+    )
+    levels = []
+    for i in range(n):
+        branches = []
+        for k in range(1, M ** (n - i) + 1):
+            branch = theta + (i, k)
+            s = uniform_time(oracle, branch, t, horizon)
+            shift = brownian_increment(oracle, branch, s - t)
+            child = _draw(i, s, branch, cfg, oracle)
+            below = _draw(i - 1, s, theta + (-i, k), cfg, oracle) if i >= 1 else None
+            branches.append((s, shift, child, below))
+        levels.append(tuple(branches))
+    return shifts, tuple(levels)
+
+
 def mlp_eval(
     cfg: MlpConfig,
     x: object,
     theta: ThetaPath,
     fns: ProblemFns,
     oracle: RandomOracle,
-) -> float:
-    point = np.asarray(x, dtype=np.float64)
-    if point.shape != (cfg.d,):
-        raise ValueError(f"point has shape {point.shape}, expected ({cfg.d},)")
-    return _eval(cfg.n, cfg.t, point, theta, cfg, fns, oracle)
+) -> float | np.ndarray:
+    """Level-cfg.n estimate at time cfg.t along `theta`.
+
+    `x` is one point of shape (d,), which gives a float, or a block of points
+    of shape (N, d), which gives an array of N estimates. The sample tree is
+    drawn once per call, so every point of a block sees the same draws and
+    each estimate equals the one its point gets alone. Points must be finite.
+    """
+    points = np.asarray(x, dtype=np.float64)
+    if points.shape[-1:] != (cfg.d,) or points.ndim not in (1, 2):
+        raise ValueError(f"point has shape {points.shape}, expected ({cfg.d},) or (N, {cfg.d})")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    tree = draw_tree(cfg, theta, oracle)
+    values = [_eval(tree, cfg.t, row, cfg.horizon, fns) for row in np.atleast_2d(points)]
+    return values[0] if points.ndim == 1 else np.array(values)
 
 
-def _eval(
-    n: int,
-    t: float,
-    x: np.ndarray,
-    theta: ThetaPath,
-    cfg: MlpConfig,
-    fns: ProblemFns,
-    oracle: RandomOracle,
-) -> float:
-    if n == 0:
+def _eval(tree: Tree, t: float, x: np.ndarray, horizon: float, fns: ProblemFns) -> float:
+    shifts, levels = tree
+    if not levels:
         return 0.0
-    horizon = cfg.horizon
-    M = cfg.M
-
     acc_g = 0.0
-    for k in range(1, M**n + 1):
-        shift = brownian_increment(oracle, theta + (0, -k), horizon - t)
+    for shift in shifts:
         acc_g += fns.g(x + shift)
-    total = acc_g / M**n
+    total = acc_g / len(shifts)
 
-    for i in range(n):
+    for branches in levels:
         acc_i = 0.0
-        for k in range(1, M ** (n - i) + 1):
-            branch = theta + (i, k)
-            s = uniform_time(oracle, branch, t, horizon)
-            shift = brownian_increment(oracle, branch, s - t)
+        for s, shift, child, below in branches:
             y = x + shift
-            term = fns.f(_eval(i, s, y, branch, cfg, fns, oracle))
-            if i >= 1:
-                term -= fns.f(_eval(i - 1, s, y, theta + (-i, k), cfg, fns, oracle))
+            term = fns.f(_eval(child, s, y, horizon, fns))
+            if below is not None:
+                term -= fns.f(_eval(below, s, y, horizon, fns))
             acc_i += term
-        total += (horizon - t) / M ** (n - i) * acc_i
+        total += (horizon - t) / len(branches) * acc_i
     return total
 
 
@@ -119,14 +155,12 @@ def mlp_estimate_batch(
 
     Returns an array of shape (len(root_seeds), len(points)): row i holds the
     estimates produced by the oracle seeded with root_seeds[i], one per point,
-    all starting from the root path.
+    all starting from the root path; each seed's tree is drawn once.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cfg.d:
         raise ValueError(f"points must have shape (N, {cfg.d}), got {pts.shape}")
     out = np.empty((len(root_seeds), pts.shape[0]))
     for i, seed in enumerate(root_seeds):
-        oracle = RandomOracle(int(seed), cfg.d)
-        for j in range(pts.shape[0]):
-            out[i, j] = mlp_eval(cfg, pts[j], ROOT_PATH, fns, oracle)
+        out[i] = mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(int(seed), cfg.d))
     return out

@@ -163,6 +163,8 @@ def from_json_obj(obj: dict) -> tuple[Network, Activation]:
             raise ValueError(f"layer {k}: expected {rows * cols} weights, got {w.size}")
         if b.size != rows:
             raise ValueError(f"layer {k}: expected {rows} biases, got {b.size}")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValueError(f"layer {k}: weights and biases must be finite")
         layers.append((w.reshape(rows, cols), b))
     return network(*layers), parse_activation(obj["activation"])
 

@@ -16,7 +16,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -267,26 +266,6 @@ def brownian_moment_check(
     }
 
 
-def _experiment_row(
-    form: EngineForm,
-    level: tuple[int, int],
-    seed: int,
-    pts: np.ndarray,
-    refs: np.ndarray,
-    t_native: float,
-    p: float,
-) -> tuple:
-    n, m = level
-    cfg = MlpConfig(
-        n=n, M=m, horizon=form.horizon, t=form.engine_time(t_native), d=form.problem.d
-    )
-    start = time.perf_counter()
-    estimates = mlp_estimate_batch(cfg, pts, [seed], form.fns)[0]
-    wall_ms = int(round((time.perf_counter() - start) * 1000.0))
-    err = float(np.mean(np.abs(estimates - refs) ** p) ** (1.0 / p))
-    return (n, m, seed, p, err, wall_ms)
-
-
 def convergence_experiment(
     problem: PdeProblem,
     levels: Sequence[tuple[int, int]],
@@ -300,12 +279,12 @@ def convergence_experiment(
 
     Evaluation points are the first `n_points` of the uniform box stream keyed
     by seeds[0]; they are shared by every row so errors are comparable. The
-    reference is hard-gated by the finite-difference residual check. Rows come
-    back in deterministic order (levels outer, seeds inner) no matter how many
-    workers run; wall_ms is honest timing and is the one column that varies
-    between runs. `t_native` is the problem-native evaluation time; for
-    initial-form problems the interesting choice is the horizon, which the
-    engine clock maps to 0.
+    reference is hard-gated by the finite-difference residual check. Rows are
+    computed serially in deterministic order (levels outer, seeds inner);
+    `workers` is accepted and has no effect. wall_ms is honest timing and is
+    the one column that varies between runs. `t_native` is the problem-native
+    evaluation time; for initial-form problems the interesting choice is the
+    horizon, which the engine clock maps to 0.
     """
     if n_points < 1:
         raise ValueError("need at least one evaluation point")
@@ -313,25 +292,20 @@ def convergence_experiment(
         raise ValueError("need at least one seed")
     if not 0.0 <= t_native <= problem.horizon:
         raise ValueError(f"evaluation time {t_native} outside [0, {problem.horizon}]")
-    native_eval_time = t_native
     pde_residual_check(problem)
     form = time_rescale(problem)
     oracle = RandomOracle(int(seeds[0]), problem.d)
     pts = box_points(oracle, n_points, problem.box[0], problem.box[1])
-    refs = np.array([reference_solution(problem, native_eval_time, row) for row in pts])
-    jobs = [(level, int(seed)) for level in levels for seed in seeds]
-    if workers <= 1:
-        rows = [
-            _experiment_row(form, level, seed, pts, refs, native_eval_time, p)
-            for level, seed in jobs
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_experiment_row, form, level, seed, pts, refs, native_eval_time, p)
-                for level, seed in jobs
-            ]
-            rows = [f.result() for f in futures]
+    refs = np.array([reference_solution(problem, t_native, row) for row in pts])
+    rows = []
+    for n, m in levels:
+        cfg = MlpConfig(n=n, M=m, horizon=form.horizon, t=form.engine_time(t_native), d=problem.d)
+        for seed in seeds:
+            start = time.perf_counter()
+            estimates = mlp_estimate_batch(cfg, pts, [int(seed)], form.fns)[0]
+            wall_ms = int(round((time.perf_counter() - start) * 1000.0))
+            err = float(np.mean(np.abs(estimates - refs) ** p) ** (1.0 / p))
+            rows.append((n, m, int(seed), p, err, wall_ms))
     return rows
 
 

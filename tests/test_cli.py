@@ -146,6 +146,20 @@ def test_mlp_rejects_malformed_points(tmp_path, capsys):
     assert "comma-separated" in err
 
 
+def test_mlp_rejects_non_finite_points(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.1,0.2\nnan,inf\n")
+    code, out, err = run(
+        capsys,
+        "mlp",
+        "--d", "2", "--n", "1", "--m", "1", "--t", "0.0", "--horizon", "1.0",
+        "--points", str(pts), "--seeds", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_pde_error_csv_is_deterministic_up_to_wall_ms(tmp_path, capsys):
     args = [
         "pde-error",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,10 +194,9 @@ def test_inputs_validation():
 
 
 def test_prune_removes_dead_units_and_preserves_values():
-    # with a non-affine nonlinearity the zero-scaled sign-flip block at the
-    # lowest level gets depth-extended, and the extension junction leaves its
-    # last hidden units with all-zero outgoing columns
-    inputs = make_inputs("relu", n=2, M=2, seed=7)
+    # a zero nonlinearity multiplies every child network by zero, which leaves
+    # the children's hidden units with all-zero outgoing columns
+    inputs = replace(make_inputs("relu", n=2, M=2, seed=7), f_net=affine([[0.0]], [0.0]))
     net = compile_mlp(inputs, (0,), 0.25)
     slim = prune_zero_blocks(net)
     assert param_count(slim) < param_count(net)
@@ -209,6 +209,15 @@ def test_prune_removes_dead_units_and_preserves_values():
         rtol=1e-14,
         atol=1e-14,
     )
+
+
+@pytest.mark.parametrize("act_tag, n, M", [("relu", 2, 2), ("softplus", 3, 2), ("relu", 2, 3)])
+def test_dense_nonlinearity_compiles_without_dead_units(act_tag, n, M):
+    # every emitted block carries weight, so no hidden unit's outgoing weights are all zero
+    net = compile_mlp(make_inputs(act_tag, n=n, M=M, seed=7), (0,), 0.25)
+    for w, _ in net.layers[1:]:
+        assert np.all(np.any(w != 0.0, axis=0))
+    assert param_count(prune_zero_blocks(net)) == param_count(net)
 
 
 def test_prune_hand_built_case():

@@ -20,6 +20,34 @@ def quad_g(x):
     return float(x @ x)
 
 
+def reference_eval(n, t, x, theta, cfg, fns, oracle):
+    """The estimator written out from its definition, drawing as it recurses."""
+    if n == 0:
+        return 0.0
+    horizon = cfg.horizon
+    M = cfg.M
+
+    acc_g = 0.0
+    for k in range(1, M**n + 1):
+        shift = brownian_increment(oracle, theta + (0, -k), horizon - t)
+        acc_g += fns.g(x + shift)
+    total = acc_g / M**n
+
+    for i in range(n):
+        acc_i = 0.0
+        for k in range(1, M ** (n - i) + 1):
+            branch = theta + (i, k)
+            s = uniform_time(oracle, branch, t, horizon)
+            shift = brownian_increment(oracle, branch, s - t)
+            y = x + shift
+            term = fns.f(reference_eval(i, s, y, branch, cfg, fns, oracle))
+            if i >= 1:
+                term -= fns.f(reference_eval(i - 1, s, y, theta + (-i, k), cfg, fns, oracle))
+            acc_i += term
+        total += (horizon - t) / M ** (n - i) * acc_i
+    return total
+
+
 def test_level_zero_is_identically_zero():
     cfg = MlpConfig(n=0, M=3, horizon=1.0, t=0.2, d=2)
     fns = ProblemFns(f=lambda v: 99.0 * v + 1.0, g=quad_g)
@@ -141,3 +169,40 @@ def test_point_shape_validation():
         mlp_eval(cfg, np.zeros(3), ROOT_PATH, fns, RandomOracle(0, 2))
     with pytest.raises(ValueError):
         mlp_estimate_batch(cfg, np.zeros((4, 3)), [0], fns)
+
+
+@pytest.mark.parametrize("n, M", [(3, 2), (2, 3), (4, 2)])
+def test_tree_readers_equal_the_reference_recursion(n, M):
+    # the drawn tree must key every draw exactly as the definition does, so a
+    # mis-keyed path shows here even though compiler and estimator agree
+    cfg = MlpConfig(n=n, M=M, horizon=1.5, t=0.2, d=2)
+    fns = ProblemFns(f=lambda v: np.sin(v) + 0.5 * v, g=lambda x: float(np.cos(x).sum() + x @ x))
+    pts = np.array([[0.3, -1.1], [2.0, 0.5], [-0.7, 0.0]])
+    seeds = [5, 8]
+    want = np.array(
+        [
+            [reference_eval(n, cfg.t, x, ROOT_PATH, cfg, fns, RandomOracle(seed, 2)) for x in pts]
+            for seed in seeds
+        ]
+    )
+    for i, seed in enumerate(seeds):
+        for j, x in enumerate(pts):
+            assert mlp_eval(cfg, x, ROOT_PATH, fns, RandomOracle(seed, 2)) == want[i, j]
+        block = mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(seed, 2))
+        assert block.shape == (3,)
+        assert np.array_equal(block, want[i])
+    assert np.array_equal(mlp_estimate_batch(cfg, pts, seeds, fns), want)
+    theta = (0, 2, -3)
+    assert mlp_eval(cfg, pts[0], theta, fns, RandomOracle(5, 2)) == reference_eval(
+        n, cfg.t, pts[0], theta, cfg, fns, RandomOracle(5, 2)
+    )
+
+
+def test_non_finite_points_are_rejected():
+    cfg = MlpConfig(n=1, M=2, horizon=1.0, t=0.0, d=2)
+    fns = ProblemFns(f=lambda v: 0.0, g=quad_g)
+    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            mlp_eval(cfg, np.array(bad), ROOT_PATH, fns, RandomOracle(0, 2))
+        with pytest.raises(ValueError, match="finite"):
+            mlp_estimate_batch(cfg, np.array([[1.0, 1.0], bad]), [0], fns)

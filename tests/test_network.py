@@ -158,6 +158,17 @@ def test_loads_rejects_inconsistent_dims():
         loads_network(json.dumps(obj))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["w", "b"])
+def test_loads_rejects_non_finite_values(bad, field):
+    # dumps_network refuses to write these, so loading must refuse them too
+    obj = {"dims": [2, 1], "layers": [{"w": [1.0, 2.0], "b": [0.5]}], "activation": "relu"}
+    obj["layers"][0][field][0] = bad
+    text = json.dumps(obj)  # writes NaN / Infinity / -Infinity
+    with pytest.raises(ValueError, match="finite"):
+        loads_network(text)
+
+
 @st.composite
 def small_nets(draw):
     widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
