@@ -88,40 +88,55 @@ def _quadratic_datum_net(d: int, act: Activation) -> Network:
     return compose(fan_in(1, d), parallelize([per_coord] * d))
 
 
-def _parse_g_net(tag: str, d: int, act: Activation) -> Network:
-    if tag == "quadratic":
-        return _quadratic_datum_net(d, act)
-    kind, _, path = tag.partition(":")
-    if kind == "file" and path:
-        net, net_act = load_network(path)
-        if net_act.tag() != act.tag():
-            raise ValueError(
-                f"datum network was saved for {net_act.tag()}, not {act.tag()}"
-            )
-        return net
-    raise ValueError(f"--g must be 'quadratic' or 'file:PATH', got {tag!r}")
+class _NetFn:
+    """A loaded network used as f (R -> R) or g (R^d -> R) through `realize`."""
+
+    def __init__(self, path: str) -> None:
+        self.net, self.act = load_network(path)
+
+    def __call__(self, x: object) -> float:
+        return float(realize(self.net, self.act, np.atleast_1d(x))[0])
 
 
-def _parse_f_net(tag: str, act: Activation) -> Network:
-    if tag == "zero":
-        return affine([[0.0]], [0.0])
+def _parse_f(tag: str) -> dict:
+    """PdeProblem fields for `--f zero | linear:LAMBDA | interp:PATH`."""
     kind, _, arg = tag.partition(":")
+    if tag == "zero":
+        return {"f_kind": "zero"}
     if kind == "linear" and arg:
-        return affine([[float(arg)]], [0.0])
+        return {"f_kind": "linear", "lam": float(arg)}
     if kind == "interp" and arg:
-        net, net_act = load_network(arg)
-        if net_act.tag() != act.tag():
-            raise ValueError(
-                f"nonlinearity network was saved for {net_act.tag()}, not {act.tag()}"
-            )
-        return net
+        return {"f_kind": "custom", "f_custom": _NetFn(arg)}
     raise ValueError(f"--f must be 'zero', 'linear:LAMBDA', or 'interp:PATH', got {tag!r}")
 
 
+def _parse_g(tag: str) -> dict:
+    """PdeProblem fields for `--g quadratic | gaussian-bump | file:PATH`."""
+    kind, _, arg = tag.partition(":")
+    if tag in ("quadratic", "gaussian-bump"):
+        return {"g_kind": tag}
+    if kind == "file" and arg:
+        return {"g_kind": "custom", "g_custom": _NetFn(arg)}
+    raise ValueError(f"--g must be 'quadratic', 'gaussian-bump', or 'file:PATH', got {tag!r}")
+
+
+def _problem(args: argparse.Namespace, c: float = 0.5, **fields) -> PdeProblem:
+    """The problem named by --d, --horizon, --f and (where declared) --g; the
+    default c = 1/2 is the estimator's own diffusion, so f and g apply as given."""
+    g_fields = _parse_g(args.g) if "g" in args else {}
+    return PdeProblem(d=args.d, horizon=args.horizon, c=c, **_parse_f(args.f), **g_fields, **fields)
+
+
 def _compile_inputs(args: argparse.Namespace) -> CompileInputs:
+    problem = _problem(args)
     act = parse_activation(args.activation)
-    g_net = _parse_g_net(args.g, args.d, act)
-    f_net = _parse_f_net(args.f, act)
+    for fn, what in ((problem.g_custom, "datum"), (problem.f_custom, "nonlinearity")):
+        if fn is not None and fn.act.tag() != act.tag():
+            raise ValueError(f"{what} network was saved for {fn.act.tag()}, not {act.tag()}")
+    if problem.g_kind == "gaussian-bump":
+        raise ValueError("--g gaussian-bump has no network form; pass its network as --g file:PATH")
+    g_net = problem.g_custom.net if problem.g_custom else _quadratic_datum_net(args.d, act)
+    f_net = problem.f_custom.net if problem.f_custom else affine([[problem.lam]], [0.0])
     return CompileInputs(
         n=args.n,
         M=args.m,
@@ -135,19 +150,33 @@ def _compile_inputs(args: argparse.Namespace) -> CompileInputs:
     )
 
 
+# name -> (type, default, help); a flag without a default is required.
+_PROBLEM_FLAGS = {
+    "d": (int, None, "space dimension"),
+    "n": (int, None, "estimator level"),
+    "m": (int, None, "branching factor"),
+    "t": (float, None, "evaluation time"),
+    "horizon": (float, None, "final time"),
+    "f": (str, "zero", "nonlinearity: zero | linear:LAMBDA | interp:PATH"),
+    "g": (str, "quadratic", "terminal datum: quadratic | gaussian-bump | file:PATH"),
+}
+
+
+def _add_problem_flags(sub: argparse.ArgumentParser, *names: str, **defaults) -> None:
+    """Declare the named problem flags (all by default); `defaults` overrides the table."""
+    for name in names or _PROBLEM_FLAGS:
+        kind, value, text = _PROBLEM_FLAGS[name]
+        value = defaults.get(name, value)
+        sub.add_argument(f"--{name}", type=kind, default=value, required=value is None, help=text)
+
+
 def _add_compile_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--d", type=int, required=True, help="space dimension")
-    sub.add_argument("--n", type=int, required=True, help="estimator level")
-    sub.add_argument("--m", type=int, required=True, help="branching factor")
-    sub.add_argument("--t", type=float, required=True, help="evaluation time")
-    sub.add_argument("--horizon", type=float, required=True, help="final time")
+    _add_problem_flags(sub)
     sub.add_argument(
         "--activation",
         required=True,
         help="relu | leaky:ALPHA | softplus | repu:GAMMA",
     )
-    sub.add_argument("--g", default="quadratic", help="quadratic | file:PATH")
-    sub.add_argument("--f", default="zero", help="zero | linear:LAMBDA | interp:PATH")
     sub.add_argument("--seed", type=int, default=None, help="oracle seed (default: env)")
     sub.add_argument(
         "--allow-large",
@@ -194,27 +223,20 @@ def _read_points(path: str, d: int) -> np.ndarray:
     return pts
 
 
-def _cmd_mlp(args: argparse.Namespace) -> int:
-    pts = _read_points(args.points, args.d)
-    seeds = [int(v) for v in args.seeds.split(",") if v]
+def _parse_seeds(text: str) -> list[int]:
+    seeds = [int(v) for v in text.split(",") if v]
     if not seeds:
         raise ValueError("--seeds needs at least one integer")
-    if args.f == "zero":
-        f = lambda v: 0.0  # noqa: E731
-    else:
-        kind, _, arg = args.f.partition(":")
-        if kind != "linear" or not arg:
-            raise ValueError(f"--f must be 'zero' or 'linear:LAMBDA', got {args.f!r}")
-        lam = float(arg)
-        f = lambda v: lam * v  # noqa: E731
-    if args.g == "quadratic":
-        g = lambda x: float(x @ x)  # noqa: E731
-    elif args.g == "gaussian-bump":
-        g = lambda x: float(np.exp(-(x @ x)))  # noqa: E731
-    else:
-        raise ValueError(f"--g must be 'quadratic' or 'gaussian-bump', got {args.g!r}")
+    return seeds
+
+
+def _cmd_mlp(args: argparse.Namespace) -> int:
+    problem = _problem(args)
+    pts = _read_points(args.points, args.d)
+    seeds = _parse_seeds(args.seeds)
     cfg = MlpConfig(n=args.n, M=args.m, horizon=args.horizon, t=args.t, d=args.d)
-    table = mlp_estimate_batch(cfg, pts, seeds, ProblemFns(f=f, g=g))
+    fns = ProblemFns(f=problem.f_callable(), g=problem.g_callable())
+    table = mlp_estimate_batch(cfg, pts, seeds, fns)
     lines = ["seed,point,value"]
     for i, seed in enumerate(seeds):
         for j in range(pts.shape[0]):
@@ -245,29 +267,12 @@ def _parse_levels(text: str) -> list[tuple[int, int]]:
 def _cmd_pde_error(args: argparse.Namespace) -> int:
     if args.problem != "heat-quadratic":
         raise ValueError(f"unknown problem {args.problem!r}")
-    if args.f == "zero":
-        f_kind, lam = "zero", 0.0
-    else:
-        kind, _, arg = args.f.partition(":")
-        if kind != "linear" or not arg:
-            raise ValueError(f"--f must be 'zero' or 'linear:LAMBDA', got {args.f!r}")
-        f_kind, lam = "linear", float(arg)
     lo, _, hi = args.box.partition(",")
-    problem = PdeProblem(
-        d=args.d,
-        horizon=args.horizon,
-        c=args.c,
-        f_kind=f_kind,
-        lam=lam,
-        g_kind="quadratic",
-        box=(float(lo), float(hi)),
-        direction="terminal",
-    )
-    seeds = [int(v) for v in args.seeds.split(",") if v]
+    problem = _problem(args, c=args.c, box=(float(lo), float(hi)), direction="terminal")
     rows = convergence_experiment(
         problem,
         _parse_levels(args.levels),
-        seeds,
+        _parse_seeds(args.seeds),
         args.samples,
         args.p,
         workers=args.workers,
@@ -384,13 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_verify)
 
     sub = subs.add_parser("mlp", help="run the estimator over a batch of points")
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--t", type=float, required=True)
-    sub.add_argument("--horizon", type=float, required=True)
-    sub.add_argument("--f", default="zero", help="zero | linear:LAMBDA")
-    sub.add_argument("--g", default="quadratic", help="quadratic | gaussian-bump")
+    _add_problem_flags(sub)
     sub.add_argument("--points", required=True, help="CSV file, one point per line")
     sub.add_argument("--seeds", required=True, help="comma-separated oracle seeds")
     sub.add_argument("--out", default=None, help="output CSV (default: stdout)")
@@ -398,10 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("pde-error", help="convergence experiment against a reference")
     sub.add_argument("--problem", default="heat-quadratic")
-    sub.add_argument("--d", type=int, default=5)
-    sub.add_argument("--horizon", type=float, default=1.0)
+    _add_problem_flags(sub, "d", "horizon", "f", d=5, horizon=1.0)
     sub.add_argument("--c", type=float, default=0.5)
-    sub.add_argument("--f", default="zero", help="zero | linear:LAMBDA")
     sub.add_argument("--box", default="0,1", help="LOW,HIGH box for sampling")
     sub.add_argument("--p", type=float, default=2.0)
     sub.add_argument("--levels", required=True, help="comma list of N:M, e.g. 1:1,2:2,3:3")

@@ -235,8 +235,11 @@ def verify_equivalence(
     in one `mlp_eval` call, with realize() closures of the very datum and
     nonlinearity networks the compiler assembles. The probe points come from a
     stream whose kind tag never collides with the estimator's draws. The
-    residual is |compiled(x) - estimate| / (1 + |estimate|).
+    residual is |compiled(x) - estimate| / (1 + |estimate|). At least one
+    probe is required: comparing nothing proves nothing.
     """
+    if probes < 1:
+        raise ValueError(f"need at least one probe, got {probes}")
     compiled = compile_mlp(inputs, theta, t, allow_large=allow_large)
     act = inputs.activation
     fns = ProblemFns(
@@ -248,8 +251,8 @@ def verify_equivalence(
     xs = xs.reshape(-1, inputs.d)
     estimates = mlp_eval(cfg, xs, theta, fns, inputs.oracle)
     residuals = np.abs(realize(compiled, act, xs)[:, 0] - estimates) / (1.0 + np.abs(estimates))
-    worst = float(residuals.max(initial=0.0))
-    worst_idx = int(np.argmax(residuals)) if residuals.size else -1
+    worst_idx = int(np.argmax(residuals))
+    worst = float(residuals[worst_idx])
     return EquivalenceReport(
         passed=bool(worst <= tol),
         max_residual=worst,

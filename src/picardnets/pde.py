@@ -56,6 +56,8 @@ class PdeProblem:
             raise ValueError("horizon must be finite and positive")
         if not (np.isfinite(self.c) and self.c > 0):
             raise ValueError("diffusion coefficient must be finite and positive")
+        if not np.isfinite(self.lam):
+            raise ValueError("the linear slope lam must be finite")
         if self.f_kind not in ("zero", "linear", "custom"):
             raise ValueError(f"unknown nonlinearity kind {self.f_kind!r}")
         if self.g_kind not in ("quadratic", "gaussian-bump", "custom"):
@@ -66,8 +68,8 @@ class PdeProblem:
             raise ValueError("custom nonlinearity needs f_custom")
         if self.g_kind == "custom" and self.g_custom is None:
             raise ValueError("custom datum needs g_custom")
-        if not self.box[0] < self.box[1]:
-            raise ValueError("box needs low < high")
+        if not (np.all(np.isfinite(self.box)) and self.box[0] < self.box[1]):
+            raise ValueError("box needs finite low < high")
 
     def f_callable(self) -> Callable[[float], float]:
         if self.f_kind == "zero":
@@ -119,15 +121,15 @@ def pde_residual_check(
     """Max finite-difference residual of the closed-form reference on probe points.
 
     Central differences in time and space; raises when the residual exceeds
-    `tol`, so experiments can hard-gate on a verified reference. Returns the
-    measured maximum.
+    `tol` or is not finite, so experiments can hard-gate on a verified
+    reference. Returns the measured maximum.
     """
     lam = problem.lam if problem.f_kind == "linear" else 0.0
     lo, hi = problem.box
     oracle = RandomOracle(20_160_913, problem.d)
     pts = box_points(oracle, n_probes, lo, hi)
     times = np.linspace(0.25 * problem.horizon, 0.75 * problem.horizon, 4)
-    worst = 0.0
+    residuals = []
     for t in times:
         for row in pts:
             u_t = (
@@ -147,8 +149,9 @@ def pde_residual_check(
                 residual = u_t + problem.c * lap + lam * center
             else:
                 residual = u_t - problem.c * lap - lam * center
-            worst = max(worst, abs(residual))
-    if worst > tol:
+            residuals.append(abs(residual))
+    worst = float(np.max(residuals))
+    if not worst <= tol:
         raise ValueError(f"reference residual {worst:.3e} exceeds {tol:.1e}")
     return worst
 
@@ -199,6 +202,11 @@ class ErrorEstimate:
     samples: int
 
 
+def _check_exponent(p: float) -> None:
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"the L^p exponent must be finite and > 0, got {p}")
+
+
 def lp_error(
     reference: Callable[[np.ndarray], float],
     approximation: Callable[[np.ndarray], float],
@@ -214,8 +222,9 @@ def lp_error(
     power-mean inequality (the p/2 estimate never exceeds the p estimate on
     the same samples) is asserted on every call as a self-check.
     """
-    if p <= 0 or n_samples < 1:
-        raise ValueError("need p > 0 and at least one sample")
+    _check_exponent(p)
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     oracle = RandomOracle(seed, d)
     pts = box_points(oracle, n_samples, box[0], box[1])
     diffs = np.abs(
@@ -286,6 +295,7 @@ def convergence_experiment(
     evaluation time; for initial-form problems the interesting choice is the
     horizon, which the engine clock maps to 0.
     """
+    _check_exponent(p)
     if n_points < 1:
         raise ValueError("need at least one evaluation point")
     if not seeds:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from picardnets import load_network, realize
 from picardnets.cli import main
@@ -61,6 +66,14 @@ def test_verify_prints_passing_report(capsys):
     assert report["max_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_verify_rejects_a_probe_count_below_one(capsys, probes):
+    code, out, err = run(capsys, "verify", *BASE, "--probes", probes)
+    assert code == 2
+    assert out == ""
+    assert "probe" in err
+
+
 def test_compile_is_deterministic_and_seed_sensitive(tmp_path, capsys):
     a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
     run(capsys, "compile", *BASE, "--out", str(a))
@@ -113,6 +126,61 @@ def test_file_datum_activation_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "verify", *argv, "--g", f"file:{first}")
     assert code == 2
     assert "repu:2" in err
+
+
+def test_compile_rejects_the_gaussian_bump_datum(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "compile", *BASE, "--g", "gaussian-bump", "--out", str(tmp_path / "x.json")
+    )
+    assert code == 2
+    assert "file:PATH" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_mlp_matches_compile_on_the_same_network_tags(tmp_path, capsys):
+    # the same --f/--g tags name one problem: the compiled net realizes the
+    # estimate that mlp prints for the same seed, n, M and t
+    sin, datum, net = (tmp_path / name for name in ("sin.json", "datum.json", "net.json"))
+    relu = [v if v != "repu:2" else "relu" for v in BASE]
+    code, _, _ = run(
+        capsys, "interp-build", "--fn", "sin", "--q", "2", "--eps", "0.5",
+        "--activation", "relu", "--out", str(sin),
+    )
+    assert code == 0
+    assert run(capsys, "compile", *relu, "--out", str(datum))[0] == 0
+    tags = ["--g", f"file:{datum}", "--f", f"interp:{sin}"]
+    problem = [
+        "--d", "2", "--n", "2", "--m", "2", "--t", "0.25", "--horizon", "1.0", *tags,
+    ]
+    code, _, _ = run(
+        capsys, "compile", *problem, "--activation", "relu", "--seed", "11",
+        "--allow-large", "--out", str(net),
+    )
+    assert code == 0
+    xs = np.array([[0.1, 0.2], [-1.5, 2.25], [3.0, -0.5]])
+    pts = tmp_path / "pts.csv"
+    pts.write_text("".join(f"{a},{b}\n" for a, b in xs.tolist()))
+    code, out, _ = run(capsys, "mlp", *problem, "--points", str(pts), "--seeds", "11")
+    assert code == 0
+    estimates = np.array([float(line.split(",")[2]) for line in out.splitlines()[1:]])
+    compiled, act = load_network(net)
+    realized = realize(compiled, act, xs)[:, 0]
+    residual = np.abs(realized - estimates) / (1.0 + np.abs(estimates))
+    assert residual.max() <= 1e-8, residual
+
+
+def test_mlp_rejects_a_zero_horizon(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.1,0.2\n")
+    code, out, err = run(
+        capsys,
+        "mlp",
+        "--d", "2", "--n", "1", "--m", "1", "--t", "0.0", "--horizon", "0.0",
+        "--points", str(pts), "--seeds", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "horizon" in err
 
 
 def test_mlp_outputs_parseable_csv(tmp_path, capsys):
@@ -204,6 +272,98 @@ def test_pde_error_rejects_bad_levels(capsys):
     )
     assert code == 2
     assert "N:M" in err
+
+
+def test_pde_error_needs_a_closed_form_nonlinearity(tmp_path, capsys):
+    sin = tmp_path / "sin.json"
+    run(
+        capsys, "interp-build", "--fn", "sin", "--q", "2", "--eps", "0.5",
+        "--activation", "relu", "--out", str(sin),
+    )
+    code, _, err = run(
+        capsys,
+        "pde-error", "--f", f"interp:{sin}", "--levels", "1:1", "--seeds", "1",
+        "--samples", "4", "--out", str(tmp_path / "e.csv"),
+    )
+    assert code == 2
+    assert "closed-form" in err
+
+
+@pytest.mark.parametrize("p", ["0", "-1", "nan", "inf"])
+def test_pde_error_rejects_a_bad_exponent(tmp_path, capsys, p):
+    out = tmp_path / "e.csv"
+    code, _, err = run(
+        capsys,
+        "pde-error", "--d", "2", "--p", p, "--levels", "1:1", "--seeds", "1",
+        "--samples", "4", "--out", str(out),
+    )
+    assert code == 2
+    assert "exponent" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("box", ["0,inf", "-inf,1", "nan,1"])
+def test_pde_error_rejects_a_non_finite_box(tmp_path, capsys, box):
+    code, _, err = run(
+        capsys,
+        "pde-error", "--d", "2", f"--box={box}", "--levels", "1:1", "--seeds", "1",
+        "--samples", "4", "--out", str(tmp_path / "e.csv"),
+    )
+    assert code == 2
+    assert "box" in err
+
+
+def _in_grammar(flag, text):
+    """Whether `text` is a well-formed --f or --g tag."""
+    kind, _, arg = text.partition(":")
+    if flag == "--g":
+        return text in ("quadratic", "gaussian-bump") or (kind == "file" and arg != "")
+    if text == "zero" or (kind == "interp" and arg != ""):
+        return True
+    try:
+        return kind == "linear" and math.isfinite(float(arg))
+    except ValueError:
+        return False
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grammar")
+    (path / "pts.csv").write_text("0.1,0.2\n")
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(flag=st.sampled_from(["--f", "--g"]), text=st.text(max_size=12))
+@example(flag="--f", text="linear:")
+@example(flag="--f", text="linear:nan")
+@example(flag="--f", text="file:")
+@example(flag="--f", text="interp:")
+@example(flag="--g", text="linear:")
+@example(flag="--g", text="linear:nan")
+@example(flag="--g", text="file:")
+@example(flag="--g", text="interp:")
+def test_malformed_problem_tags_are_usage_errors(grammar_dir, flag, text):
+    assume(not _in_grammar(flag, text))
+    problem = ["--d", "2", "--n", "1", "--m", "1", "--t", "0.0", "--horizon", "1.0"]
+    commands = [
+        ["compile", *problem, "--activation", "relu", "--seed", "1",
+         "--out", str(grammar_dir / "never.json")],
+        ["verify", *problem, "--activation", "relu", "--seed", "1"],
+        ["mlp", *problem, "--points", str(grammar_dir / "pts.csv"), "--seeds", "1"],
+    ]
+    if flag == "--f":  # pde-error takes no --g
+        commands.append(
+            ["pde-error", "--d", "2", "--levels", "1:1", "--seeds", "1", "--samples", "2",
+             "--out", str(grammar_dir / "never.csv")]
+        )
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, f"{flag}={text}"])
+        lines = err.getvalue().splitlines()
+        assert code == 2, (argv[0], text)
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_sampler_check_json(capsys):

@@ -114,6 +114,12 @@ def test_compiled_network_matches_estimator(act_tag):
     assert report.probe_count == 10
 
 
+@pytest.mark.parametrize("probes", [0, -3])
+def test_equivalence_needs_at_least_one_probe(probes):
+    with pytest.raises(ValueError, match="probe"):
+        verify_equivalence(make_inputs(), (0,), 0.25, probes=probes)
+
+
 def test_equivalence_with_exact_quadratic_datum():
     inputs = quad_inputs(n=3, M=2, d=2, seed=3)
     report = verify_equivalence(inputs, (0,), 0.0, probes=8)

@@ -43,6 +43,18 @@ def test_problem_validation():
         heat_problem(box=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_a_non_finite_slope(lam):
+    with pytest.raises(ValueError, match="lam"):
+        heat_problem(f_kind="linear", lam=lam)
+
+
+@pytest.mark.parametrize("box", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_problem_rejects_a_non_finite_box(box):
+    with pytest.raises(ValueError, match="box"):
+        heat_problem(box=box)
+
+
 def test_reference_solution_hand_values():
     # terminal form: u(t, x) = exp(lam tau) (||x||^2 + 2 c d tau), tau = T - t
     prob = heat_problem(d=2, c=1.0)
@@ -81,6 +93,16 @@ def test_residual_check_passes_for_exact_references(kw):
 def test_residual_check_catches_a_wrong_reference(monkeypatch):
     wrong = lambda problem, t, x: float(np.asarray(x) @ np.asarray(x)) * math.exp(t)
     monkeypatch.setattr(pde_mod, "reference_solution", wrong)
+    with pytest.raises(ValueError, match="residual"):
+        pde_mod.pde_residual_check(heat_problem())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_residual_check_fails_on_a_non_finite_residual(monkeypatch):
+    # ||x||^2 overflows on this box, so the differences are inf - inf = nan
+    with pytest.raises(ValueError, match="residual nan"):
+        pde_residual_check(heat_problem(box=(0.0, 1e200)))
+    monkeypatch.setattr(pde_mod, "reference_solution", lambda problem, t, x: math.nan)
     with pytest.raises(ValueError, match="residual"):
         pde_mod.pde_residual_check(heat_problem())
 
@@ -156,6 +178,14 @@ def test_lp_error_validation():
         lp_error(lambda x: 0.0, lambda x: 0.0, (0.0, 1.0), 1, 0.0, 10, 0)
     with pytest.raises(ValueError):
         lp_error(lambda x: 0.0, lambda x: 0.0, (0.0, 1.0), 1, 2.0, 0, 0)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+def test_lp_exponent_must_be_finite_and_positive(p):
+    with pytest.raises(ValueError, match="exponent"):
+        lp_error(lambda x: 0.0, lambda x: 0.0, (0.0, 1.0), 1, p, 10, 0)
+    with pytest.raises(ValueError, match="exponent"):
+        convergence_experiment(heat_problem(), [(1, 1)], [1], n_points=4, p=p)
 
 
 def test_brownian_moment_check_exact_values_and_verdict():
