@@ -436,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = _default_seed()
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

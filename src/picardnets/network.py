@@ -127,24 +127,30 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
 
 # -- JSON serialization ------------------------------------------------------
 #
-# Schema: {"dims": [...], "layers": [{"w": [row-major flat], "b": [...]}, ...],
-#          "activation": tag}. Floats are written as shortest round-trip
-# decimal (Python repr), so load(save(net)) reproduces every bit.
+# Schema: {"activation": tag, "dims": [...], "layers": [{"b": [...], "w": [row-major
+# flat]}, ...]}, keys sorted. Floats are written as shortest round-trip decimal
+# (Python repr), so load(save(net)) reproduces every bit. The text is exactly what
+# `json.dumps(obj, sort_keys=True, allow_nan=False)` gives for that object.
 
 
-def _float_list(a: np.ndarray) -> list[float]:
+def _json_floats(a: np.ndarray) -> str:
+    """`json.dumps(a.ravel().tolist())`, with one `repr` per distinct value.
+
+    Compiled nets are mostly zeros and repeat few values, so each distinct bit
+    pattern is formatted once. Grouping is by bits, not by value, so -0.0 keeps
+    its sign; every +0.0 entry shares one string object.
+    """
     flat = np.ravel(a, order="C")
     if not np.all(np.isfinite(flat)):
         raise ValueError("network contains non-finite values; refusing to serialize")
-    return [float(v) for v in flat]
-
-
-def to_json_obj(net: Network, act: Activation) -> dict:
-    return {
-        "dims": list(dims(net)),
-        "layers": [{"w": _float_list(w), "b": _float_list(b)} for w, b in net.layers],
-        "activation": act.tag(),
-    }
+    bits = flat.view(np.int64)
+    nonzero = bits != 0
+    values, inverse = np.unique(bits[nonzero], return_inverse=True)
+    texts = np.array([repr(v) for v in values.view(np.float64).tolist()], dtype=object)
+    out = np.empty(flat.size, dtype=object)
+    out.fill("0.0")
+    out[nonzero] = texts[inverse]
+    return "[" + ", ".join(out.tolist()) + "]"
 
 
 def from_json_obj(obj: dict) -> tuple[Network, Activation]:
@@ -170,7 +176,13 @@ def from_json_obj(obj: dict) -> tuple[Network, Activation]:
 
 
 def dumps_network(net: Network, act: Activation) -> str:
-    return json.dumps(to_json_obj(net, act), sort_keys=True, allow_nan=False)
+    layers = ", ".join(
+        f'{{"b": {_json_floats(b)}, "w": {_json_floats(w)}}}' for w, b in net.layers
+    )
+    return (
+        f'{{"activation": {json.dumps(act.tag())}, '
+        f'"dims": {json.dumps(list(dims(net)))}, "layers": [{layers}]}}'
+    )
 
 
 def loads_network(text: str) -> tuple[Network, Activation]:

@@ -112,7 +112,11 @@ def reference_solution(problem: PdeProblem, t: float, x: object) -> float:
         tau = t
     if not 0.0 <= t <= problem.horizon:
         raise ValueError(f"time {t} outside [0, {problem.horizon}]")
-    return math.exp(lam * tau) * (float(pt @ pt) + 2.0 * problem.c * problem.d * tau)
+    try:
+        growth = math.exp(lam * tau)
+    except OverflowError:
+        raise ValueError(f"growth factor exp({lam} * {tau}) overflows float64") from None
+    return growth * (float(pt @ pt) + 2.0 * problem.c * problem.d * tau)
 
 
 def pde_residual_check(

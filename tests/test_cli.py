@@ -313,6 +313,52 @@ def test_pde_error_rejects_a_non_finite_box(tmp_path, capsys, box):
     assert "box" in err
 
 
+def test_pde_error_refuses_an_overflowing_reference(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    code, _, err = run(
+        capsys,
+        "pde-error", "--d", "2", "--f", "linear:1e6", "--levels", "1:1", "--seeds", "1",
+        "--samples", "2", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "overflows" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("compile", "--g=file:{missing}"),
+        ("verify", "--g=file:{missing}"),
+        ("mlp", "--g=file:{missing}"),
+        ("compile", "--f=interp:{missing}"),
+        ("verify", "--f=interp:{missing}"),
+        ("mlp", "--f=interp:{missing}"),
+        ("mlp", "--points={missing}"),
+        ("compile", "--out={unwritable}"),
+        ("mlp", "--out={unwritable}"),
+    ],
+)
+def test_missing_or_unwritable_files_are_usage_errors(tmp_path, capsys, command, flag):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.1,0.2\n")
+    problem = ["--d", "2", "--n", "1", "--m", "1", "--t", "0.0", "--horizon", "1.0"]
+    argv = {
+        "compile": ["compile", *problem, "--activation", "relu", "--seed", "1",
+                    "--out", str(tmp_path / "net.json")],
+        "verify": ["verify", *problem, "--activation", "relu", "--seed", "1"],
+        "mlp": ["mlp", *problem, "--points", str(pts), "--seeds", "1"],
+    }[command]
+    paths = {"missing": tmp_path / "missing.json", "unwritable": tmp_path / "no-dir" / "out"}
+    # a repeated flag overrides the earlier one, so the last argument names the bad file
+    code, out, err = run(capsys, *argv, flag.format(**paths))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert ("missing.json" if "missing" in flag else "no-dir") in lines[0]
+
+
 def _in_grammar(flag, text):
     """Whether `text` is a well-formed --f or --g tag."""
     kind, _, arg = text.partition(":")

@@ -20,6 +20,7 @@ from picardnets import (
     network,
     output_dim,
     param_count,
+    parse_activation,
     realize,
     relu,
     save_network,
@@ -139,9 +140,13 @@ def test_save_load_file(tmp_path):
     assert path.read_text().endswith("\n")
 
 
-def test_serialize_rejects_non_finite():
-    net = network(([[np.inf]], [0.0]))
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["w", "b"])
+def test_serialize_rejects_non_finite(bad, field):
+    last = {"w": np.ones((1, 2)), "b": np.zeros(1)}
+    last[field].flat[-1] = bad
+    net = network(([[1.0], [2.0]], [0.0, 0.0]), (last["w"], last["b"]))
+    with pytest.raises(ValueError, match="non-finite"):
         dumps_network(net, relu())
 
 
@@ -195,6 +200,48 @@ def test_round_trip_preserves_every_bit(net):
     for (w0, b0), (w1, b1) in zip(net.layers, back.layers):
         assert np.array_equal(w0.view(np.uint64), w1.view(np.uint64))
         assert np.array_equal(b0.view(np.uint64), b1.view(np.uint64))
+
+
+# Values whose shortest repr is easy to get wrong: signed zero, the smallest
+# subnormal and normal, an exponent-form integer, a small exponent, and 0.1.
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, -1.0, 0.1]
+
+
+@st.composite
+def repetitive_nets(draw):
+    """Small nets whose entries repeat a few values, with some all-zero layers."""
+    pool = EDGE_VALUES + draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4)
+    )
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    layers = []
+    for k in range(len(widths) - 1):
+        rows, cols = widths[k + 1], widths[k]
+        size = rows * cols + rows
+        if draw(st.integers(0, 3)) == 0:
+            flat = [0.0] * size
+        else:
+            flat = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        w = np.array(flat[: rows * cols]).reshape(rows, cols)
+        layers.append((w, np.array(flat[rows * cols :])))
+    return network(*layers)
+
+
+def _reference_dumps(net, act):
+    """The writer `dumps_network` replaced: one Python float per entry through json."""
+    obj = {
+        "dims": list(dims(net)),
+        "layers": [{"w": w.ravel().tolist(), "b": b.tolist()} for w, b in net.layers],
+        "activation": act.tag(),
+    }
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(repetitive_nets(), st.sampled_from(["relu", "softplus", "leaky:0.1", "repu:2"]))
+def test_dumps_is_byte_identical_to_the_json_module(net, tag):
+    act = parse_activation(tag)
+    assert dumps_network(net, act) == _reference_dumps(net, act)
 
 
 @settings(max_examples=60, deadline=None)

@@ -76,6 +76,13 @@ def test_reference_solution_guards():
         reference_solution(heat_problem(), 1.5, np.zeros(2))
 
 
+def test_reference_solution_refuses_an_overflowing_growth_factor():
+    prob = heat_problem(f_kind="linear", lam=1e6)
+    assert reference_solution(prob, 1.0, np.zeros(2)) == 0.0  # tau = 0: exp(0)
+    with pytest.raises(ValueError, match="overflows"):
+        reference_solution(prob, 0.5, np.zeros(2))
+
+
 @pytest.mark.parametrize(
     "kw",
     [
