@@ -89,13 +89,17 @@ def _quadratic_datum_net(d: int, act: Activation) -> Network:
 
 
 class _NetFn:
-    """A loaded network used as f (R -> R) or g (R^d -> R) through `realize`."""
+    """A loaded network as array-form g, (..., d) -> (...), or if `pointwise` as f."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, pointwise: bool) -> None:
         self.net, self.act = load_network(path)
+        self.pointwise = pointwise
 
-    def __call__(self, x: object) -> float:
-        return float(realize(self.net, self.act, np.atleast_1d(x))[0])
+    def __call__(self, x: object) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if self.pointwise:
+            x = x[..., None]
+        return realize(self.net, self.act, x.reshape(-1, x.shape[-1]))[:, 0].reshape(x.shape[:-1])
 
 
 def _parse_f(tag: str) -> dict:
@@ -106,7 +110,7 @@ def _parse_f(tag: str) -> dict:
     if kind == "linear" and arg:
         return {"f_kind": "linear", "lam": float(arg)}
     if kind == "interp" and arg:
-        return {"f_kind": "custom", "f_custom": _NetFn(arg)}
+        return {"f_kind": "custom", "f_custom": _NetFn(arg, pointwise=True)}
     raise ValueError(f"--f must be 'zero', 'linear:LAMBDA', or 'interp:PATH', got {tag!r}")
 
 
@@ -116,7 +120,7 @@ def _parse_g(tag: str) -> dict:
     if tag in ("quadratic", "gaussian-bump"):
         return {"g_kind": tag}
     if kind == "file" and arg:
-        return {"g_kind": "custom", "g_custom": _NetFn(arg)}
+        return {"g_kind": "custom", "g_custom": _NetFn(arg, pointwise=False)}
     raise ValueError(f"--g must be 'quadratic', 'gaussian-bump', or 'file:PATH', got {tag!r}")
 
 

@@ -232,7 +232,7 @@ def verify_equivalence(
 
     Both sides read one drawn sample tree: the compiler builds its network
     from `draw_tree`, and the estimator evaluates the same tree at all probes
-    in one `mlp_eval` call, with realize() closures of the very datum and
+    in one `mlp_eval` call, with batched realize() closures of the datum and
     nonlinearity networks the compiler assembles. The probe points come from a
     stream whose kind tag never collides with the estimator's draws. The
     residual is |compiled(x) - estimate| / (1 + |estimate|). At least one
@@ -243,8 +243,8 @@ def verify_equivalence(
     compiled = compile_mlp(inputs, theta, t, allow_large=allow_large)
     act = inputs.activation
     fns = ProblemFns(
-        f=lambda v: float(realize(inputs.f_net, act, np.array([v]))[0]),
-        g=lambda pt: float(realize(inputs.g_net, act, pt)[0]),
+        f=lambda v: realize(inputs.f_net, act, v.reshape(-1, 1)).reshape(v.shape),
+        g=lambda pts: realize(inputs.g_net, act, pts)[:, 0],
     )
     cfg = MlpConfig(n=inputs.n, M=inputs.M, horizon=inputs.horizon, t=t, d=inputs.d)
     xs = np.array([probe_point(inputs.oracle, idx, probe_low, probe_high) for idx in range(probes)])

@@ -13,7 +13,8 @@ All randomness comes from the stateless oracle and none of it depends on x,
 so `draw_tree` makes every oracle call of one estimate up front and returns
 the draws as a tree of plain tuples. The estimator here and the compiler in
 `compiler.py` only read that tree, so both see the same draws by
-construction, and many points can share one drawn tree.
+construction. With the array-valued f and g of `ProblemFns`, one read of a
+tree serves a whole (N, d) block of points.
 """
 
 from __future__ import annotations
@@ -53,23 +54,23 @@ class MlpConfig:
 
 @dataclass(frozen=True)
 class ProblemFns:
-    """Nonlinearity f: R -> R and terminal datum g: R^d -> R.
+    """Nonlinearity f: R -> R and terminal datum g: R^d -> R, in array form.
 
-    `f_lipschitz`, when given, declares the Lipschitz constant of f; it is not
-    used by the estimator itself but lets experiment code spot-check the
-    declared regularity.
+    `f` maps an array elementwise to an array of the same shape; `g` maps
+    points of shape (..., d) to values of shape (...), so (N, d) gives (N,).
+    `f_lipschitz` is accepted for existing callers and ignored.
     """
 
-    f: Callable[[float], float]
-    g: Callable[[np.ndarray], float]
+    f: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
     f_lipschitz: float | None = None
 
 
 # A level-n tree is (shifts, levels): the M**n datum shifts drawn along
-# (theta, 0, -k), and for each level i < n the branches drawn along
-# (theta, i, k), each (s, shift, child, below). `child` is the level-i tree at
-# time s along the branch path; `below` is the level-(i-1) tree at time s
-# along (theta, -i, k) when i >= 1, and None for i = 0. Level 0 is ((), ()).
+# (theta, 0, -k), as the rows of an (M**n, d) array, and for each level i < n
+# the branches drawn along (theta, i, k), each (s, shift, child, below). `child`
+# is the level-i tree at time s along the branch path; `below` is the level-(i-1)
+# tree at time s along (theta, -i, k) when i >= 1, and None for i = 0. Level 0 is ((), ()).
 Tree = tuple
 
 
@@ -83,8 +84,8 @@ def _draw(n: int, t: float, theta: ThetaPath, cfg: MlpConfig, oracle: RandomOrac
         return (), ()
     horizon = cfg.horizon
     M = cfg.M
-    shifts = tuple(
-        brownian_increment(oracle, theta + (0, -k), horizon - t) for k in range(1, M**n + 1)
+    shifts = np.array(
+        [brownian_increment(oracle, theta + (0, -k), horizon - t) for k in range(1, M**n + 1)]
     )
     levels = []
     for i in range(n):
@@ -111,8 +112,9 @@ def mlp_eval(
 
     `x` is one point of shape (d,), which gives a float, or a block of points
     of shape (N, d), which gives an array of N estimates. The sample tree is
-    drawn once per call, so every point of a block sees the same draws and
-    each estimate equals the one its point gets alone. Points must be finite.
+    drawn once and read once for the block: `fns.g` gets a node's (M**n * N, d)
+    shifted points, `fns.f` (N,) arrays. Each estimate equals the one its point
+    gets alone if f and g give a row the same bits in a block. Points must be finite.
     """
     points = np.asarray(x, dtype=np.float64)
     if points.shape[-1:] != (cfg.d,) or points.ndim not in (1, 2):
@@ -120,29 +122,30 @@ def mlp_eval(
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     tree = draw_tree(cfg, theta, oracle)
-    values = [_eval(tree, cfg.t, row, cfg.horizon, fns) for row in np.atleast_2d(points)]
-    return values[0] if points.ndim == 1 else np.array(values)
+    block = np.atleast_2d(points)
+    # every level-0 recursion is identically zero, so its f term is f(0)
+    f_zero = fns.f(np.zeros(len(block)))
 
+    def read(node: Tree, t: float, x: np.ndarray) -> np.ndarray:
+        shifts, levels = node
+        # g on every shift of every point at once, summed over shifts in
+        # drawing order (cumsum adds sequentially; sum may pair terms up)
+        g_vals = fns.g((x + shifts[:, None, :]).reshape(-1, cfg.d)).reshape(len(shifts), -1)
+        total = np.cumsum(g_vals, axis=0)[-1] / len(shifts)
+        for i, branches in enumerate(levels):
+            acc_i = 0.0
+            for s, shift, child, below in branches:
+                if i == 0:  # the child is level 0, and there is no subtracted term
+                    acc_i = acc_i + f_zero
+                    continue
+                y = x + shift
+                f_below = fns.f(read(below, s, y)) if i >= 2 else f_zero
+                acc_i = acc_i + (fns.f(read(child, s, y)) - f_below)
+            total = total + (cfg.horizon - t) / len(branches) * acc_i
+        return total
 
-def _eval(tree: Tree, t: float, x: np.ndarray, horizon: float, fns: ProblemFns) -> float:
-    shifts, levels = tree
-    if not levels:
-        return 0.0
-    acc_g = 0.0
-    for shift in shifts:
-        acc_g += fns.g(x + shift)
-    total = acc_g / len(shifts)
-
-    for branches in levels:
-        acc_i = 0.0
-        for s, shift, child, below in branches:
-            y = x + shift
-            term = fns.f(_eval(child, s, y, horizon, fns))
-            if below is not None:
-                term -= fns.f(_eval(below, s, y, horizon, fns))
-            acc_i += term
-        total += (horizon - t) / len(branches) * acc_i
-    return total
+    values = read(tree, cfg.t, block) if cfg.n else np.zeros(len(block))
+    return values[0] if points.ndim == 1 else values
 
 
 def mlp_estimate_batch(

@@ -153,18 +153,24 @@ def _json_floats(a: np.ndarray) -> str:
     return "[" + ", ".join(out.tolist()) + "]"
 
 
-def from_json_obj(obj: dict) -> tuple[Network, Activation]:
-    shape = [int(v) for v in obj["dims"]]
-    if len(shape) < 2:
-        raise ValueError("dims must list at least input and output widths")
+def from_json_obj(obj: object) -> tuple[Network, Activation]:
+    """Inverse of `dumps_network`; any malformed object is a ValueError."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("activation"), str)):
+        raise ValueError("network JSON must be an object with a string 'activation'")
+    shape, raw = obj.get("dims"), obj.get("layers")
+    if not (isinstance(shape, list) and len(shape) >= 2 and all(type(v) is int for v in shape)):
+        raise ValueError(f"dims must list at least two integer widths, got {shape!r}")
+    if not isinstance(raw, list) or len(raw) != len(shape) - 1:
+        raise ValueError(f"expected a list of {len(shape) - 1} layers for dims {shape}")
     layers = []
-    raw = obj["layers"]
-    if len(raw) != len(shape) - 1:
-        raise ValueError(f"expected {len(shape) - 1} layers for dims {shape}, got {len(raw)}")
     for k, entry in enumerate(raw):
         rows, cols = shape[k + 1], shape[k]
-        w = np.asarray(entry["w"], dtype=np.float64)
-        b = np.asarray(entry["b"], dtype=np.float64)
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(key), list) for key in "wb")):
+            raise ValueError(f"layer {k}: expected an object with lists 'w' and 'b'")
+        try:
+            w, b = (np.asarray(entry[key], dtype=np.float64) for key in "wb")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"layer {k}: {exc}") from None
         if w.size != rows * cols:
             raise ValueError(f"layer {k}: expected {rows * cols} weights, got {w.size}")
         if b.size != rows:

@@ -31,10 +31,10 @@ CSV_HEADER = ("n", "M", "seed", "p", "error", "wall_ms")
 class PdeProblem:
     """A semilinear heat problem on a box, with tagged nonlinearity and datum.
 
-    f_kind: "zero", "linear" (f(u) = lam * u), or "custom" (callable f_custom
-    with declared constant f_lipschitz). g_kind: "quadratic" (||x||^2),
-    "gaussian-bump" (exp(-||x||^2)), or "custom" (callable g_custom).
-    direction: "terminal" or "initial".
+    f_kind: "zero", "linear" (f(u) = lam * u), or "custom" (callable f_custom).
+    g_kind: "quadratic" (||x||^2), "gaussian-bump" (exp(-||x||^2)), or
+    "custom" (callable g_custom). direction: "terminal" or "initial". All
+    f and g callables are array-valued, as `ProblemFns` describes.
     """
 
     d: int
@@ -42,10 +42,9 @@ class PdeProblem:
     c: float
     f_kind: str = "zero"
     lam: float = 0.0
-    f_custom: Callable[[float], float] | None = None
-    f_lipschitz: float | None = None
+    f_custom: Callable[[np.ndarray], np.ndarray] | None = None
     g_kind: str = "quadratic"
-    g_custom: Callable[[np.ndarray], float] | None = None
+    g_custom: Callable[[np.ndarray], np.ndarray] | None = None
     box: tuple[float, float] = (0.0, 1.0)
     direction: str = "terminal"
 
@@ -71,26 +70,19 @@ class PdeProblem:
         if not (np.all(np.isfinite(self.box)) and self.box[0] < self.box[1]):
             raise ValueError("box needs finite low < high")
 
-    def f_callable(self) -> Callable[[float], float]:
+    def f_callable(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.f_kind == "zero":
-            return lambda v: 0.0
+            return lambda v: np.zeros_like(v, dtype=np.float64)
         if self.f_kind == "linear":
             lam = self.lam
             return lambda v: lam * v
         return self.f_custom  # type: ignore[return-value]
 
-    def f_lipschitz_constant(self) -> float | None:
-        if self.f_kind == "zero":
-            return 0.0
-        if self.f_kind == "linear":
-            return abs(self.lam)
-        return self.f_lipschitz
-
-    def g_callable(self) -> Callable[[np.ndarray], float]:
+    def g_callable(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.g_kind == "quadratic":
-            return lambda x: float(x @ x)
+            return lambda x: (x * x).sum(axis=-1)
         if self.g_kind == "gaussian-bump":
-            return lambda x: float(np.exp(-(x @ x)))
+            return lambda x: np.exp(-(x * x).sum(axis=-1))
         return self.g_custom  # type: ignore[return-value]
 
 
@@ -185,14 +177,7 @@ class EngineForm:
 def time_rescale(problem: PdeProblem) -> EngineForm:
     scale = 2.0 * problem.c
     f_native = problem.f_callable()
-    g = problem.g_callable()
-    fns = ProblemFns(
-        f=lambda v: f_native(v) / scale,
-        g=g,
-        f_lipschitz=None
-        if problem.f_lipschitz_constant() is None
-        else problem.f_lipschitz_constant() / scale,
-    )
+    fns = ProblemFns(f=lambda v: f_native(v) / scale, g=problem.g_callable())
     return EngineForm(
         problem=problem, horizon=scale * problem.horizon, fns=fns, time_scale=scale
     )

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -359,6 +360,31 @@ def test_missing_or_unwritable_files_are_usage_errors(tmp_path, capsys, command,
     assert ("missing.json" if "missing" in flag else "no-dir") in lines[0]
 
 
+MALFORMED_NETS = {
+    "no-dims": {"activation": "relu", "layers": [{"w": [1.0], "b": [0.0]}]},
+    "top-level-list": [{"activation": "relu", "dims": [1, 1]}],
+    "fractional-dims": {"activation": "relu", "dims": [1.5, 1], "layers": [{"w": [1.0], "b": [0.0]}]},
+    "bad-layer-entry": {"activation": "relu", "dims": [1, 1], "layers": [[1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NETS))
+def test_malformed_network_json_is_a_usage_error(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_NETS[case]))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5\n")
+    code, out, err = run(
+        capsys,
+        "mlp", "--d", "1", "--n", "1", "--m", "1", "--t", "0.0", "--horizon", "1.0",
+        "--f", f"interp:{bad}", "--points", str(pts), "--seeds", "1",
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def _in_grammar(flag, text):
     """Whether `text` is a well-formed --f or --g tag."""
     kind, _, arg = text.partition(":")
@@ -472,3 +498,24 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_compiled_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at (3,2), d = 5 the compiler's largest matrix-vector products (6,448 x 5)
+    # are large enough for OpenBLAS to split them over two threads
+    saved = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"net-{threads}.json"
+        subprocess.run(
+            [
+                sys.executable, "-m", "picardnets.cli", "compile",
+                "--d", "5", "--n", "3", "--m", "2", "--t", "0.0", "--horizon", "1.0",
+                "--f", "linear:0.1", "--activation", "relu", "--seed", "3", "--allow-large",
+                "--out", str(out),
+            ],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            check=True,
+        )
+        saved.append(out.read_bytes())
+    assert len(saved[0]) > 1_000_000
+    assert saved[0] == saved[1]

@@ -17,7 +17,12 @@ from picardnets.sampling import KIND_GAUSS, KIND_TIME
 
 
 def quad_g(x):
-    return float(x @ x)
+    # one sequential sum per point, so a block's rows equal single-point calls bit for bit
+    return np.sum(x * x, axis=-1)
+
+
+def zero_f(v):
+    return np.zeros_like(v)
 
 
 def reference_eval(n, t, x, theta, cfg, fns, oracle):
@@ -69,7 +74,7 @@ def test_level_one_single_branch_unrolls_by_hand():
 
 def test_zero_nonlinearity_reduces_to_monte_carlo_average():
     cfg = MlpConfig(n=2, M=3, horizon=1.5, t=0.5, d=2)
-    fns = ProblemFns(f=lambda v: 0.0, g=quad_g)
+    fns = ProblemFns(f=zero_f, g=quad_g)
     x = np.array([1.0, 2.0])
     got = mlp_eval(cfg, x, ROOT_PATH, fns, RandomOracle(77, 2))
 
@@ -84,7 +89,7 @@ def test_zero_nonlinearity_reduces_to_monte_carlo_average():
 def test_constant_nonlinearity_with_zero_datum():
     # every correction difference cancels, leaving (horizon - t) * c exactly
     cfg = MlpConfig(n=3, M=2, horizon=1.0, t=0.5, d=1)
-    fns = ProblemFns(f=lambda v: 0.25, g=lambda x: 0.0)
+    fns = ProblemFns(f=lambda v: np.full_like(v, 0.25), g=lambda x: np.zeros(x.shape[:-1]))
     got = mlp_eval(cfg, np.array([3.0]), ROOT_PATH, fns, RandomOracle(1, 1))
     assert got == pytest.approx(0.5 * 0.25, rel=1e-13)
 
@@ -104,7 +109,7 @@ def test_each_branch_draw_happens_exactly_once():
     # recursions, so no (path, kind) pair may ever be hashed twice, and the
     # sign-flipped relabel paths must not draw anything at their own node
     cfg = MlpConfig(n=2, M=2, horizon=1.0, t=0.0, d=1)
-    fns = ProblemFns(f=lambda v: 0.1 * v, g=lambda x: float(x[0]))
+    fns = ProblemFns(f=lambda v: 0.1 * v, g=lambda x: x[..., 0])
     oracle = LoggingOracle(3, 1)
     mlp_eval(cfg, np.array([0.0]), ROOT_PATH, fns, oracle)
 
@@ -119,7 +124,7 @@ def test_each_branch_draw_happens_exactly_once():
 def test_heat_kernel_mean_for_zero_nonlinearity():
     # E g(x + W) = |x|^2 + d * (horizon - t) for the squared norm datum
     cfg = MlpConfig(n=1, M=16, horizon=1.0, t=0.0, d=4)
-    fns = ProblemFns(f=lambda v: 0.0, g=quad_g)
+    fns = ProblemFns(f=zero_f, g=quad_g)
     x = np.array([0.5, -0.5, 1.0, 0.0])
     exact = float(x @ x) + 4.0 * 1.0
     table = mlp_estimate_batch(cfg, x[None, :], list(range(30)), fns)
@@ -164,7 +169,7 @@ def test_config_validation():
 
 def test_point_shape_validation():
     cfg = MlpConfig(n=1, M=1, horizon=1.0, t=0.0, d=2)
-    fns = ProblemFns(f=lambda v: 0.0, g=quad_g)
+    fns = ProblemFns(f=zero_f, g=quad_g)
     with pytest.raises(ValueError):
         mlp_eval(cfg, np.zeros(3), ROOT_PATH, fns, RandomOracle(0, 2))
     with pytest.raises(ValueError):
@@ -176,7 +181,9 @@ def test_tree_readers_equal_the_reference_recursion(n, M):
     # the drawn tree must key every draw exactly as the definition does, so a
     # mis-keyed path shows here even though compiler and estimator agree
     cfg = MlpConfig(n=n, M=M, horizon=1.5, t=0.2, d=2)
-    fns = ProblemFns(f=lambda v: np.sin(v) + 0.5 * v, g=lambda x: float(np.cos(x).sum() + x @ x))
+    fns = ProblemFns(
+        f=lambda v: np.sin(v) + 0.5 * v, g=lambda x: np.cos(x).sum(axis=-1) + quad_g(x)
+    )
     pts = np.array([[0.3, -1.1], [2.0, 0.5], [-0.7, 0.0]])
     seeds = [5, 8]
     want = np.array(
@@ -188,6 +195,8 @@ def test_tree_readers_equal_the_reference_recursion(n, M):
     for i, seed in enumerate(seeds):
         for j, x in enumerate(pts):
             assert mlp_eval(cfg, x, ROOT_PATH, fns, RandomOracle(seed, 2)) == want[i, j]
+            one = mlp_eval(cfg, x[None, :], ROOT_PATH, fns, RandomOracle(seed, 2))
+            assert one.shape == (1,) and one[0] == want[i, j]
         block = mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(seed, 2))
         assert block.shape == (3,)
         assert np.array_equal(block, want[i])
@@ -200,7 +209,7 @@ def test_tree_readers_equal_the_reference_recursion(n, M):
 
 def test_non_finite_points_are_rejected():
     cfg = MlpConfig(n=1, M=2, horizon=1.0, t=0.0, d=2)
-    fns = ProblemFns(f=lambda v: 0.0, g=quad_g)
+    fns = ProblemFns(f=zero_f, g=quad_g)
     for bad in ([np.nan, 0.0], [0.0, np.inf]):
         with pytest.raises(ValueError, match="finite"):
             mlp_eval(cfg, np.array(bad), ROOT_PATH, fns, RandomOracle(0, 2))

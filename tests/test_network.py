@@ -174,6 +174,91 @@ def test_loads_rejects_non_finite_values(bad, field):
         loads_network(text)
 
 
+def _valid_obj():
+    return {
+        "activation": "relu",
+        "dims": [2, 3, 1],
+        "layers": [{"w": [0.5] * 6, "b": [0.0] * 3}, {"w": [1.0] * 3, "b": [0.0]}],
+    }
+
+
+def _is_number_text(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=6,
+)
+# entries numpy cannot read as one finite float: objects, nested lists, null, words
+BAD_ENTRIES = (
+    st.dictionaries(st.text(max_size=2), JSON_VALUES, max_size=2)
+    | st.lists(JSON_VALUES, max_size=2)
+    | st.none()
+    | st.text(max_size=4).filter(lambda text: not _is_number_text(text))
+)
+
+
+def _not(kind):
+    return JSON_VALUES.filter(lambda v: not isinstance(v, kind))
+
+
+@st.composite
+def malformed_objects(draw):
+    """A valid network object with exactly one structural fault."""
+    obj = _valid_obj()
+    layer = obj["layers"][draw(st.integers(0, 1))]
+    fault = draw(st.sampled_from(
+        ["top", "drop", "activation", "dims", "dim", "short", "layers", "count", "layer",
+         "drop_wb", "wb", "entry"]
+    ))
+    if fault == "top":
+        return draw(_not(dict))
+    if fault == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif fault == "activation":
+        obj["activation"] = draw(_not(str))
+    elif fault == "dims":
+        obj["dims"] = draw(_not(list))
+    elif fault == "dim":
+        obj["dims"][draw(st.integers(0, 2))] = draw(JSON_VALUES.filter(lambda v: type(v) is not int))
+    elif fault == "short":
+        obj["dims"] = obj["dims"][: draw(st.integers(0, 1))]
+    elif fault == "layers":
+        obj["layers"] = draw(_not(list))
+    elif fault == "count":
+        obj["layers"] = obj["layers"][:1] if draw(st.booleans()) else obj["layers"] + [layer]
+    elif fault == "layer":
+        obj["layers"][draw(st.integers(0, 1))] = draw(_not(dict))
+    elif fault == "drop_wb":
+        del layer[draw(st.sampled_from("wb"))]
+    elif fault == "wb":
+        layer[draw(st.sampled_from("wb"))] = draw(_not(list))
+    else:
+        key = draw(st.sampled_from("wb"))
+        layer[key][draw(st.integers(0, len(layer[key]) - 1))] = draw(BAD_ENTRIES)
+    return obj
+
+
+def test_the_unmutated_object_loads():
+    net, act = loads_network(json.dumps(_valid_obj()))
+    assert dims(net) == (2, 3, 1) and act.tag() == "relu"
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_objects())
+def test_loads_rejects_malformed_objects(obj):
+    # every structural fault is a ValueError (the CLI's exit code 2), never a
+    # KeyError or TypeError, and never a silently coerced network
+    with pytest.raises(ValueError):
+        loads_network(json.dumps(obj))
+
+
 @st.composite
 def small_nets(draw):
     widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))

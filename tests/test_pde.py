@@ -120,7 +120,21 @@ def test_time_rescale_is_identity_at_native_diffusion():
     assert form.horizon == prob.horizon
     assert form.engine_time(0.3) == 0.3
     assert form.fns.f(2.0) == pytest.approx(0.8 * 2.0)
-    assert form.fns.f_lipschitz == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("f_kind", ["zero", "linear"])
+@pytest.mark.parametrize("g_kind", ["quadratic", "gaussian-bump"])
+def test_problem_functions_are_array_valued(f_kind, g_kind):
+    # f elementwise, g from points (..., d) to values (...); a block's rows
+    # equal single-point calls bit for bit, floats and (d,) points included
+    fns = time_rescale(heat_problem(d=3, c=1.5, f_kind=f_kind, lam=-0.7, g_kind=g_kind)).fns
+    v = np.array([[0.5, -2.0], [3.25, 0.0]])
+    assert fns.f(v).shape == v.shape
+    assert [fns.f(e) for e in v.ravel()] == fns.f(v).ravel().tolist()
+    pts = np.random.default_rng(3).normal(size=(4, 7, 3))
+    values = fns.g(pts)
+    assert values.shape == (4, 7)
+    assert [fns.g(p) for p in pts.reshape(-1, 3)] == values.ravel().tolist()
 
 
 def test_time_rescale_scales_clock_and_nonlinearity():

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from picardnets import (
@@ -32,6 +34,42 @@ def test_theta_bytes_rejects_bad_entries():
         theta_bytes((-(2**63) - 1,))
     with pytest.raises(ValueError):
         theta_bytes((1.5,))
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+THETAS = st.lists(INT64 | st.integers(-3, 3), max_size=5).map(tuple)
+
+
+@st.composite
+def theta_pairs(draw):
+    """Two paths, often sharing a prefix or differing only in length."""
+    a = draw(THETAS)
+    how = draw(st.sampled_from(["any", "extend", "truncate", "last"]))
+    if how == "extend":
+        b = a + tuple(draw(st.lists(INT64 | st.integers(-3, 3), min_size=1, max_size=3)))
+    elif how == "truncate":
+        b = a[: draw(st.integers(0, max(len(a) - 1, 0)))]
+    elif how == "last" and a:
+        b = a[:-1] + (draw(INT64),)
+    else:
+        b = draw(THETAS)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta_pairs())
+@example(((), (0,)))
+@example(((0,), (0, 0)))
+@example(((1,), (0, 1)))
+@example(((0, -1), (0, 2**63 - 1)))
+@example(((-1,), (2**63 - 1,)))
+def test_distinct_theta_paths_encode_and_draw_differently(pair):
+    a, b = pair
+    assume(a != b)
+    assert theta_bytes(a) != theta_bytes(b)
+    oracle = RandomOracle(20_230_924, 3)
+    for kind in (KIND_TIME, KIND_GAUSS):
+        assert not np.array_equal(oracle.uniform01(a, kind, 3), oracle.uniform01(b, kind, 3))
 
 
 def test_uniform01_matches_hand_rolled_digest():
