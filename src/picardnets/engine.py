@@ -10,8 +10,9 @@ the same drawn time and the same Brownian displacement; only the subtracted
 recursion descends along its own sign-flipped path.
 
 All randomness comes from the stateless oracle and none of it depends on x,
-so `draw_tree` makes every oracle call of one estimate up front and returns
-the draws as a tree of plain tuples. The estimator here and the compiler in
+so `draw_tree` makes every oracle call of one estimate up front, as two
+block calls per depth of the recursion, and returns the draws as a tree of
+plain tuples. The estimator here and the compiler in
 `compiler.py` only read that tree, so both see the same draws by
 construction. With the array-valued f and g of `ProblemFns`, one read of a
 tree serves a whole (N, d) block of points.
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sampling import RandomOracle, ThetaPath, brownian_increment, uniform_time
+from .sampling import RandomOracle, ThetaPath, brownian_increment, theta_bytes, uniform_time
 
 ROOT_PATH: ThetaPath = (0,)
 
@@ -74,31 +75,85 @@ class ProblemFns:
 Tree = tuple
 
 
+_LEAF: Tree = ((), ())
+
+
 def draw_tree(cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle) -> Tree:
-    """Every oracle draw of the level-cfg.n estimate at (cfg.t, theta), as a tree."""
-    return _draw(cfg.n, cfg.t, theta, cfg, oracle)
+    """Every oracle draw of the level-cfg.n estimate at (cfg.t, theta), as a tree.
+
+    The draws are made breadth first. Every path drawn at one depth of the tree
+    has the same length, and a node's time is its parent's branch time, so one
+    depth is two block calls: `uniform_time` for the times of all its branches,
+    then `brownian_increment` for all its datum shifts and branch displacements.
+    Block rows equal per-path draws bit for bit, so this is the tree that the
+    definition's recursion draws path by path.
+    """
+    theta_bytes(theta)  # rejects entries that are not 64-bit integers
+    M, horizon = cfg.M, cfg.horizon
+    # path suffixes of a level-m node's datum draws (0, -k) and branches (i, k), in layout order
+    datum_sfx, branch_sfx = [], []
+    for m in range(cfg.n + 1):
+        datum_sfx.append(np.array([(0, -k) for k in range(1, M**m + 1)], dtype=np.int64))
+        pairs = [(i, k) for i in range(m) for k in range(1, M ** (m - i) + 1)]
+        branch_sfx.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+    # one depth of nodes: their levels, and their times and paths as array rows
+    levels = [cfg.n]
+    times = np.array([cfg.t], dtype=np.float64)
+    paths = np.array(theta, dtype=np.int64).reshape(1, len(theta))
+    depths = []
+    while any(levels):
+        drawn = [j for j, m in enumerate(levels) if m]
+        datum_owner, datum_paths = _extend(paths, levels, drawn, datum_sfx)
+        branch_owner, branch_paths = _extend(paths, levels, drawn, branch_sfx)
+        s = uniform_time(oracle, branch_paths, times[branch_owner], horizon)
+        moves = brownian_increment(
+            oracle,
+            np.vstack([datum_paths, branch_paths]),
+            np.concatenate([horizon - times[datum_owner], s - times[branch_owner]]),
+        )
+        i, k = branch_paths[:, -2], branch_paths[:, -1]
+        depths.append((levels, s.tolist(), moves, len(datum_paths), i.tolist()))
+        # the next depth: every branch's child along (theta, i, k), then the
+        # level-(i-1) tree along (theta, -i, k) of every branch with i >= 1
+        below = i >= 1
+        below_sfx = np.stack([-i[below], k[below]], axis=1)
+        below_paths = np.hstack([paths[branch_owner[below]], below_sfx])
+        levels = i.tolist() + (i[below] - 1).tolist()
+        times = np.concatenate([s, s[below]])
+        paths = np.vstack([branch_paths, below_paths])
+
+    # assemble from the deepest depth up; `nodes` are the trees of the depth below
+    nodes = [_LEAF] * len(levels)
+    for levels, s, moves, n_datum, branch_levels in reversed(depths):
+        belows = iter(nodes[len(s) :])
+        branches = [
+            (time, move, child, next(belows) if i else None)
+            for time, move, child, i in zip(s, list(moves[n_datum:]), nodes, branch_levels)
+        ]
+        parents = []
+        datum_at = branch_at = 0
+        for m in levels:
+            if not m:
+                parents.append(_LEAF)
+                continue
+            tiers = []
+            for i in range(m):
+                tiers.append(tuple(branches[branch_at : branch_at + M ** (m - i)]))
+                branch_at += M ** (m - i)
+            parents.append((moves[datum_at : datum_at + M**m], tuple(tiers)))
+            datum_at += M**m
+        nodes = parents
+    return nodes[0]
 
 
-def _draw(n: int, t: float, theta: ThetaPath, cfg: MlpConfig, oracle: RandomOracle) -> Tree:
-    if n == 0:
-        return (), ()
-    horizon = cfg.horizon
-    M = cfg.M
-    shifts = np.array(
-        [brownian_increment(oracle, theta + (0, -k), horizon - t) for k in range(1, M**n + 1)]
-    )
-    levels = []
-    for i in range(n):
-        branches = []
-        for k in range(1, M ** (n - i) + 1):
-            branch = theta + (i, k)
-            s = uniform_time(oracle, branch, t, horizon)
-            shift = brownian_increment(oracle, branch, s - t)
-            child = _draw(i, s, branch, cfg, oracle)
-            below = _draw(i - 1, s, theta + (-i, k), cfg, oracle) if i >= 1 else None
-            branches.append((s, shift, child, below))
-        levels.append(tuple(branches))
-    return shifts, tuple(levels)
+def _extend(
+    paths: np.ndarray, levels: list[int], drawn: list[int], suffixes: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each drawn node's path once per suffix of its level, with that suffix
+    appended, and the node each new path comes from."""
+    owner = np.repeat(drawn, [len(suffixes[levels[j]]) for j in drawn])
+    return owner, np.hstack([paths[owner], np.concatenate([suffixes[levels[j]] for j in drawn])])
 
 
 def mlp_eval(

@@ -244,10 +244,10 @@ def brownian_moment_check(
     if gamma < 1 or n_samples < 2:
         raise ValueError("need gamma >= 1 and at least two samples")
     oracle = RandomOracle(seed, d)
-    values = np.empty(n_samples)
-    for i in range(n_samples):
-        w = brownian_increment(oracle, (i,), s)
-        values[i] = (w @ w) ** gamma
+    # sample i is drawn along the path (i,); one block draws them all
+    paths = np.arange(n_samples, dtype=np.int64)[:, None]
+    increments = brownian_increment(oracle, paths, np.full(n_samples, float(s)))
+    values = np.array([(w @ w) ** gamma for w in increments])
     exact = (2.0 * s) ** gamma * math.prod(d / 2.0 + k for k in range(gamma))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1)) / math.sqrt(n_samples)

@@ -10,18 +10,27 @@ different transform would silently change every sampled path).
 Theta paths are tuples of 64-bit signed integers; the canonical encoding is a
 little-endian uint64 length prefix followed by each entry as a little-endian
 two's-complement int64. The root path is the single entry 0.
+
+Block form: `uniform01`, `gaussians`, `uniform_time` and `brownian_increment`
+also take a block of K paths of one length L, a (K, L) signed-integer array,
+and then return one row of draws per path (times of shape (K,) for per-row t
+of shape (K,), increments of shape (K, d) for per-row s of shape (K,)). Row j
+of a block call equals the single-path call on `tuple(paths[j])` bit for bit:
+both hash the same bytes (the block is encoded by one `astype("<i8")`, each
+row after the shared length prefix), and every later step is elementwise. A
+tuple is one path; an array is a block, and must be 2-D.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable
 
 import numpy as np
 from scipy.special import ndtri
 
 ThetaPath = tuple[int, ...]
+Paths = ThetaPath | np.ndarray
 
 KIND_TIME = b"T"
 KIND_GAUSS = b"W"
@@ -46,6 +55,25 @@ def theta_bytes(theta: ThetaPath) -> bytes:
     return b"".join(parts)
 
 
+def _is_block(paths: Paths) -> bool:
+    return isinstance(paths, np.ndarray)
+
+
+def _block_bytes(paths: np.ndarray) -> list[bytes]:
+    """Canonical encoding of every row of a (K, L) block, as `theta_bytes` gives it."""
+    if paths.ndim != 2:
+        raise ValueError(f"a block of paths must be 2-D, got shape {paths.shape}")
+    # unsigned entries of 2**63 and above would wrap, so only signed integers pass
+    if paths.dtype.kind != "i":
+        raise ValueError(f"a block of paths must have a signed integer dtype, got {paths.dtype}")
+    head = struct.pack("<Q", paths.shape[1])
+    width = 8 * paths.shape[1]
+    if not width:
+        return [head] * len(paths)
+    raw = paths.astype("<i8").tobytes()
+    return [head + raw[start : start + width] for start in range(0, len(raw), width)]
+
+
 class RandomOracle:
     """Counter-based random field over theta paths for one seed and dimension."""
 
@@ -55,44 +83,70 @@ class RandomOracle:
         self.seed = int(seed)
         self.d = int(d)
         self._key = struct.pack("<q", self._mask(seed))
+        self._keyed = hashlib.blake2b(digest_size=64, key=self._key)
 
     @staticmethod
     def _mask(seed: int) -> int:
         # wrap arbitrary python ints into signed 64-bit range
         return ((int(seed) + 2**63) % 2**64) - 2**63
 
-    def uniform01(self, theta: ThetaPath, kind: bytes, count: int) -> np.ndarray:
-        """`count` uniforms in (0, 1), eight per digest block."""
+    def uniform01(self, theta: Paths, kind: bytes, count: int) -> np.ndarray:
+        """`count` uniforms in (0, 1), eight per digest block: shape (count,)
+        for one path, (K, count) for a block of K paths."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        prefix = theta_bytes(theta) + kind
-        blocks = []
-        for block_index in range((count + 7) // 8):
-            h = hashlib.blake2b(
-                prefix + struct.pack("<Q", block_index), digest_size=64, key=self._key
-            )
-            blocks.append(np.frombuffer(h.digest(), dtype="<u8"))
-        if not blocks:
-            return np.zeros(0)
-        lanes = np.concatenate(blocks)[:count]
-        return (lanes.astype(np.float64) + 0.5) / _TWO64
+        block = _is_block(theta)
+        prefixes = _block_bytes(theta) if block else [theta_bytes(theta)]
+        tails = [kind + struct.pack("<Q", index) for index in range((count + 7) // 8)]
+        digests = []
+        for prefix in prefixes:
+            for tail in tails:
+                h = self._keyed.copy()
+                h.update(prefix + tail)
+                digests.append(h.digest())
+        lanes = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(prefixes), 8 * len(tails))
+        u = (lanes.astype(np.float64) + 0.5)[:, :count] / _TWO64
+        return u if block else u[0]
 
-    def gaussians(self, theta: ThetaPath, count: int) -> np.ndarray:
+    def gaussians(self, theta: Paths, count: int) -> np.ndarray:
         """Standard normals via the inverse CDF of per-lane uniforms."""
         return ndtri(self.uniform01(theta, KIND_GAUSS, count))
 
 
-def uniform_time(oracle: RandomOracle, theta: ThetaPath, t: float, horizon: float) -> float:
-    """One time drawn uniformly from [t, horizon], keyed by the theta path."""
+def _per_row(values: object, rows: int, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (rows,):
+        raise ValueError(f"{name} must have shape ({rows},) for {rows} paths, got {values.shape}")
+    return values
+
+
+def uniform_time(
+    oracle: RandomOracle, theta: Paths, t: object, horizon: float
+) -> float | np.ndarray:
+    """One time drawn uniformly from [t, horizon], keyed by the theta path.
+
+    For a block of K paths, t has shape (K,) and so does the result."""
+    if _is_block(theta):
+        t = _per_row(t, len(theta), "t")
+        if not np.all(t <= horizon):
+            raise ValueError(f"need t <= horizon in every row, got t={t}, horizon={horizon}")
+        return t + (horizon - t) * oracle.uniform01(theta, KIND_TIME, 1)[:, 0]
     if not t <= horizon:
         raise ValueError(f"need t <= horizon, got t={t}, horizon={horizon}")
     u = float(oracle.uniform01(theta, KIND_TIME, 1)[0])
     return t + (horizon - t) * u
 
 
-def brownian_increment(oracle: RandomOracle, theta: ThetaPath, s: float) -> np.ndarray:
+def brownian_increment(oracle: RandomOracle, theta: Paths, s: object) -> np.ndarray:
     """Brownian displacement over elapsed time s >= 0: sqrt(s) times the path's
-    fixed Gaussian vector, so the same theta at two times gives collinear draws."""
+    fixed Gaussian vector, so the same theta at two times gives collinear draws.
+
+    For a block of K paths, s has shape (K,) and the result (K, d)."""
+    if _is_block(theta):
+        s = _per_row(s, len(theta), "s")
+        if np.any(s < 0):
+            raise ValueError(f"elapsed times must be >= 0, got min s={s.min()}")
+        return np.sqrt(s)[:, None] * oracle.gaussians(theta, oracle.d)
     if s < 0:
         raise ValueError(f"elapsed time must be >= 0, got {s}")
     return np.sqrt(s) * oracle.gaussians(theta, oracle.d)
@@ -107,8 +161,12 @@ def box_point(oracle: RandomOracle, index: int, low: float, high: float) -> np.n
 
 
 def box_points(oracle: RandomOracle, count: int, low: float, high: float) -> np.ndarray:
-    """The first `count` points of the uniform box stream, shape (count, d)."""
-    return np.stack([box_point(oracle, i, low, high) for i in range(count)]) if count else np.zeros((0, oracle.d))
+    """The first `count` points of the uniform box stream, shape (count, d):
+    row i is `box_point(oracle, i, low, high)`, drawn in one block."""
+    if not low < high:
+        raise ValueError("box needs low < high")
+    u = oracle.uniform01(np.arange(count, dtype=np.int64)[:, None], KIND_BOX, oracle.d)
+    return low + (high - low) * u
 
 
 def probe_point(oracle: RandomOracle, index: int, low: float, high: float) -> np.ndarray:

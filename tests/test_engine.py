@@ -13,6 +13,7 @@ from picardnets import (
     mlp_eval,
     uniform_time,
 )
+from picardnets.engine import draw_tree
 from picardnets.sampling import KIND_GAUSS, KIND_TIME
 
 
@@ -51,6 +52,76 @@ def reference_eval(n, t, x, theta, cfg, fns, oracle):
             acc_i += term
         total += (horizon - t) / M ** (n - i) * acc_i
     return total
+
+
+def reference_draw_tree(n, t, theta, cfg, oracle):
+    """The sample tree drawn path by path, as the definition recurses."""
+    if n == 0:
+        return (), ()
+    horizon = cfg.horizon
+    M = cfg.M
+    shifts = np.array(
+        [brownian_increment(oracle, theta + (0, -k), horizon - t) for k in range(1, M**n + 1)]
+    )
+    levels = []
+    for i in range(n):
+        branches = []
+        for k in range(1, M ** (n - i) + 1):
+            branch = theta + (i, k)
+            s = uniform_time(oracle, branch, t, horizon)
+            shift = brownian_increment(oracle, branch, s - t)
+            child = reference_draw_tree(i, s, branch, cfg, oracle)
+            below = reference_draw_tree(i - 1, s, theta + (-i, k), cfg, oracle) if i >= 1 else None
+            branches.append((s, shift, child, below))
+        levels.append(tuple(branches))
+    return shifts, tuple(levels)
+
+
+def assert_same_tree(got, want):
+    """Equal layout, floats equal by bytes and arrays by `tobytes`."""
+    (shifts, levels), (want_shifts, want_levels) = got, want
+    if not want_levels:
+        assert got == ((), ())
+        return
+    assert shifts.shape == want_shifts.shape and shifts.tobytes() == want_shifts.tobytes()
+    assert len(levels) == len(want_levels)
+    for branches, want_branches in zip(levels, want_levels):
+        assert len(branches) == len(want_branches)
+        for (s, shift, child, below), (ws, wshift, wchild, wbelow) in zip(branches, want_branches):
+            assert type(s) is float and np.float64(s).tobytes() == np.float64(ws).tobytes()
+            assert shift.shape == wshift.shape and shift.tobytes() == wshift.tobytes()
+            assert_same_tree(child, wchild)
+            if wbelow is None:
+                assert below is None
+            else:
+                assert_same_tree(below, wbelow)
+
+
+@pytest.mark.parametrize(
+    "n, M, d, theta, t",
+    [
+        (0, 3, 5, (0,), 0.0),
+        (1, 1, 3, (0,), 0.0),
+        (4, 1, 2, (0, 5, -2), 0.3),
+        (3, 2, 9, (0,), 0.0),  # d = 9 needs two digest blocks per path
+        (4, 3, 5, (0,), 0.0),
+        (2, 3, 1, (0, 5, -2), 0.3),
+        (3, 2, 5, (2**63 - 1, -(2**63)), 0.9),
+        (2, 2, 4, (), 0.5),
+    ],
+)
+def test_draw_tree_equals_the_per_path_recursion(n, M, d, theta, t):
+    cfg = MlpConfig(n=n, M=M, horizon=1.0, t=t, d=d)
+    for seed in (3, -17):
+        got = draw_tree(cfg, theta, RandomOracle(seed, d))
+        assert_same_tree(got, reference_draw_tree(n, t, theta, cfg, RandomOracle(seed, d)))
+
+
+def test_draw_tree_rejects_bad_paths():
+    cfg = MlpConfig(n=1, M=1, horizon=1.0, t=0.0, d=1)
+    for theta in [(2**63,), (-(2**63) - 1,), (1.5,)]:
+        with pytest.raises(ValueError):
+            draw_tree(cfg, theta, RandomOracle(0, 1))
 
 
 def test_level_zero_is_identically_zero():
@@ -100,7 +171,9 @@ class LoggingOracle(RandomOracle):
         self.calls = []
 
     def uniform01(self, theta, kind, count):
-        self.calls.append((theta, kind))
+        # a block of paths logs one (path, kind) per row
+        rows = [tuple(row.tolist()) for row in theta] if isinstance(theta, np.ndarray) else [theta]
+        self.calls.extend((row, kind) for row in rows)
         return super().uniform01(theta, kind, count)
 
 

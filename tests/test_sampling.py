@@ -200,3 +200,82 @@ def test_box_stream_and_probe_stream():
     assert box_points(oracle, 0, 0.0, 1.0).shape == (0, 3)
     with pytest.raises(ValueError):
         box_point(oracle, 0, 1.0, 1.0)
+
+
+EDGE_ENTRIES = st.sampled_from([2**63 - 1, -(2**63 - 1), -(2**63), 0, 1, -1])
+
+
+@st.composite
+def path_blocks(draw):
+    """A (K, L) block of paths with entries often at the int64 extremes."""
+    rows = draw(st.integers(0, 5))
+    length = draw(st.integers(1, 6))
+    entry = EDGE_ENTRIES | INT64 | st.integers(-3, 3)
+    return np.array(
+        [[draw(entry) for _ in range(length)] for _ in range(rows)], dtype=np.int64
+    ).reshape(rows, length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path_blocks(),
+    st.sampled_from([0, 1, 8, 9, 17]),
+    st.integers(1, 9),
+    st.lists(st.floats(-2.0, 1.5), min_size=5, max_size=5),
+)
+def test_block_draws_equal_single_path_draws_row_for_row(paths, count, d, times):
+    oracle = RandomOracle(-20_230_924, d)
+    t = np.array(times[: len(paths)])
+    s = np.where(np.arange(len(paths)) % 2 == 0, 0.0, np.abs(t))  # s = 0 in every other row
+    for kind in (KIND_TIME, KIND_GAUSS, KIND_BOX):
+        block = oracle.uniform01(paths, kind, count)
+        assert block.shape == (len(paths), count)
+        for j, row in enumerate(paths):
+            assert block[j].tobytes() == oracle.uniform01(tuple(row), kind, count).tobytes()
+    gauss = oracle.gaussians(paths, count)
+    times_block = uniform_time(oracle, paths, t, 1.5)
+    moves = brownian_increment(oracle, paths, s)
+    assert times_block.shape == (len(paths),) and moves.shape == (len(paths), d)
+    for j, row in enumerate(paths):
+        path = tuple(int(v) for v in row)
+        assert gauss[j].tobytes() == oracle.gaussians(path, count).tobytes()
+        single = uniform_time(oracle, path, float(t[j]), 1.5)
+        assert type(single) is float
+        assert np.float64(single).tobytes() == times_block[j].tobytes()
+        assert moves[j].tobytes() == brownian_increment(oracle, path, float(s[j])).tobytes()
+
+
+def test_block_rejects_bad_paths_and_times():
+    oracle = RandomOracle(3, 2)
+    good = np.array([[0, 1], [0, 2]], dtype=np.int64)
+    bad_blocks = [
+        good.astype(np.float64),
+        good.astype(np.uint64),  # entries of 2**63 and above would wrap
+        good[:, :, None],
+        good[0],  # an array is always a block; one path is a tuple
+    ]
+    for paths in bad_blocks:
+        with pytest.raises(ValueError):
+            oracle.uniform01(paths, KIND_TIME, 1)
+        with pytest.raises(ValueError):
+            uniform_time(oracle, paths, np.zeros(2), 1.0)
+        with pytest.raises(ValueError):
+            brownian_increment(oracle, paths, np.ones(2))
+    with pytest.raises(ValueError):
+        uniform_time(oracle, good, np.array([0.5, 1.25]), 1.0)
+    with pytest.raises(ValueError):
+        uniform_time(oracle, good, np.array([0.5, np.nan]), 1.0)
+    with pytest.raises(ValueError):
+        uniform_time(oracle, good, np.zeros(3), 1.0)
+    with pytest.raises(ValueError):
+        brownian_increment(oracle, good, np.array([1.0, -1e-300]))
+    with pytest.raises(ValueError):
+        brownian_increment(oracle, good, 1.0)
+
+
+def test_empty_block_draws_nothing():
+    oracle = RandomOracle(3, 4)
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert uniform_time(oracle, empty, np.zeros(0), 1.0).shape == (0,)
+    assert brownian_increment(oracle, empty, np.zeros(0)).shape == (0, 4)
+    assert oracle.uniform01(empty, KIND_TIME, 9).shape == (0, 9)
