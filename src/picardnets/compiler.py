@@ -119,38 +119,41 @@ def compile_mlp(
             f"parameter bound {limit} exceeds {PARAM_BOUND_LIMIT}; "
             "pass allow_large=True to compile anyway"
         )
-    return _compile(draw_tree(cfg, theta, inputs.oracle), t, inputs)
+    return _compile(draw_tree(cfg, theta, inputs.oracle), inputs)
 
 
-def _compile(tree: Tree, t: float, inputs: CompileInputs) -> Network:
-    shifts, levels = tree
-    if not levels:
+def _compile(tree: Tree, inputs: CompileInputs) -> Network:
+    # a tree drawn for one oracle: every seed axis has length 1
+    shifts, tiers = tree
+    if not tiers:
         return affine(np.zeros((1, inputs.d)), np.zeros(1))
     act = inputs.activation
     eye = np.eye(inputs.d)
 
     block_datum = sum_same_depth(
-        [scalar_mul(1.0 / len(shifts), compose(inputs.g_net, affine(eye, shift))) for shift in shifts]
+        [
+            scalar_mul(1.0 / len(shifts), compose(inputs.g_net, affine(eye, shift)))
+            for shift in shifts[:, 0, 0]
+        ]
     )
 
     # f of the level-i children, and (for i >= 1) minus f of the level-(i-1)
     # children, one depth-padded sum per level; level 0 has no subtracted term
     level_terms = []
     below_terms = []
-    for branches in levels:
+    for scale, branches in tiers:
         inner = []
         inner_below = []
-        for s, shift, child, below in branches:
-            shift_net = affine(eye, shift)
-            inner.append(compose(compose(inputs.f_net, _compile(child, s, inputs)), shift_net))
+        for shift, child, below in branches:
+            shift_net = affine(eye, shift[0])
+            inner.append(compose(compose(inputs.f_net, _compile(child, inputs)), shift_net))
             if below is not None:
                 inner_below.append(
-                    compose(compose(inputs.f_net, _compile(below, s, inputs)), shift_net)
+                    compose(compose(inputs.f_net, _compile(below, inputs)), shift_net)
                 )
-        scale = (inputs.horizon - t) / len(branches)
-        level_terms.append(scalar_mul(scale, sum_diff_depth(inner, inputs.j_net, act)))
+        level_terms.append(scalar_mul(scale[0], sum_diff_depth(inner, inputs.j_net, act)))
         if inner_below:
-            below_terms.append(scalar_mul(-scale, sum_diff_depth(inner_below, inputs.j_net, act)))
+            below_terms.append(scalar_mul(-scale[0], sum_diff_depth(inner_below, inputs.j_net, act)))
     blocks = [block_datum, sum_diff_depth(level_terms, inputs.j_net, act)]
     if below_terms:
         blocks.append(sum_diff_depth(below_terms, inputs.j_net, act))

@@ -14,13 +14,15 @@ so `draw_tree` makes every oracle call of one estimate up front, as two
 block calls per depth of the recursion, and returns the draws as a tree of
 plain tuples. The estimator here and the compiler in
 `compiler.py` only read that tree, so both see the same draws by
-construction. With the array-valued f and g of `ProblemFns`, one read of a
-tree serves a whole (N, d) block of points.
+construction. The paths do not depend on the seed, so one tree holds the
+draws of S oracles side by side, and with the array-valued f and g of
+`ProblemFns` one read of it serves a whole block of S seeds by N points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,70 +69,97 @@ class ProblemFns:
     f_lipschitz: float | None = None
 
 
-# A level-n tree is (shifts, levels): the M**n datum shifts drawn along
-# (theta, 0, -k), as the rows of an (M**n, d) array, and for each level i < n
-# the branches drawn along (theta, i, k), each (s, shift, child, below). `child`
-# is the level-i tree at time s along the branch path; `below` is the level-(i-1)
-# tree at time s along (theta, -i, k) when i >= 1, and None for i = 0. Level 0 is ((), ()).
+# A level-n tree is (shifts, tiers), drawn for S oracles at once: every draw
+# carries a seed axis of length S. `shifts` holds the M**n datum shifts drawn
+# along (theta, 0, -k), shape (M**n, 1, S, d); the singleton axis broadcasts them
+# over a block of points. Tier i < n is (scale, branches): `scale` is the
+# quadrature weight (horizon - t) / M**(n-i) at the node's time t, shape (S,),
+# and the branches drawn along (theta, i, k) are each (shift, child, below) with
+# `shift` of shape (S, d). `child` is the level-i tree at the branch's drawn time
+# along the branch path; `below` is the level-(i-1) tree at the same time along
+# (theta, -i, k) when i >= 1, and None for i = 0. Level 0 is ((), ()). The drawn
+# times enter the tree only through the scales and shifts, the two things read.
 Tree = tuple
 
 
 _LEAF: Tree = ((), ())
 
 
-def draw_tree(cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle) -> Tree:
-    """Every oracle draw of the level-cfg.n estimate at (cfg.t, theta), as a tree.
+def _oracle_list(oracle: RandomOracle | Sequence[RandomOracle], d: int) -> list[RandomOracle]:
+    oracles = [oracle] if isinstance(oracle, RandomOracle) else list(oracle)
+    if not oracles:
+        raise ValueError("need at least one oracle")
+    for o in oracles:
+        if o.d != d:
+            raise ValueError(f"oracle dimension {o.d} != problem dimension {d}")
+    return oracles
+
+
+def draw_tree(
+    cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle | Sequence[RandomOracle]
+) -> Tree:
+    """Every oracle draw of the level-cfg.n estimate at (cfg.t, theta), as a tree,
+    for one oracle or for each of a sequence of S oracles (S = 1 for one).
 
     The draws are made breadth first. Every path drawn at one depth of the tree
     has the same length, and a node's time is its parent's branch time, so one
-    depth is two block calls: `uniform_time` for the times of all its branches,
-    then `brownian_increment` for all its datum shifts and branch displacements.
-    Block rows equal per-path draws bit for bit, so this is the tree that the
-    definition's recursion draws path by path.
+    depth is two block calls per oracle: `uniform_time` for the times of all its
+    branches, then `brownian_increment` for all its datum shifts and branch
+    displacements. The paths do not depend on the seed, so each depth builds its
+    block once for all oracles. Block rows equal per-path draws bit for bit, so
+    seed j of this tree is the tree that the definition's recursion draws path
+    by path with oracle j.
     """
     theta_bytes(theta)  # rejects entries that are not 64-bit integers
+    oracles = _oracle_list(oracle, cfg.d)
     M, horizon = cfg.M, cfg.horizon
     # path suffixes of a level-m node's datum draws (0, -k) and branches (i, k), in layout order
-    datum_sfx, branch_sfx = [], []
-    for m in range(cfg.n + 1):
-        datum_sfx.append(np.array([(0, -k) for k in range(1, M**m + 1)], dtype=np.int64))
-        pairs = [(i, k) for i in range(m) for k in range(1, M ** (m - i) + 1)]
-        branch_sfx.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    datum_sfx = _Suffixes([[(0, -k) for k in range(1, M**m + 1)] for m in range(cfg.n + 1)])
+    branch_sfx = _Suffixes(
+        [[(i, k) for i in range(m) for k in range(1, M ** (m - i) + 1)] for m in range(cfg.n + 1)]
+    )
 
-    # one depth of nodes: their levels, and their times and paths as array rows
-    levels = [cfg.n]
-    times = np.array([cfg.t], dtype=np.float64)
+    # one depth of nodes: their levels, their times (one row per seed) and their paths
+    levels = np.array([cfg.n])
+    times = np.full((len(oracles), 1), cfg.t, dtype=np.float64)
     paths = np.array(theta, dtype=np.int64).reshape(1, len(theta))
     depths = []
-    while any(levels):
-        drawn = [j for j, m in enumerate(levels) if m]
-        datum_owner, datum_paths = _extend(paths, levels, drawn, datum_sfx)
-        branch_owner, branch_paths = _extend(paths, levels, drawn, branch_sfx)
-        s = uniform_time(oracle, branch_paths, times[branch_owner], horizon)
-        moves = brownian_increment(
-            oracle,
-            np.vstack([datum_paths, branch_paths]),
-            np.concatenate([horizon - times[datum_owner], s - times[branch_owner]]),
-        )
+    while levels.any():
+        drawn = np.flatnonzero(levels)
+        datum_owner, datum_paths = datum_sfx.extend(paths, drawn, levels[drawn])
+        branch_owner, branch_paths = branch_sfx.extend(paths, drawn, levels[drawn])
+        start = times[:, branch_owner]
+        s = np.array([uniform_time(o, branch_paths, t, horizon) for o, t in zip(oracles, start)])
+        elapsed = np.concatenate([horizon - times[:, datum_owner], s - start], axis=1)
+        move_paths = np.vstack([datum_paths, branch_paths])
+        moves = np.array([brownian_increment(o, move_paths, e) for o, e in zip(oracles, elapsed)])
         i, k = branch_paths[:, -2], branch_paths[:, -1]
-        depths.append((levels, s.tolist(), moves, len(datum_paths), i.tolist()))
+        # a tier's branches are the M**(m-i) consecutive rows from k = 1, and
+        # its weight is (horizon - t) / M**(m-i) at its level-m node's time t
+        tier_at = np.flatnonzero(k == 1)
+        tier_owner = branch_owner[tier_at]
+        scales = (horizon - times[:, tier_owner]) / M ** (levels[tier_owner] - i[tier_at])
+        moves = moves.transpose(1, 0, 2)
+        n_datum = len(datum_paths)
+        depths.append((levels.tolist(), scales.T, moves[:n_datum, None], moves[n_datum:], i.tolist()))
         # the next depth: every branch's child along (theta, i, k), then the
         # level-(i-1) tree along (theta, -i, k) of every branch with i >= 1
         below = i >= 1
         below_sfx = np.stack([-i[below], k[below]], axis=1)
         below_paths = np.hstack([paths[branch_owner[below]], below_sfx])
-        levels = i.tolist() + (i[below] - 1).tolist()
-        times = np.concatenate([s, s[below]])
+        levels = np.concatenate([i, i[below] - 1])
+        times = np.concatenate([s, s[:, below]], axis=1)
         paths = np.vstack([branch_paths, below_paths])
 
     # assemble from the deepest depth up; `nodes` are the trees of the depth below
     nodes = [_LEAF] * len(levels)
-    for levels, s, moves, n_datum, branch_levels in reversed(depths):
-        belows = iter(nodes[len(s) :])
+    for levels, scales, datum_moves, branch_moves, branch_levels in reversed(depths):
+        belows = iter(nodes[len(branch_levels) :])
         branches = [
-            (time, move, child, next(belows) if i else None)
-            for time, move, child, i in zip(s, list(moves[n_datum:]), nodes, branch_levels)
+            (move, child, next(belows) if i else None)
+            for move, child, i in zip(branch_moves, nodes, branch_levels)
         ]
+        scales = iter(scales)
         parents = []
         datum_at = branch_at = 0
         for m in levels:
@@ -139,21 +168,32 @@ def draw_tree(cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle) -> Tree:
                 continue
             tiers = []
             for i in range(m):
-                tiers.append(tuple(branches[branch_at : branch_at + M ** (m - i)]))
+                tiers.append((next(scales), tuple(branches[branch_at : branch_at + M ** (m - i)])))
                 branch_at += M ** (m - i)
-            parents.append((moves[datum_at : datum_at + M**m], tuple(tiers)))
+            parents.append((datum_moves[datum_at : datum_at + M**m], tuple(tiers)))
             datum_at += M**m
         nodes = parents
     return nodes[0]
 
 
-def _extend(
-    paths: np.ndarray, levels: list[int], drawn: list[int], suffixes: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each drawn node's path once per suffix of its level, with that suffix
-    appended, and the node each new path comes from."""
-    owner = np.repeat(drawn, [len(suffixes[levels[j]]) for j in drawn])
-    return owner, np.hstack([paths[owner], np.concatenate([suffixes[levels[j]] for j in drawn])])
+class _Suffixes:
+    """The path suffixes of a node of each level, stacked for block gathers."""
+
+    def __init__(self, per_level: list[list[tuple[int, int]]]) -> None:
+        self.counts = np.array([len(rows) for rows in per_level])
+        self.offsets = np.cumsum(self.counts) - self.counts
+        self.rows = np.array([row for rows in per_level for row in rows], dtype=np.int64).reshape(-1, 2)
+
+    def extend(
+        self, paths: np.ndarray, nodes: np.ndarray, levels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's path once per suffix of its level, with that suffix
+        appended, and the node each new path comes from."""
+        counts = self.counts[levels]
+        owner = np.repeat(nodes, counts)
+        # row r of the result is suffix r - (first row of its node) of its node's level
+        rows = np.arange(len(owner)) + np.repeat(self.offsets[levels] - np.cumsum(counts) + counts, counts)
+        return owner, np.hstack([paths[owner], self.rows[rows]])
 
 
 def mlp_eval(
@@ -161,46 +201,70 @@ def mlp_eval(
     x: object,
     theta: ThetaPath,
     fns: ProblemFns,
-    oracle: RandomOracle,
+    oracle: RandomOracle | Sequence[RandomOracle],
 ) -> float | np.ndarray:
     """Level-cfg.n estimate at time cfg.t along `theta`.
 
     `x` is one point of shape (d,), which gives a float, or a block of points
-    of shape (N, d), which gives an array of N estimates. The sample tree is
-    drawn once and read once for the block: `fns.g` gets a node's (M**n * N, d)
-    shifted points, `fns.f` (N,) arrays. Each estimate equals the one its point
-    gets alone if f and g give a row the same bits in a block. Points must be finite.
+    of shape (N, d), which gives an array of N estimates. A sequence of S
+    oracles in place of one gives each oracle's estimates along a leading axis:
+    shape (S,) for one point, (S, N) for a block. The sample tree is drawn once
+    for all S oracles and read once for the whole block: `fns.g` gets a node's
+    (M**n * N * S, d) shifted points, `fns.f` arrays of shape (N, S). Each
+    estimate equals the one its (oracle, point) pair gets alone if f and g give
+    an element the same bits in a block. Points must be finite.
     """
     points = np.asarray(x, dtype=np.float64)
     if points.shape[-1:] != (cfg.d,) or points.ndim not in (1, 2):
         raise ValueError(f"point has shape {points.shape}, expected ({cfg.d},) or (N, {cfg.d})")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    tree = draw_tree(cfg, theta, oracle)
-    block = np.atleast_2d(points)
-    # every level-0 recursion is identically zero, so its f term is f(0)
-    f_zero = fns.f(np.zeros(len(block)))
+    oracles = _oracle_list(oracle, cfg.d)
+    tree = draw_tree(cfg, theta, oracles)
+    # estimates are read as (N, S) blocks: one column of points shared by every seed
+    block = points.reshape(-1, 1, cfg.d)
+    shape = (len(block), len(oracles))
+    # every level-0 recursion is identically zero, so its f term is f(0), and
+    # the level-0 sum of a node with c branches is c copies of it added in order
+    f_zero = fns.f(np.zeros(shape))
+    counts = {cfg.M**m for m in range(1, cfg.n + 1)}
+    zero_sums = {
+        c: acc for c, acc in enumerate(accumulate([f_zero] * cfg.M**cfg.n, initial=0.0)) if c in counts
+    }
 
-    def read(node: Tree, t: float, x: np.ndarray) -> np.ndarray:
-        shifts, levels = node
+    def read(node: Tree, x: np.ndarray) -> np.ndarray:
+        shifts, tiers = node
         # g on every shift of every point at once, summed over shifts in
         # drawing order (cumsum adds sequentially; sum may pair terms up)
-        g_vals = fns.g((x + shifts[:, None, :]).reshape(-1, cfg.d)).reshape(len(shifts), -1)
+        g_vals = fns.g((x + shifts).reshape(-1, cfg.d)).reshape(len(shifts), *shape)
         total = np.cumsum(g_vals, axis=0)[-1] / len(shifts)
-        for i, branches in enumerate(levels):
+        for i, (scale, branches) in enumerate(tiers):
+            if i == 0:  # every child is level 0, and there is no subtracted term
+                total = total + scale * zero_sums[len(branches)]
+                continue
             acc_i = 0.0
-            for s, shift, child, below in branches:
-                if i == 0:  # the child is level 0, and there is no subtracted term
-                    acc_i = acc_i + f_zero
-                    continue
+            for shift, child, below in branches:
                 y = x + shift
-                f_below = fns.f(read(below, s, y)) if i >= 2 else f_zero
-                acc_i = acc_i + (fns.f(read(child, s, y)) - f_below)
-            total = total + (cfg.horizon - t) / len(branches) * acc_i
+                f_below = fns.f(read(below, y)) if i >= 2 else f_zero
+                acc_i = acc_i + (fns.f(read(child, y)) - f_below)
+            total = total + scale * acc_i
         return total
 
-    values = read(tree, cfg.t, block) if cfg.n else np.zeros(len(block))
-    return values[0] if points.ndim == 1 else values
+    values = read(tree, block) if cfg.n else np.zeros(shape)
+    # `read` refers to itself through its closure; breaking that cycle frees
+    # f(0) and the level-0 sums now rather than at the next full collection
+    del read
+    values = np.ascontiguousarray(values.T)
+    if points.ndim == 1:
+        values = values[:, 0]
+    return values[0] if isinstance(oracle, RandomOracle) else values
+
+
+# `mlp_estimate_batch` reads seeds in groups of at most this many (seed, point)
+# estimates per tree, and at least one seed. At (4,3), d = 5, the time per
+# estimate stops falling at about this S * N, while a group's draws and its
+# (M**n, N, S, d) datum block grow with it.
+GROUP_ESTIMATES = 256
 
 
 def mlp_estimate_batch(
@@ -213,12 +277,21 @@ def mlp_estimate_batch(
 
     Returns an array of shape (len(root_seeds), len(points)): row i holds the
     estimates produced by the oracle seeded with root_seeds[i], one per point,
-    all starting from the root path; each seed's tree is drawn once.
+    all starting from the root path. Seeds must be integers in the signed
+    64-bit range, so that distinct seeds key distinct oracles. One tree is
+    drawn and read per group of seeds (see GROUP_ESTIMATES).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cfg.d:
         raise ValueError(f"points must have shape (N, {cfg.d}), got {pts.shape}")
-    out = np.empty((len(root_seeds), pts.shape[0]))
-    for i, seed in enumerate(root_seeds):
-        out[i] = mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(int(seed), cfg.d))
+    for seed in root_seeds:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"seeds must be integers, got {seed!r}")
+        if not -(2**63) <= seed < 2**63:
+            raise ValueError(f"seed {seed} does not fit in 64 bits")
+    group = max(1, GROUP_ESTIMATES // max(1, len(pts)))
+    out = np.empty((len(root_seeds), len(pts)))
+    for start in range(0, len(root_seeds), group):
+        oracles = [RandomOracle(seed, cfg.d) for seed in root_seeds[start : start + group]]
+        out[start : start + len(oracles)] = mlp_eval(cfg, pts, ROOT_PATH, fns, oracles)
     return out

@@ -301,7 +301,7 @@ def convergence_experiment(
         cfg = MlpConfig(n=n, M=m, horizon=form.horizon, t=form.engine_time(t_native), d=problem.d)
         for seed in seeds:
             start = time.perf_counter()
-            estimates = mlp_estimate_batch(cfg, pts, [int(seed)], form.fns)[0]
+            estimates = mlp_estimate_batch(cfg, pts, [seed], form.fns)[0]
             wall_ms = int(round((time.perf_counter() - start) * 1000.0))
             err = float(np.mean(np.abs(estimates - refs) ** p) ** (1.0 / p))
             rows.append((n, m, int(seed), p, err, wall_ms))

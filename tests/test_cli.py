@@ -229,6 +229,26 @@ def test_mlp_rejects_non_finite_points(tmp_path, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("seed", [str(2**64 + 1), str(2**63), str(-(2**63) - 1)])
+@pytest.mark.parametrize("command", ["mlp", "pde-error"])
+def test_seeds_outside_64_bits_are_usage_errors(tmp_path, capsys, command, seed):
+    # such a seed would wrap onto the oracle of another seed, here 1 or -2**63 or 2**63 - 1
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.1,0.2\n")
+    out_csv = tmp_path / "out.csv"
+    argv = {
+        "mlp": ["mlp", "--d", "2", "--n", "1", "--m", "1", "--t", "0.0", "--horizon", "1.0",
+                "--points", str(pts)],
+        "pde-error": ["pde-error", "--d", "2", "--levels", "1:1", "--samples", "2",
+                      "--out", str(out_csv)],
+    }[command]
+    code, out, err = run(capsys, *argv, "--seeds", f"1,{seed}")
+    assert code == 2
+    assert out == "" and not out_csv.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and seed in lines[0], lines
+
+
 def test_pde_error_csv_is_deterministic_up_to_wall_ms(tmp_path, capsys):
     args = [
         "pde-error",

@@ -1,7 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from picardnets import (
     MlpConfig,
@@ -13,6 +16,7 @@ from picardnets import (
     mlp_eval,
     uniform_time,
 )
+from picardnets import engine
 from picardnets.engine import draw_tree
 from picardnets.sampling import KIND_GAUSS, KIND_TIME
 
@@ -54,8 +58,10 @@ def reference_eval(n, t, x, theta, cfg, fns, oracle):
     return total
 
 
-def reference_draw_tree(n, t, theta, cfg, oracle):
-    """The sample tree drawn path by path, as the definition recurses."""
+def reference_draw_tree(n, t, theta, cfg, oracle, times):
+    """The sample tree of one oracle drawn path by path, as the definition
+    recurses, with the seed axis left out; `times` collects each branch path's
+    drawn time."""
     if n == 0:
         return (), ()
     horizon = cfg.horizon
@@ -63,38 +69,39 @@ def reference_draw_tree(n, t, theta, cfg, oracle):
     shifts = np.array(
         [brownian_increment(oracle, theta + (0, -k), horizon - t) for k in range(1, M**n + 1)]
     )
-    levels = []
+    tiers = []
     for i in range(n):
         branches = []
         for k in range(1, M ** (n - i) + 1):
             branch = theta + (i, k)
-            s = uniform_time(oracle, branch, t, horizon)
+            s = times[branch] = uniform_time(oracle, branch, t, horizon)
             shift = brownian_increment(oracle, branch, s - t)
-            child = reference_draw_tree(i, s, branch, cfg, oracle)
-            below = reference_draw_tree(i - 1, s, theta + (-i, k), cfg, oracle) if i >= 1 else None
-            branches.append((s, shift, child, below))
-        levels.append(tuple(branches))
-    return shifts, tuple(levels)
+            child = reference_draw_tree(i, s, branch, cfg, oracle, times)
+            below = reference_draw_tree(i - 1, s, theta + (-i, k), cfg, oracle, times) if i >= 1 else None
+            branches.append((shift, child, below))
+        tiers.append(((horizon - t) / M ** (n - i), tuple(branches)))
+    return shifts, tuple(tiers)
 
 
-def assert_same_tree(got, want):
-    """Equal layout, floats equal by bytes and arrays by `tobytes`."""
-    (shifts, levels), (want_shifts, want_levels) = got, want
-    if not want_levels:
+def assert_same_tree(got, want, j):
+    """Seed j of a drawn tree has the reference's layout, floats and arrays equal by bytes."""
+    (shifts, tiers), (want_shifts, want_tiers) = got, want
+    if not want_tiers:
         assert got == ((), ())
         return
-    assert shifts.shape == want_shifts.shape and shifts.tobytes() == want_shifts.tobytes()
-    assert len(levels) == len(want_levels)
-    for branches, want_branches in zip(levels, want_levels):
+    assert shifts.shape[:2] == (len(want_shifts), 1) and shifts.shape[3] == want_shifts.shape[1]
+    assert shifts[:, 0, j].tobytes() == want_shifts.tobytes()
+    assert len(tiers) == len(want_tiers)
+    for (scale, branches), (want_scale, want_branches) in zip(tiers, want_tiers):
+        assert scale[j].tobytes() == np.float64(want_scale).tobytes()
         assert len(branches) == len(want_branches)
-        for (s, shift, child, below), (ws, wshift, wchild, wbelow) in zip(branches, want_branches):
-            assert type(s) is float and np.float64(s).tobytes() == np.float64(ws).tobytes()
-            assert shift.shape == wshift.shape and shift.tobytes() == wshift.tobytes()
-            assert_same_tree(child, wchild)
+        for (shift, child, below), (wshift, wchild, wbelow) in zip(branches, want_branches):
+            assert shift[j].tobytes() == wshift.tobytes()
+            assert_same_tree(child, wchild, j)
             if wbelow is None:
                 assert below is None
             else:
-                assert_same_tree(below, wbelow)
+                assert_same_tree(below, wbelow, j)
 
 
 @pytest.mark.parametrize(
@@ -110,11 +117,29 @@ def assert_same_tree(got, want):
         (2, 2, 4, (), 0.5),
     ],
 )
-def test_draw_tree_equals_the_per_path_recursion(n, M, d, theta, t):
+def test_draw_tree_equals_the_per_path_recursion(monkeypatch, n, M, d, theta, t):
+    # every drawn time, by seed and branch path, as the tree's block calls return it
+    times = {}
+
+    def recording_uniform_time(oracle, paths, start, horizon):
+        s = uniform_time(oracle, paths, start, horizon)
+        times.update(((oracle.seed, tuple(row)), value) for row, value in zip(paths.tolist(), s))
+        return s
+
+    monkeypatch.setattr(engine, "uniform_time", recording_uniform_time)
     cfg = MlpConfig(n=n, M=M, horizon=1.0, t=t, d=d)
-    for seed in (3, -17):
-        got = draw_tree(cfg, theta, RandomOracle(seed, d))
-        assert_same_tree(got, reference_draw_tree(n, t, theta, cfg, RandomOracle(seed, d)))
+    seeds = (3, -17, 2**63 - 1)
+    group = draw_tree(cfg, theta, [RandomOracle(seed, d) for seed in seeds])
+    want_times = {}
+    for j, seed in enumerate(seeds):
+        per_seed = {}
+        want = reference_draw_tree(n, t, theta, cfg, RandomOracle(seed, d), per_seed)
+        want_times.update(((seed, path), s) for path, s in per_seed.items())
+        assert_same_tree(group, want, j)
+        assert_same_tree(draw_tree(cfg, theta, RandomOracle(seed, d)), want, 0)
+    assert {k: np.float64(v).tobytes() for k, v in times.items()} == {
+        k: np.float64(v).tobytes() for k, v in want_times.items()
+    }
 
 
 def test_draw_tree_rejects_bad_paths():
@@ -288,3 +313,98 @@ def test_non_finite_points_are_rejected():
             mlp_eval(cfg, np.array(bad), ROOT_PATH, fns, RandomOracle(0, 2))
         with pytest.raises(ValueError, match="finite"):
             mlp_estimate_batch(cfg, np.array([[1.0, 1.0], bad]), [0], fns)
+
+
+def test_a_sequence_of_oracles_gives_a_leading_seed_axis():
+    cfg = MlpConfig(n=2, M=2, horizon=1.0, t=0.25, d=2)
+    fns = ProblemFns(f=lambda v: 0.3 * v, g=quad_g)
+    pts = np.array([[0.0, 0.0], [1.0, -1.0], [0.3, 0.7]])
+    oracles = [RandomOracle(seed, 2) for seed in (11, 22)]
+    block = mlp_eval(cfg, pts, ROOT_PATH, fns, oracles)
+    assert block.shape == (2, 3)
+    one = mlp_eval(cfg, pts[1], ROOT_PATH, fns, oracles)
+    assert one.shape == (2,) and np.array_equal(one, block[:, 1])
+    with pytest.raises(ValueError, match="oracle"):
+        mlp_eval(cfg, pts, ROOT_PATH, fns, [])
+
+
+def test_oracle_dimension_must_match_the_problem():
+    # a 1-D oracle would broadcast its shifts over every coordinate
+    cfg = MlpConfig(n=2, M=2, horizon=1.0, t=0.0, d=3)
+    fns = ProblemFns(f=lambda v: 0.1 * v, g=quad_g)
+    x = np.array([0.5, -0.5, 1.0])
+    for oracle in (RandomOracle(1, 1), [RandomOracle(1, 3), RandomOracle(2, 4)]):
+        with pytest.raises(ValueError, match="dimension"):
+            mlp_eval(cfg, x, ROOT_PATH, fns, oracle)
+        with pytest.raises(ValueError, match="dimension"):
+            draw_tree(cfg, ROOT_PATH, oracle)
+
+
+def test_seeds_must_be_integers_that_fit_in_64_bits():
+    # each of these used to key the oracle of seed 1 (or 2) without complaint
+    cfg = MlpConfig(n=1, M=2, horizon=1.0, t=0.0, d=2)
+    fns = ProblemFns(f=lambda v: 0.1 * v, g=quad_g)
+    pts = np.array([[0.1, 0.2]])
+    for bad in (1.7, True, np.float64(2.0), np.True_, 2**64 + 1, 2**63, -(2**63) - 1, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            mlp_estimate_batch(cfg, pts, [1, bad], fns)
+    seeds = [np.int64(5), 2**63 - 1, -(2**63), np.uint8(7)]
+    want = [mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(int(seed), 2)) for seed in seeds]
+    assert np.array_equal(mlp_estimate_batch(cfg, pts, seeds, fns), np.array(want))
+
+
+THETAS = [(0, 5, -2), (), (2**63 - 1,), (-3, 0, 1, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 4),
+    M=st.integers(1, 3),
+    d=st.integers(1, 6),
+    theta=st.sampled_from(THETAS),
+    seeds=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6),
+    N=st.integers(1, 4),
+    bound=st.integers(1, 9),
+)
+@example(n=2, M=2, d=3, theta=THETAS[0], seeds=[], N=3, bound=engine.GROUP_ESTIMATES)
+@example(
+    n=1, M=1, d=2, theta=THETAS[0], seeds=list(range(engine.GROUP_ESTIMATES + 3)), N=1,
+    bound=engine.GROUP_ESTIMATES,
+)
+def test_seed_groups_equal_per_seed_rows(n, M, d, theta, seeds, N, bound):
+    cfg = MlpConfig(n=n, M=M, horizon=1.5, t=0.2, d=d)
+    fns = ProblemFns(
+        f=lambda v: np.sin(v) + 0.5 * v, g=lambda x: np.cos(x).sum(axis=-1) + quad_g(x)
+    )
+    pts = np.random.default_rng(N * 7 + d).uniform(-2.0, 2.0, size=(N, d))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "GROUP_ESTIMATES", bound)
+        table = mlp_estimate_batch(cfg, pts, seeds, fns)
+    assert table.shape == (len(seeds), N)
+    for row, seed in zip(table, seeds):
+        assert np.array_equal(row, mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(seed, d)))
+    if seeds:
+        oracles = [RandomOracle(seed, d) for seed in seeds]
+        group = mlp_eval(cfg, pts, theta, fns, oracles)
+        for row, oracle in zip(group, oracles):
+            assert np.array_equal(row, mlp_eval(cfg, pts, theta, fns, oracle))
+
+
+def test_seed_groups_bound_peak_memory():
+    # one group holds GROUP_ESTIMATES // N seeds, so many groups peak like one
+    cfg = MlpConfig(n=3, M=3, horizon=1.0, t=0.0, d=5)
+    fns = ProblemFns(f=lambda v: 0.1 * v, g=quad_g)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(128, 5))
+    group = engine.GROUP_ESTIMATES // len(pts)
+
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            mlp_estimate_batch(cfg, pts, seeds, fns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(list(range(group)))
+    many = peak(list(range(16 * group)))
+    assert many < 1.25 * one, (one, many)

@@ -251,6 +251,8 @@ def test_convergence_experiment_validation_and_gate(monkeypatch):
         convergence_experiment(prob, [(1, 1)], [], n_points=4, p=2.0)
     with pytest.raises(ValueError):
         convergence_experiment(prob, [(1, 1)], [1], n_points=4, p=2.0, t_native=2.0)
+    with pytest.raises(ValueError, match="seed"):  # int() would turn it into seed 1
+        convergence_experiment(prob, [(1, 1)], [1, 1.7], n_points=4, p=2.0)
     wrong = lambda problem, t, x: float(t * (np.asarray(x) @ np.asarray(x)))
     monkeypatch.setattr(pde_mod, "reference_solution", wrong)
     with pytest.raises(ValueError, match="residual"):
