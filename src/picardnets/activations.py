@@ -36,16 +36,24 @@ class Activation:
             if int(self.gamma) != self.gamma or self.gamma < 2:
                 raise ValueError("repu exponent must be an integer >= 2")
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply elementwise; with `out` (which may be `x` itself) the result is written there."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "relu":
-            return np.maximum(x, 0.0)
         if self.kind == "leaky_relu":
-            return np.maximum(x, self.alpha * x)
+            return np.maximum(x, self.alpha * x, out=out)
+        if self.kind == "softplus":
+            # max(x, 0) + log1p(exp(-|x|)) avoids overflow on both tails; the
+            # tail is computed first, since `out` may be `x`
+            tail = np.abs(x)
+            np.negative(tail, out=tail)
+            np.exp(tail, out=tail)
+            np.log1p(tail, out=tail)
+        y = np.maximum(x, 0.0, out=out)
         if self.kind == "repu":
-            return np.maximum(x, 0.0) ** self.gamma
-        # softplus: max(x, 0) + log1p(exp(-|x|)) avoids overflow on both tails
-        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+            y **= self.gamma
+        elif self.kind == "softplus":
+            y += tail
+        return y
 
     def tag(self) -> str:
         """Serialization tag, e.g. "relu", "leaky_relu:0.1", "repu:3"."""

@@ -4,7 +4,9 @@ Every operation here builds a new network whose realized function relates to
 the operands' realized functions by an exact identity (composition, sums of
 equal- or different-depth operands, scalar multiples, parallel stacking).
 Depth and width bookkeeping is deterministic: the shape of every result is a
-function of the operand shapes alone.
+function of the operand shapes alone. Every array an operation allocates is
+marked read-only before the result is built, so `Network` adopts it without a
+copy, and layers carried over from an operand are shared with it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .network import (
     input_dim,
     network,
     output_dim,
+    read_only,
     realize,
 )
 
@@ -47,13 +50,13 @@ def compose(first: Network, second: Network) -> Network:
         )
     w_in, b_in = second.layers[-1]
     w_out, b_out = first.layers[0]
-    junction = (w_out @ w_in, w_out @ b_in + b_out)
+    junction = (read_only(w_out @ w_in), read_only(w_out @ b_in + b_out))
     return Network(second.layers[:-1] + (junction,) + first.layers[1:])
 
 
 def identity_affine(n: int) -> Network:
     """Single affine layer realizing the identity on R^n."""
-    return affine(np.eye(n), np.zeros(n))
+    return affine(read_only(np.eye(n)), read_only(np.zeros(n)))
 
 
 def power(net: Network, n: int) -> Network:
@@ -108,7 +111,7 @@ def parallelize(nets: Sequence[Network]) -> Network:
     for k in range(depths.pop()):
         w = block_diag(*(net.layers[k][0] for net in nets))
         b = np.concatenate([net.layers[k][1] for net in nets])
-        layers.append((w, b))
+        layers.append((read_only(w), read_only(b)))
     return network(*layers)
 
 
@@ -116,14 +119,14 @@ def fan_in(width: int, copies: int) -> Network:
     """Affine map (x_1, ..., x_n) -> x_1 + ... + x_n on blocks of the given width."""
     if width < 1 or copies < 1:
         raise ValueError("fan_in needs width >= 1 and copies >= 1")
-    return affine(np.tile(np.eye(width), (1, copies)), np.zeros(width))
+    return affine(read_only(np.hstack([np.eye(width)] * copies)), read_only(np.zeros(width)))
 
 
 def fan_out(width: int, copies: int) -> Network:
     """Affine map x -> (x, ..., x) with the given number of copies."""
     if width < 1 or copies < 1:
         raise ValueError("fan_out needs width >= 1 and copies >= 1")
-    return affine(np.tile(np.eye(width), (copies, 1)), np.zeros(width * copies))
+    return affine(read_only(np.vstack([np.eye(width)] * copies)), read_only(np.zeros(width * copies)))
 
 
 def sum_same_depth(nets: Sequence[Network]) -> Network:
@@ -150,7 +153,7 @@ def sum_same_depth(nets: Sequence[Network]) -> Network:
         for net in nets[1:]:
             w = w + net.layers[0][0]
             b = b + net.layers[0][1]
-        return network((w, b))
+        return network((read_only(w), read_only(b)))
     first_w = np.vstack([net.layers[0][0] for net in nets])
     first_b = np.concatenate([net.layers[0][1] for net in nets])
     layers = [(first_w, first_b)]
@@ -166,13 +169,13 @@ def sum_same_depth(nets: Sequence[Network]) -> Network:
     for net in nets[1:]:
         last_b = last_b + net.layers[-1][1]
     layers.append((last_w, last_b))
-    return network(*layers)
+    return network(*((read_only(w), read_only(b)) for w, b in layers))
 
 
 def scalar_mul(scale: float, net: Network) -> Network:
     """Network realizing x -> scale * net(x); composes a scaling layer on top."""
     out = output_dim(net)
-    return compose(affine(float(scale) * np.eye(out), np.zeros(out)), net)
+    return compose(affine(read_only(float(scale) * np.eye(out)), read_only(np.zeros(out))), net)
 
 
 def linear_combination_same(
@@ -196,7 +199,7 @@ def linear_combination_same(
     terms = []
     for h, s, shift, net in zip(weights, input_scales, input_shifts, nets):
         shift = np.broadcast_to(np.asarray(shift, dtype=np.float64), (d_in,))
-        shifted = compose(net, affine(float(s) * np.eye(d_in), shift))
+        shifted = compose(net, affine(read_only(float(s) * np.eye(d_in)), shift))
         terms.append(scalar_mul(h, shifted))
     return sum_same_depth(terms)
 
@@ -256,6 +259,6 @@ def activation_wrapper(width: int) -> Network:
     """Two identity layers; realizes one elementwise application of the activation."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    eye = np.eye(width)
-    zero = np.zeros(width)
+    eye = read_only(np.eye(width))
+    zero = read_only(np.zeros(width))
     return network((eye, zero), (eye, zero))

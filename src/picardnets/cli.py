@@ -46,7 +46,7 @@ from .pde import (
     convergence_experiment,
     rows_to_csv,
 )
-from .sampling import RandomOracle
+from .sampling import RandomOracle, check_seed
 
 # Grid used when the squared-norm datum must be approximated per coordinate
 # (every activation family except repu:2, which represents it exactly).
@@ -54,12 +54,16 @@ QUADRATIC_DATUM_RANGE = 8.0
 QUADRATIC_DATUM_CELLS = 160
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("PICARDNETS_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"PICARDNETS_SEED must be an integer, got {raw!r}") from exc
+def _oracle_seed(flag: int | None) -> int:
+    """The --seed value, else PICARDNETS_SEED, else 0; it must fit in 64 bits."""
+    if flag is None:
+        raw = os.environ.get("PICARDNETS_SEED", "0")
+        try:
+            flag = int(raw)
+        except ValueError:
+            raise ValueError(f"PICARDNETS_SEED must be an integer, got {raw!r}") from None
+    check_seed(flag)
+    return flag
 
 
 def _square_net_1d(act: Activation) -> Network:
@@ -436,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = _default_seed()
     try:
+        if hasattr(args, "seed"):
+            args.seed = _oracle_seed(args.seed)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

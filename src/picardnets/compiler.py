@@ -31,6 +31,7 @@ from .network import (
     max_width,
     output_dim,
     param_count,
+    read_only,
     realize,
 )
 from .sampling import RandomOracle, ThetaPath, probe_point
@@ -128,7 +129,7 @@ def _compile(tree: Tree, inputs: CompileInputs) -> Network:
     if not tiers:
         return affine(np.zeros((1, inputs.d)), np.zeros(1))
     act = inputs.activation
-    eye = np.eye(inputs.d)
+    eye = read_only(np.eye(inputs.d))  # shared by every shift layer
 
     block_datum = sum_same_depth(
         [
@@ -230,6 +231,8 @@ def verify_equivalence(
     probe_low: float = -3.0,
     probe_high: float = 3.0,
     allow_large: bool = False,
+    *,
+    compiled: Network | None = None,
 ) -> EquivalenceReport:
     """Compare the compiled network against the estimator on oracle-drawn probes.
 
@@ -239,11 +242,16 @@ def verify_equivalence(
     nonlinearity networks the compiler assembles. The probe points come from a
     stream whose kind tag never collides with the estimator's draws. The
     residual is |compiled(x) - estimate| / (1 + |estimate|). At least one
-    probe is required: comparing nothing proves nothing.
+    probe is required: comparing nothing proves nothing. A network already
+    compiled from `inputs`, `theta` and `t` may be passed as `compiled`; it is
+    then checked instead of a fresh compile, and `allow_large` plays no part.
     """
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")
-    compiled = compile_mlp(inputs, theta, t, allow_large=allow_large)
+    if compiled is None:
+        compiled = compile_mlp(inputs, theta, t, allow_large=allow_large)
+    elif input_dim(compiled) != inputs.d or output_dim(compiled) != 1:
+        raise ValueError(f"compiled network must map R^{inputs.d} to R, has dims {dims(compiled)}")
     act = inputs.activation
     fns = ProblemFns(
         f=lambda v: realize(inputs.f_net, act, v.reshape(-1, 1)).reshape(v.shape),
@@ -276,7 +284,7 @@ def prune_zero_blocks(net: Network) -> Network:
     below). Input and output widths are never touched, and a layer keeps at
     least one unit.
     """
-    layers = [(w.copy(), b.copy()) for w, b in net.layers]
+    layers = list(net.layers)
     for k in range(len(layers) - 2, -1, -1):
         w_next = layers[k + 1][0]
         keep = np.any(w_next != 0.0, axis=0)

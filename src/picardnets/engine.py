@@ -27,7 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sampling import RandomOracle, ThetaPath, brownian_increment, theta_bytes, uniform_time
+from .sampling import (
+    RandomOracle,
+    ThetaPath,
+    brownian_increment,
+    check_seed,
+    theta_bytes,
+    uniform_time,
+)
 
 ROOT_PATH: ThetaPath = (0,)
 
@@ -285,10 +292,7 @@ def mlp_estimate_batch(
     if pts.ndim != 2 or pts.shape[1] != cfg.d:
         raise ValueError(f"points must have shape (N, {cfg.d}), got {pts.shape}")
     for seed in root_seeds:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"seeds must be integers, got {seed!r}")
-        if not -(2**63) <= seed < 2**63:
-            raise ValueError(f"seed {seed} does not fit in 64 bits")
+        check_seed(seed)
     group = max(1, GROUP_ESTIMATES // max(1, len(pts)))
     out = np.empty((len(root_seeds), len(pts)))
     for start in range(0, len(root_seeds), group):

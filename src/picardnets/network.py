@@ -3,7 +3,9 @@
 A network is an ordered list of affine layers (W_1, b_1), ..., (W_L, b_L) with
 W_k of shape (l_k, l_{k-1}) and b_k of shape (l_k,). The realized function
 applies the activation elementwise after every layer except the last; the last
-layer stays purely affine. Weights are dense float64 and immutable.
+layer stays purely affine. Weights are dense float64 and immutable: a network
+adopts a read-only float64 array that owns its memory, and copies anything else
+once, so layers carried from one network into another are shared, never copied.
 """
 
 from __future__ import annotations
@@ -20,10 +22,19 @@ from .activations import Activation, parse_activation
 Layer = tuple[np.ndarray, np.ndarray]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64, copy=True)
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array its caller has just allocated read-only, so `Network` adopts it uncopied."""
     a.setflags(write=False)
     return a
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    # A read-only float64 array that owns its memory is adopted: its owner has
+    # given up writing it. A read-only view (broadcast_to, frombuffer, a slice)
+    # may look at memory that is still writable, so it is copied like the rest.
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable and a.base is None:
+        return a
+    return read_only(np.array(a, dtype=np.float64, copy=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +120,9 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
     `x` may be a single input of shape (l_0,) or a batch of shape (N, l_0); the
     result has shape (l_L,) or (N, l_L) accordingly. The activation is applied
     after every layer except the last. Any callable mapping arrays elementwise
-    is accepted in place of an Activation.
+    is accepted in place of an Activation. The bias and an Activation are
+    applied in place on each layer's product, so one (N, l_k) matrix is held
+    per layer; `x` itself is never written.
     """
     z = np.asarray(x, dtype=np.float64)
     squeeze = z.ndim == 1
@@ -119,9 +132,10 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
         raise ValueError(f"input has shape {np.shape(x)}, expected last axis {input_dim(net)}")
     last = len(net.layers) - 1
     for k, (w, b) in enumerate(net.layers):
-        z = z @ w.T + b
+        z = z @ w.T
+        z += b
         if k != last:
-            z = act(z)
+            z = act(z, out=z) if isinstance(act, Activation) else act(z)
     return z[0] if squeeze else z
 
 

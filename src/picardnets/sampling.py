@@ -55,6 +55,15 @@ def theta_bytes(theta: ThetaPath) -> bytes:
     return b"".join(parts)
 
 
+def check_seed(seed: object) -> None:
+    """Reject a seed that is not a Python or NumPy integer in the signed 64-bit
+    range: `RandomOracle` would wrap it onto the oracle of another seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seeds must be integers, got {seed!r}")
+    if not _INT64_MIN <= seed <= _INT64_MAX:
+        raise ValueError(f"seed {seed} does not fit in 64 bits")
+
+
 def _is_block(paths: Paths) -> bool:
     return isinstance(paths, np.ndarray)
 

@@ -121,8 +121,8 @@ def sweep():
     start = time.perf_counter()
     for idx, d, m, n, act, t in _sweep_configs():
         inputs = _sweep_inputs(idx, d, m, n, act)
-        report = verify_equivalence(inputs, (0,), t, probes=20, tol=SWEEP_TOL)
         compiled = compile_mlp(inputs, (0,), t)
+        report = verify_equivalence(inputs, (0,), t, probes=20, tol=SWEEP_TOL, compiled=compiled)
         entries.append(
             {
                 "idx": idx,

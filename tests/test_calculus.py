@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,41 @@ def test_activation_wrapper_applies_activation_once():
     xs = RNG.standard_normal((7, 3))
     got = realize(activation_wrapper(3), act, xs)
     np.testing.assert_allclose(got, act(xs), rtol=0, atol=0)
+
+
+def test_operations_copy_no_array(monkeypatch):
+    # every array an operation allocates is read-only and owned, so Network adopts it;
+    # carried layers are shared; only caller-owned data (affine's w and b) is copied
+    network_mod = importlib.import_module("picardnets.network")
+    freeze = network_mod._freeze
+    copied = []
+
+    def counting(a):
+        out = freeze(a)
+        if out is not a:
+            copied.append(out.shape)
+        return out
+
+    a, b, square, flat = (rand_net(w) for w in ((2, 3, 4, 1), (2, 5, 2, 1), (1, 2, 1), (2, 1)))
+    inner = rand_net((2, 2))
+    filler = monomial_net(1)
+    monkeypatch.setattr(network_mod, "_freeze", counting)
+    results = [
+        compose(a, inner),
+        scalar_mul(-1.5, a),
+        sum_same_depth([a, b]),
+        sum_same_depth([flat] * 3),
+        parallelize([a, b]),
+        extend(5, filler, a),
+        extend(3, filler, a),
+        power(square, 3),
+        fan_in(2, 3),
+        fan_out(2, 3),
+        identity_affine(3),
+        activation_wrapper(2),
+        sum_diff_depth([a, flat], filler, relu()),
+        linear_combination_same([0.5, 2.0], [1.0, -1.0], [0.0, 1.0], [b, b]),
+    ]
+    # the shifts are the caller's values: a (2,) block each for linear_combination_same
+    assert copied == [(2,), (2,)]
+    assert all(not w.flags.writeable for net in results for w, _ in net.layers)

@@ -249,6 +249,35 @@ def test_seeds_outside_64_bits_are_usage_errors(tmp_path, capsys, command, seed)
     assert len(lines) == 1 and lines[0].startswith("error: ") and seed in lines[0], lines
 
 
+SEED_ARGV = {
+    "compile": ["compile", *BASE[:-2]],
+    "verify": ["verify", *BASE[:-2]],
+    "sampler-check": ["sampler-check", "--d", "2", "--gamma", "2", "--samples", "10"],
+}
+
+
+@pytest.mark.parametrize(
+    "source, seed",
+    [(source, str(v)) for source in ("flag", "env") for v in (2**64 + 1, 2**63, -(2**63) - 1)]
+    + [("env", "abc")],
+)
+@pytest.mark.parametrize("command", sorted(SEED_ARGV))
+def test_oracle_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, command, source, seed):
+    # the oracle would wrap such a seed onto another one: 2**64 + 1 used to print seed 1's report
+    argv = list(SEED_ARGV[command])
+    if command == "compile":
+        argv += ["--out", str(tmp_path / "net.json")]
+    if source == "flag":
+        argv += ["--seed", seed]
+    else:
+        monkeypatch.setenv("PICARDNETS_SEED", seed)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and not (tmp_path / "net.json").exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and seed in lines[0], lines
+
+
 def test_pde_error_csv_is_deterministic_up_to_wall_ms(tmp_path, capsys):
     args = [
         "pde-error",

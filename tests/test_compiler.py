@@ -120,6 +120,30 @@ def test_equivalence_needs_at_least_one_probe(probes):
         verify_equivalence(make_inputs(), (0,), 0.25, probes=probes)
 
 
+@pytest.mark.parametrize("act_tag", ["relu", "softplus"])
+def test_equivalence_of_a_given_net_equals_a_fresh_compile(act_tag):
+    inputs = make_inputs(act_tag, n=2, M=2, seed=21)
+    net = compile_mlp(inputs, (0,), 0.25)
+    given = verify_equivalence(inputs, (0,), 0.25, probes=7, compiled=net)
+    assert given.passed
+    assert report_json(given) == report_json(verify_equivalence(inputs, (0,), 0.25, probes=7))
+
+
+def test_equivalence_fails_for_a_net_compiled_from_another_seed():
+    inputs = make_inputs(n=2, M=2, seed=21)
+    other = compile_mlp(replace(inputs, oracle=RandomOracle(22, inputs.d)), (0,), 0.25)
+    assert not verify_equivalence(inputs, (0,), 0.25, probes=7, compiled=other).passed
+
+
+def test_equivalence_rejects_a_net_of_the_wrong_dims():
+    inputs = make_inputs(n=1, M=2, d=2)
+    wider = compile_mlp(make_inputs(n=1, M=2, d=3), (0,), 0.25)
+    two_outputs = network((np.ones((2, 2)), np.zeros(2)))
+    for net in (wider, two_outputs):
+        with pytest.raises(ValueError, match="R\\^2 to R"):
+            verify_equivalence(inputs, (0,), 0.25, compiled=net)
+
+
 def test_equivalence_with_exact_quadratic_datum():
     inputs = quad_inputs(n=3, M=2, d=2, seed=3)
     report = verify_equivalence(inputs, (0,), 0.0, probes=8)

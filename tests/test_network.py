@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from picardnets import (
     Network,
+    compose,
     depth,
     dim_at,
     dims,
@@ -24,6 +26,7 @@ from picardnets import (
     realize,
     relu,
     save_network,
+    scalar_mul,
     softplus,
 )
 
@@ -333,3 +336,145 @@ def test_dumps_is_byte_identical_to_the_json_module(net, tag):
 @given(small_nets())
 def test_depth_plus_width_never_exceeds_params(net):
     assert depth(net) + max_width(net) <= param_count(net)
+
+
+# -- realize in place ----------------------------------------------------------
+
+# The activations as they were written before they took `out`: the reference
+# that realize and Activation.__call__ must match bit for bit.
+OLD_ACTIVATIONS = {
+    "relu": lambda x: np.maximum(x, 0.0),
+    "leaky:0.1": lambda x: np.maximum(x, 0.1 * x),
+    "softplus": lambda x: np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))),
+    "repu:2": lambda x: np.maximum(x, 0.0) ** 2,
+    "tanh": np.tanh,
+}
+
+
+def _activation(tag):
+    return np.tanh if tag == "tanh" else parse_activation(tag)
+
+
+def _reference_realize(net, act, x):
+    """The forward pass that allocated a fresh matrix for the bias and for the activation."""
+    z = np.asarray(x, dtype=np.float64)
+    squeeze = z.ndim == 1
+    z = z[None, :] if squeeze else z
+    for k, (w, b) in enumerate(net.layers):
+        z = z @ w.T + b
+        if k != len(net.layers) - 1:
+            z = act(z)
+    return z[0] if squeeze else z
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+FINITE = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def nets_and_points(draw):
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    layers = []
+    for k in range(len(widths) - 1):
+        rows, cols = widths[k + 1], widths[k]
+        w = draw(st.lists(FINITE, min_size=rows * cols, max_size=rows * cols))
+        b = draw(st.lists(FINITE, min_size=rows, max_size=rows))
+        layers.append((np.array(w).reshape(rows, cols), np.array(b)))
+    rows = draw(st.sampled_from([None, 1, 2, 7]))
+    size = widths[0] * (1 if rows is None else rows)
+    x = np.array(draw(st.lists(FINITE, min_size=size, max_size=size)))
+    return network(*layers), x if rows is None else x.reshape(rows, widths[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(nets_and_points(), st.sampled_from(sorted(OLD_ACTIVATIONS)))
+def test_realize_in_place_is_bit_identical_to_the_allocating_pass(net_and_x, tag):
+    net, x = net_and_x
+    act = _activation(tag)
+    before = x.copy()
+    got = realize(net, act, x)
+    assert _same_bits(got, _reference_realize(net, OLD_ACTIVATIONS[tag], x))
+    assert _same_bits(x, before) and not np.shares_memory(got, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-800.0, 800.0, allow_nan=False), min_size=1, max_size=12),
+    st.sampled_from(sorted(OLD_ACTIVATIONS)),
+)
+def test_activation_out_is_bit_identical(values, tag):
+    act = _activation(tag)
+    x = np.array(values).reshape(-1, 1 + (len(values) % 2 == 0))
+    want = act(x)
+    assert _same_bits(want, OLD_ACTIVATIONS[tag](x))
+    buf = x.copy()
+    assert act(buf, out=buf) is buf
+    assert _same_bits(buf, want)
+
+
+def test_realize_holds_one_activation_matrix_per_layer():
+    # the compile-wide net's shape, (5, 608950, 1), realized on a batch of 16
+    rng = np.random.default_rng(3)
+    width = 608_950
+    net = network((rng.standard_normal((width, 5)), rng.standard_normal(width)), (np.ones((1, width)), [0.5]))
+    x = rng.standard_normal((16, 5))
+    tracemalloc.start()
+    try:
+        realize(net, relu(), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 16 * width * 8
+
+
+# -- array ownership -------------------------------------------------------------
+
+
+def test_writing_the_callers_array_leaves_the_network_unchanged():
+    w = np.array([[1.0, 2.0]])
+    b = np.array([0.5])
+    net = network((w, b))
+    w[0, 0] = 99.0
+    b[0] = 99.0
+    assert net.layers[0][0][0, 0] == 1.0 and net.layers[0][1][0] == 0.5
+
+
+def test_read_only_views_and_foreign_dtypes_are_copied():
+    base = np.zeros(2)
+    view = np.broadcast_to(base, (3, 2))
+    assert not view.flags.writeable
+    narrow = np.ones((3, 2), dtype=np.float32)
+    narrow.setflags(write=False)
+    net = Network(((view, np.zeros(3)), (narrow.T, np.zeros(2))))
+    base[0] = 7.0
+    w0, w1 = net.layers[0][0], net.layers[1][0]
+    assert not np.shares_memory(w0, base) and np.all(w0 == 0.0)
+    assert w1.dtype == np.float64 and not np.shares_memory(w1, narrow)
+
+
+def test_read_only_arrays_that_own_their_memory_are_adopted():
+    w = np.ones((3, 2))
+    b = np.zeros(3)
+    for a in (w, b):
+        a.setflags(write=False)
+    net = Network(((w, b),))
+    assert net.layers[0][0] is w and net.layers[0][1] is b
+
+
+def test_compose_and_scalar_mul_share_the_layers_they_carry_over():
+    rng = np.random.default_rng(8)
+    inner = network(*((rng.standard_normal((3, 3)), rng.standard_normal(3)) for _ in range(3)))
+    outer = network(*((rng.standard_normal((3, 3)), rng.standard_normal(3)) for _ in range(3)))
+    both = compose(outer, inner)
+    carried = list(zip(both.layers[:2], inner.layers[:2])) + list(zip(both.layers[3:], outer.layers[1:]))
+    for (w, b), (w_op, b_op) in carried:
+        assert np.shares_memory(w, w_op) and np.shares_memory(b, b_op)
+    scaled = scalar_mul(-2.0, inner)
+    for (w, b), (w_op, b_op) in zip(scaled.layers[:-1], inner.layers[:-1]):
+        assert np.shares_memory(w, w_op) and np.shares_memory(b, b_op)
+    # the junction layers are new arrays, and read-only
+    for w, b in (both.layers[2], scaled.layers[-1]):
+        assert not w.flags.writeable and not b.flags.writeable
