@@ -414,6 +414,8 @@ MALFORMED_NETS = {
     "top-level-list": [{"activation": "relu", "dims": [1, 1]}],
     "fractional-dims": {"activation": "relu", "dims": [1.5, 1], "layers": [{"w": [1.0], "b": [0.0]}]},
     "bad-layer-entry": {"activation": "relu", "dims": [1, 1], "layers": [[1.0, 0.0]]},
+    "string-entry": {"activation": "relu", "dims": [1, 1], "layers": [{"b": [0.0], "w": ["1.5"]}]},
+    "bool-entry": {"activation": "relu", "dims": [1, 1], "layers": [{"b": [True], "w": [1.0]}]},
 }
 
 
