@@ -82,11 +82,11 @@ def softplus() -> Activation:
 
 def parse_activation(tag: str) -> Activation:
     """Inverse of Activation.tag()."""
-    name, _, arg = tag.partition(":")
-    if name == "relu":
-        return relu()
-    if name == "softplus":
-        return softplus()
+    name, sep, arg = tag.partition(":")
+    if name in ("relu", "softplus"):
+        if sep:
+            raise ValueError(f"{name} takes no argument, got {tag!r}")
+        return relu() if name == "relu" else softplus()
     if name in ("leaky_relu", "leaky"):
         if not arg:
             raise ValueError("leaky_relu tag needs a slope, e.g. 'leaky_relu:0.1'")

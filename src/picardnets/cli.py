@@ -277,14 +277,8 @@ def _cmd_pde_error(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown problem {args.problem!r}")
     lo, _, hi = args.box.partition(",")
     problem = _problem(args, c=args.c, box=(float(lo), float(hi)), direction="terminal")
-    rows = convergence_experiment(
-        problem,
-        _parse_levels(args.levels),
-        _parse_seeds(args.seeds),
-        args.samples,
-        args.p,
-        workers=args.workers,
-    )
+    levels, seeds = _parse_levels(args.levels), _parse_seeds(args.seeds)
+    rows = convergence_experiment(problem, levels, seeds, args.samples, args.p)
     Path(args.out).write_text(rows_to_csv(rows))
     return 0
 
@@ -412,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--levels", required=True, help="comma list of N:M, e.g. 1:1,2:2,3:3")
     sub.add_argument("--seeds", required=True, help="comma-separated oracle seeds")
     sub.add_argument("--samples", type=int, required=True, help="evaluation point count")
-    sub.add_argument("--workers", type=int, default=1, help="accepted; rows are computed serially")
     sub.add_argument("--out", required=True, help="output CSV path")
     sub.set_defaults(handler=_cmd_pde_error)
 

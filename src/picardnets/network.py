@@ -329,9 +329,12 @@ def loads_network(text: str | bytes) -> tuple[Network, Activation]:
     a ValueError.
     """
     try:
-        layers, tag = _read_blocks(text if isinstance(text, bytes) else text.encode("ascii"))
-    except (ValueError, OverflowError):  # another layout, or malformed: the json module decides
-        return from_json_obj(json.loads(text))
+        try:
+            layers, tag = _read_blocks(text if isinstance(text, bytes) else text.encode("ascii"))
+        except (ValueError, OverflowError):  # another layout, or malformed: the json module decides
+            return from_json_obj(json.loads(text))
+    except RecursionError:
+        raise ValueError("network JSON is nested too deeply") from None
     return Network(tuple(layers)), parse_activation(tag)
 
 

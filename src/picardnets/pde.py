@@ -86,17 +86,20 @@ class PdeProblem:
         return self.g_custom  # type: ignore[return-value]
 
 
-def reference_solution(problem: PdeProblem, t: float, x: object) -> float:
+def reference_solution(problem: PdeProblem, t: float, x: object) -> float | np.ndarray:
     """Closed form for the squared-norm datum with zero or linear nonlinearity.
 
     Terminal form: u(t, x) = exp(lam * (horizon - t)) * (||x||^2 + 2 c d (horizon - t)).
     Initial form:  u(t, x) = exp(lam * t) * (||x||^2 + 2 c d t).
     The linear factor cancels exactly against the nonlinearity term, so no
     further correction is needed; `pde_residual_check` verifies this.
+    A point x of shape (d,) gives a float, a block (N, d) gives (N,) values.
     """
     if problem.g_kind != "quadratic" or problem.f_kind not in ("zero", "linear"):
         raise ValueError("closed-form reference needs the quadratic datum and zero/linear f")
-    pt = np.asarray(x, dtype=np.float64)
+    pts = np.asarray(x, dtype=np.float64)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != problem.d:
+        raise ValueError(f"points need shape ({problem.d},) or (N, {problem.d}), not {pts.shape}")
     lam = problem.lam if problem.f_kind == "linear" else 0.0
     if problem.direction == "terminal":
         tau = problem.horizon - t
@@ -108,7 +111,9 @@ def reference_solution(problem: PdeProblem, t: float, x: object) -> float:
         growth = math.exp(lam * tau)
     except OverflowError:
         raise ValueError(f"growth factor exp({lam} * {tau}) overflows float64") from None
-    return growth * (float(pt @ pt) + 2.0 * problem.c * problem.d * tau)
+    # vecdot rounds each row as the (d,) product x @ x does
+    values = growth * (np.vecdot(pts, pts) + 2.0 * problem.c * problem.d * tau)
+    return float(values) if pts.ndim == 1 else values
 
 
 def pde_residual_check(
@@ -116,36 +121,31 @@ def pde_residual_check(
 ) -> float:
     """Max finite-difference residual of the closed-form reference on probe points.
 
-    Central differences in time and space; raises when the residual exceeds
-    `tol` or is not finite, so experiments can hard-gate on a verified
-    reference. Returns the measured maximum.
+    Central differences in time and space, each on the whole probe block;
+    raises when the residual exceeds `tol` or is not finite, so experiments
+    can hard-gate on a verified reference. Returns the measured maximum.
     """
     lam = problem.lam if problem.f_kind == "linear" else 0.0
     lo, hi = problem.box
     oracle = RandomOracle(20_160_913, problem.d)
     pts = box_points(oracle, n_probes, lo, hi)
     times = np.linspace(0.25 * problem.horizon, 0.75 * problem.horizon, 4)
+    # the initial form is the terminal equation with time reversed
+    sign = 1.0 if problem.direction == "terminal" else -1.0
     residuals = []
     for t in times:
-        for row in pts:
-            u_t = (
-                reference_solution(problem, t + h, row) - reference_solution(problem, t - h, row)
-            ) / (2.0 * h)
-            lap = 0.0
-            center = reference_solution(problem, t, row)
-            for axis in range(problem.d):
-                step = np.zeros(problem.d)
-                step[axis] = h
-                lap += (
-                    reference_solution(problem, t, row + step)
-                    - 2.0 * center
-                    + reference_solution(problem, t, row - step)
-                ) / h**2
-            if problem.direction == "terminal":
-                residual = u_t + problem.c * lap + lam * center
-            else:
-                residual = u_t - problem.c * lap - lam * center
-            residuals.append(abs(residual))
+        u_t = sign * (
+            reference_solution(problem, t + h, pts) - reference_solution(problem, t - h, pts)
+        ) / (2.0 * h)
+        lap = 0.0
+        center = reference_solution(problem, t, pts)
+        for step in h * np.eye(problem.d):
+            lap += (
+                reference_solution(problem, t, pts + step)
+                - 2.0 * center
+                + reference_solution(problem, t, pts - step)
+            ) / h**2
+        residuals.append(np.abs(u_t + problem.c * lap + lam * center))
     worst = float(np.max(residuals))
     if not worst <= tol:
         raise ValueError(f"reference residual {worst:.3e} exceeds {tol:.1e}")
@@ -197,8 +197,8 @@ def _check_exponent(p: float) -> None:
 
 
 def lp_error(
-    reference: Callable[[np.ndarray], float],
-    approximation: Callable[[np.ndarray], float],
+    reference: Callable[[np.ndarray], np.ndarray],
+    approximation: Callable[[np.ndarray], np.ndarray],
     box: tuple[float, float],
     d: int,
     p: float,
@@ -207,6 +207,7 @@ def lp_error(
 ) -> ErrorEstimate:
     """Monte Carlo estimate of the L^p distance under the uniform box measure.
 
+    Each callable maps the (N, d) block of sample points to (N,) values.
     Returns ((1/N) sum |diff|^p)^(1/p) with a delta-method standard error. The
     power-mean inequality (the p/2 estimate never exceeds the p estimate on
     the same samples) is asserted on every call as a self-check.
@@ -216,9 +217,10 @@ def lp_error(
         raise ValueError("need at least one sample")
     oracle = RandomOracle(seed, d)
     pts = box_points(oracle, n_samples, box[0], box[1])
-    diffs = np.abs(
-        np.array([reference(row) - approximation(row) for row in pts], dtype=np.float64)
-    )
+    ref, approx = (np.asarray(fn(pts), dtype=np.float64) for fn in (reference, approximation))
+    if ref.shape != (n_samples,) or approx.shape != (n_samples,):
+        raise ValueError(f"callables must map (N, d) to (N,), got {ref.shape} and {approx.shape}")
+    diffs = np.abs(ref - approx)
     powered = diffs**p
     mean = float(powered.mean())
     value = mean ** (1.0 / p)
@@ -247,7 +249,7 @@ def brownian_moment_check(
     # sample i is drawn along the path (i,); one block draws them all
     paths = np.arange(n_samples, dtype=np.int64)[:, None]
     increments = brownian_increment(oracle, paths, np.full(n_samples, float(s)))
-    values = np.array([(w @ w) ** gamma for w in increments])
+    values = np.vecdot(increments, increments) ** gamma
     exact = (2.0 * s) ** gamma * math.prod(d / 2.0 + k for k in range(gamma))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1)) / math.sqrt(n_samples)
@@ -271,18 +273,17 @@ def convergence_experiment(
     n_points: int,
     p: float,
     t_native: float = 0.0,
-    workers: int = 1,
 ) -> list[tuple]:
     """One row per (level, seed): empirical L^p error against the reference.
 
     Evaluation points are the first `n_points` of the uniform box stream keyed
     by seeds[0]; they are shared by every row so errors are comparable. The
     reference is hard-gated by the finite-difference residual check. Rows are
-    computed serially in deterministic order (levels outer, seeds inner);
-    `workers` is accepted and has no effect. wall_ms is honest timing and is
-    the one column that varies between runs. `t_native` is the problem-native
-    evaluation time; for initial-form problems the interesting choice is the
-    horizon, which the engine clock maps to 0.
+    computed serially in deterministic order (levels outer, seeds inner).
+    wall_ms is honest timing and is the one column that varies between runs.
+    `t_native` is the problem-native evaluation time; for initial-form
+    problems the interesting choice is the horizon, which the engine clock
+    maps to 0.
     """
     _check_exponent(p)
     if n_points < 1:
@@ -295,7 +296,7 @@ def convergence_experiment(
     form = time_rescale(problem)
     oracle = RandomOracle(int(seeds[0]), problem.d)
     pts = box_points(oracle, n_points, problem.box[0], problem.box[1])
-    refs = np.array([reference_solution(problem, t_native, row) for row in pts])
+    refs = reference_solution(problem, t_native, pts)
     rows = []
     for n, m in levels:
         cfg = MlpConfig(n=n, M=m, horizon=form.horizon, t=form.engine_time(t_native), d=problem.d)

@@ -388,7 +388,7 @@ def test_09_estimates_converge_at_desk_scale(convergence):
     problem, _rows = convergence["plain"]
     oracle = RandomOracle(CONVERGENCE_SEEDS[0], problem.d)
     pts = box_points(oracle, CONVERGENCE_POINTS, *problem.box)
-    refs = np.array([reference_solution(problem, 0.0, row) for row in pts])
+    refs = reference_solution(problem, 0.0, pts)
     magnitude = float(np.sqrt(np.mean(refs**2)))
     level = CONVERGENCE_LEVELS[-1]
     top = medians["plain"][level]
@@ -408,8 +408,8 @@ def test_09_estimates_converge_at_desk_scale(convergence):
 
 def test_10_lp_error_calibration():
     offset = lp_error(
-        reference=lambda x: float(x[0]) + 0.5,
-        approximation=lambda x: float(x[0]),
+        reference=lambda x: x[:, 0] + 0.5,
+        approximation=lambda x: x[:, 0],
         box=(0.0, 1.0),
         d=2,
         p=2.0,
@@ -419,8 +419,8 @@ def test_10_lp_error_calibration():
     assert abs(offset.value - 0.5) <= 3.0 * offset.stderr + 1.0e-12
 
     ramp = lp_error(
-        reference=lambda x: float(x[0]),
-        approximation=lambda x: 0.0,
+        reference=lambda x: x[:, 0],
+        approximation=lambda x: np.zeros(len(x)),
         box=(0.0, 1.0),
         d=1,
         p=2.0,
@@ -460,18 +460,15 @@ def test_11_artifacts_are_deterministic(sweep, convergence, tmp_path):
         fresh = verify_equivalence(_sweep_inputs(idx, d, m, n, act), (0,), t, probes=20)
         assert report_json(fresh) == report_json(e["equivalence"])
 
-    # rerunning the convergence experiment reproduces the CSV, workers aside;
-    # wall_ms is honest timing, so it is the one column left out of the diff
+    # rerunning the convergence experiment reproduces the CSV; wall_ms is
+    # honest timing, so it is the one column left out of the diff
     problem, rows_first = convergence["plain"]
-    baseline = _strip_wall_column(rows_to_csv(rows_first))
-    for workers in (1, 3):
-        rows = convergence_experiment(
-            problem,
-            CONVERGENCE_LEVELS,
-            CONVERGENCE_SEEDS,
-            n_points=CONVERGENCE_POINTS,
-            p=2.0,
-            t_native=0.0,
-            workers=workers,
-        )
-        assert _strip_wall_column(rows_to_csv(rows)) == baseline
+    rows = convergence_experiment(
+        problem,
+        CONVERGENCE_LEVELS,
+        CONVERGENCE_SEEDS,
+        n_points=CONVERGENCE_POINTS,
+        p=2.0,
+        t_native=0.0,
+    )
+    assert _strip_wall_column(rows_to_csv(rows)) == _strip_wall_column(rows_to_csv(rows_first))

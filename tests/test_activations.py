@@ -58,6 +58,9 @@ def test_parse_accepts_leaky_alias_and_rejects_junk():
         parse_activation("gelu")
     with pytest.raises(ValueError):
         parse_activation("repu:x")
+    for tag in ("relu:junk", "relu:", "relu:0.1", "softplus:3", "softplus:"):
+        with pytest.raises(ValueError, match="no argument"):
+            parse_activation(tag)
 
 
 def test_unknown_kind_rejected():

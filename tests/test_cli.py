@@ -301,19 +301,6 @@ def test_pde_error_csv_is_deterministic_up_to_wall_ms(tmp_path, capsys):
     assert len(first.read_text().splitlines()) == 1 + 4
 
 
-def test_pde_error_workers_flag(tmp_path, capsys):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    base = [
-        "pde-error", "--d", "2", "--levels", "1:2", "--seeds", "1,2",
-        "--samples", "8",
-    ]
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--workers", "3", "--out", str(threaded)]) == 0
-    strip = lambda p: [",".join(l.split(",")[:5]) for l in p.read_text().splitlines()]
-    assert strip(serial) == strip(threaded)
-
-
 def test_pde_error_rejects_bad_levels(capsys):
     code, _, err = run(
         capsys,
@@ -416,13 +403,18 @@ MALFORMED_NETS = {
     "bad-layer-entry": {"activation": "relu", "dims": [1, 1], "layers": [[1.0, 0.0]]},
     "string-entry": {"activation": "relu", "dims": [1, 1], "layers": [{"b": [0.0], "w": ["1.5"]}]},
     "bool-entry": {"activation": "relu", "dims": [1, 1], "layers": [{"b": [True], "w": [1.0]}]},
+    "relu-with-argument": {"activation": "relu:junk", "dims": [1, 1], "layers": [{"b": [0.0], "w": [1.0]}]},
+    "softplus-with-argument": {"activation": "softplus:3", "dims": [1, 1], "layers": [{"b": [0.0], "w": [1.0]}]},
+    # raw text, past the json module's recursion limit
+    "deep-nesting": "[" * 100_000,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_NETS))
 def test_malformed_network_json_is_a_usage_error(tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(MALFORMED_NETS[case]))
+    net = MALFORMED_NETS[case]
+    bad.write_text(net if isinstance(net, str) else json.dumps(net))
     pts = tmp_path / "pts.csv"
     pts.write_text("0.5\n")
     code, out, err = run(

@@ -168,6 +168,21 @@ def test_loads_rejects_inconsistent_dims():
         loads_network(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        '{"activation": "relu", "dims": [2, 1], "layers": [' + "[" * 100_000,
+        # nested inside the header, which the block reader parses first
+        '{"activation": ' + "[" * 100_000 + ', "layers": [',
+    ],
+)
+def test_loads_rejects_deep_nesting_as_a_value_error(text):
+    for form in (text, text.encode("ascii")):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            loads_network(form)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["w", "b"])
 def test_loads_rejects_non_finite_values(bad, field):

@@ -9,6 +9,8 @@ from picardnets import (
     ErrorEstimate,
     MlpConfig,
     PdeProblem,
+    RandomOracle,
+    box_points,
     brownian_moment_check,
     convergence_experiment,
     lp_error,
@@ -20,10 +22,50 @@ from picardnets import (
 )
 
 
+def zeros(x):
+    return np.zeros(len(x))
+
+
 def heat_problem(**kw):
     base = dict(d=2, horizon=1.0, c=0.5, f_kind="zero", g_kind="quadratic")
     base.update(kw)
     return PdeProblem(**base)
+
+
+def reference_point(problem, t, x):
+    """The closed form as it was written for one point at a time."""
+    pt = np.asarray(x, dtype=np.float64)
+    lam = problem.lam if problem.f_kind == "linear" else 0.0
+    tau = problem.horizon - t if problem.direction == "terminal" else t
+    return math.exp(lam * tau) * (float(pt @ pt) + 2.0 * problem.c * problem.d * tau)
+
+
+def residual_loop(problem, n_probes=16, h=1.0e-3):
+    """The residual check's maximum as it was computed, point by point."""
+    lam = problem.lam if problem.f_kind == "linear" else 0.0
+    pts = box_points(RandomOracle(20_160_913, problem.d), n_probes, *problem.box)
+    residuals = []
+    for t in np.linspace(0.25 * problem.horizon, 0.75 * problem.horizon, 4):
+        for row in pts:
+            u_t = (reference_point(problem, t + h, row) - reference_point(problem, t - h, row)) / (
+                2.0 * h
+            )
+            lap = 0.0
+            center = reference_point(problem, t, row)
+            for axis in range(problem.d):
+                step = np.zeros(problem.d)
+                step[axis] = h
+                lap += (
+                    reference_point(problem, t, row + step)
+                    - 2.0 * center
+                    + reference_point(problem, t, row - step)
+                ) / h**2
+            if problem.direction == "terminal":
+                residual = u_t + problem.c * lap + lam * center
+            else:
+                residual = u_t - problem.c * lap - lam * center
+            residuals.append(abs(residual))
+    return float(np.max(residuals))
 
 
 def test_problem_validation():
@@ -76,6 +118,29 @@ def test_reference_solution_guards():
         reference_solution(heat_problem(), 1.5, np.zeros(2))
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 32])
+@pytest.mark.parametrize("direction", ["terminal", "initial"])
+@pytest.mark.parametrize("f_kw", [{}, {"f_kind": "linear", "lam": -0.7}])
+def test_reference_solution_blocks_equal_point_calls(d, direction, f_kw):
+    prob = heat_problem(d=d, c=1.5, direction=direction, **f_kw)
+    pts = np.random.default_rng(d).uniform(-1.0, 2.0, size=(200, d))
+    for t in (0.0, 0.3, 1.0):
+        block = reference_solution(prob, t, pts)
+        assert block.shape == (200,) and block.dtype == np.float64
+        singles = [reference_solution(prob, t, row) for row in pts]
+        assert all(type(v) is float for v in singles)
+        want = np.array([reference_point(prob, t, row) for row in pts])
+        assert np.array_equal(block, want)
+        assert np.array_equal(np.array(singles), want)
+
+
+def test_reference_solution_rejects_other_shapes():
+    prob = heat_problem(d=2)
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError, match="shape"):
+            reference_solution(prob, 0.5, bad)
+
+
 def test_reference_solution_refuses_an_overflowing_growth_factor():
     prob = heat_problem(f_kind="linear", lam=1e6)
     assert reference_solution(prob, 1.0, np.zeros(2)) == 0.0  # tau = 0: exp(0)
@@ -90,15 +155,19 @@ def test_reference_solution_refuses_an_overflowing_growth_factor():
         {"f_kind": "linear", "lam": 0.3},
         {"direction": "initial"},
         {"direction": "initial", "f_kind": "linear", "lam": -0.2, "c": 2.0},
+        {"d": 5, "c": 1.5, "box": (-1.0, 2.0), "f_kind": "linear", "lam": 0.1},
     ],
 )
 def test_residual_check_passes_for_exact_references(kw):
-    worst = pde_residual_check(heat_problem(**kw))
+    prob = heat_problem(**kw)
+    worst = pde_residual_check(prob)
     assert worst <= 1e-6
+    # the block form gives the point-by-point maximum bit for bit
+    assert worst == residual_loop(prob)
 
 
 def test_residual_check_catches_a_wrong_reference(monkeypatch):
-    wrong = lambda problem, t, x: float(np.asarray(x) @ np.asarray(x)) * math.exp(t)
+    wrong = lambda problem, t, x: np.vecdot(x, x) * math.exp(t)
     monkeypatch.setattr(pde_mod, "reference_solution", wrong)
     with pytest.raises(ValueError, match="residual"):
         pde_mod.pde_residual_check(heat_problem())
@@ -165,8 +234,8 @@ def test_rescaled_estimator_tracks_the_closed_form():
 
 def test_lp_error_exact_for_constant_offset():
     est = lp_error(
-        reference=lambda x: float(x[0]) + 0.75,
-        approximation=lambda x: float(x[0]),
+        reference=lambda x: x[:, 0] + 0.75,
+        approximation=lambda x: x[:, 0],
         box=(0.0, 1.0),
         d=1,
         p=2.0,
@@ -176,15 +245,15 @@ def test_lp_error_exact_for_constant_offset():
     assert isinstance(est, ErrorEstimate)
     assert est.value == pytest.approx(0.75, rel=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
-    odd = lp_error(lambda x: 0.75, lambda x: 0.0, (0.0, 1.0), 1, 1.5, 100, 4)
+    odd = lp_error(lambda x: np.full(len(x), 0.75), zeros, (0.0, 1.0), 1, 1.5, 100, 4)
     assert odd.value == pytest.approx(0.75, rel=1e-12)
 
 
 def test_lp_error_calibrates_against_uniform_moment():
     # |x - 0| on U[0, 1]: the L^2 distance is (1/3)^(1/2)
     est = lp_error(
-        reference=lambda x: float(x[0]),
-        approximation=lambda x: 0.0,
+        reference=lambda x: x[:, 0],
+        approximation=zeros,
         box=(0.0, 1.0),
         d=1,
         p=2.0,
@@ -196,15 +265,31 @@ def test_lp_error_calibrates_against_uniform_moment():
 
 def test_lp_error_validation():
     with pytest.raises(ValueError):
-        lp_error(lambda x: 0.0, lambda x: 0.0, (0.0, 1.0), 1, 0.0, 10, 0)
+        lp_error(zeros, zeros, (0.0, 1.0), 1, 0.0, 10, 0)
     with pytest.raises(ValueError):
-        lp_error(lambda x: 0.0, lambda x: 0.0, (0.0, 1.0), 1, 2.0, 0, 0)
+        lp_error(zeros, zeros, (0.0, 1.0), 1, 2.0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda x: 0.0,  # a scalar-style callable must not be broadcast
+        lambda x: x,  # (N, d)
+        lambda x: x[:, :1],  # (N, 1)
+        lambda x: np.zeros(len(x) - 1),
+        lambda x: np.zeros((1, len(x))),
+    ],
+)
+def test_lp_error_rejects_values_of_the_wrong_shape(wrong):
+    for reference, approximation in ((wrong, zeros), (zeros, wrong)):
+        with pytest.raises(ValueError, match="must map"):
+            lp_error(reference, approximation, (0.0, 1.0), 3, 2.0, 10, 0)
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
 def test_lp_exponent_must_be_finite_and_positive(p):
     with pytest.raises(ValueError, match="exponent"):
-        lp_error(lambda x: 0.0, lambda x: 0.0, (0.0, 1.0), 1, p, 10, 0)
+        lp_error(zeros, zeros, (0.0, 1.0), 1, p, 10, 0)
     with pytest.raises(ValueError, match="exponent"):
         convergence_experiment(heat_problem(), [(1, 1)], [1], n_points=4, p=p)
 
@@ -234,15 +319,6 @@ def test_convergence_experiment_rows_and_trend():
     assert medians[2] < medians[0]
 
 
-def test_convergence_experiment_worker_count_does_not_change_rows():
-    prob = heat_problem(d=2)
-    levels = [(1, 1), (2, 2)]
-    seeds = [7, 8]
-    serial = convergence_experiment(prob, levels, seeds, n_points=16, p=2.0)
-    threaded = convergence_experiment(prob, levels, seeds, n_points=16, p=2.0, workers=4)
-    assert [r[:5] for r in serial] == [r[:5] for r in threaded]
-
-
 def test_convergence_experiment_validation_and_gate(monkeypatch):
     prob = heat_problem()
     with pytest.raises(ValueError):
@@ -253,7 +329,7 @@ def test_convergence_experiment_validation_and_gate(monkeypatch):
         convergence_experiment(prob, [(1, 1)], [1], n_points=4, p=2.0, t_native=2.0)
     with pytest.raises(ValueError, match="seed"):  # int() would turn it into seed 1
         convergence_experiment(prob, [(1, 1)], [1, 1.7], n_points=4, p=2.0)
-    wrong = lambda problem, t, x: float(t * (np.asarray(x) @ np.asarray(x)))
+    wrong = lambda problem, t, x: t * np.vecdot(x, x)
     monkeypatch.setattr(pde_mod, "reference_solution", wrong)
     with pytest.raises(ValueError, match="residual"):
         convergence_experiment(prob, [(1, 1)], [1], n_points=4, p=2.0)
