@@ -22,7 +22,6 @@ from .calculus import affine, compose, fan_in, parallelize
 from .compiler import (
     CompileInputs,
     compile_mlp,
-    prune_zero_blocks,
     report_json,
     size_report,
     verify_equivalence,
@@ -197,9 +196,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     inputs = _compile_inputs(args)
     net = compile_mlp(inputs, (0,), args.t, allow_large=args.allow_large)
     report = size_report(inputs, net)
-    if args.prune:
-        net = prune_zero_blocks(net)
-        report = size_report(inputs, net)
     save_network(args.out, net, inputs.activation)
     if args.report:
         Path(args.report).write_text(report_json(report) + "\n")
@@ -381,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compile_flags(sub)
     sub.add_argument("--out", required=True, help="output network JSON path")
     sub.add_argument("--report", default=None, help="optional size report JSON path")
-    sub.add_argument("--prune", action="store_true", help="drop zero-wired hidden units")
     sub.set_defaults(handler=_cmd_compile)
 
     sub = subs.add_parser("verify", help="compile and compare against the estimator")

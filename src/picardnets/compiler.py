@@ -8,14 +8,20 @@ levels. The compiler reads the same sample tree the estimator reads
 with a shift, nonlinearity net composed with a recursively compiled child), so
 the whole estimate compiles into a single network via parallel sums with depth
 padding. It makes no oracle draw of its own: the compiled network realizes
-exactly the estimator's value function for the same tree, and its shape does
-not depend on path, time, or seed.
+exactly the estimator's value function for the same tree.
+
+It builds only live units, not hidden units whose outgoing weights are all
+zero: the operands' dead units are pruned first, a constant f becomes one
+affine layer, and a tier that is exactly zero (scale 0 at t = horizon, or f
+constant for tiers i >= 1) gets no units. So the shape does not depend on
+path, seed, or t < horizon; it depends on whether t = horizon, on the
+operands' live units, and on whether f is constant.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from .network import (
 from .sampling import RandomOracle, ThetaPath, probe_point
 
 PARAM_BOUND_LIMIT = 10**8
+PROBE_BOX = (-3.0, 3.0)  # verify_equivalence draws its probes from this cube
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,11 @@ def compile_mlp(
 
     The compiled network evaluates level inputs.n at time t along the given
     path: realize(compiled, act, x) == mlp_eval at (t, x) with the same oracle,
-    exactly in exact arithmetic. Refuses to build when the a-priori parameter
-    bound exceeds 10**8 unless `allow_large` is set.
+    exactly in exact arithmetic. Only live units are built (module docstring),
+    so the shape ignores path, seed and t < horizon but depends on whether
+    t = horizon, on the operands' live units, and on whether f is constant.
+    Refuses to build when the a-priori parameter bound exceeds 10**8 unless
+    `allow_large` is set.
     """
     cfg = MlpConfig(n=inputs.n, M=inputs.M, horizon=inputs.horizon, t=t, d=inputs.d)
     limit = bound_params(inputs)
@@ -120,6 +130,11 @@ def compile_mlp(
             f"parameter bound {limit} exceeds {PARAM_BOUND_LIMIT}; "
             "pass allow_large=True to compile anyway"
         )
+    # the operands' units that feed nothing would be copied into every term
+    f_net, g_net = prune_zero_blocks(inputs.f_net), prune_zero_blocks(inputs.g_net)
+    if not all(np.any(w) for w, _ in f_net.layers):  # f is constant: f(x) == f(0)
+        f_net = affine([[0.0]], realize(f_net, inputs.activation, np.zeros((1, 1)))[0])
+    inputs = replace(inputs, f_net=f_net, g_net=g_net)
     return _compile(draw_tree(cfg, theta, inputs.oracle), inputs)
 
 
@@ -139,10 +154,15 @@ def _compile(tree: Tree, inputs: CompileInputs) -> Network:
     )
 
     # f of the level-i children, and (for i >= 1) minus f of the level-(i-1)
-    # children, one depth-padded sum per level; level 0 has no subtracted term
+    # children, one depth-padded sum per level; level 0 has no subtracted term.
+    # A tier is exactly 0, and gets no units, when its scale is 0 (t = horizon)
+    # or when i >= 1 and f is constant (f(child) - f(below) = 0).
+    f_constant = not np.any(inputs.f_net.layers[0][0])
     level_terms = []
     below_terms = []
-    for scale, branches in tiers:
+    for i, (scale, branches) in enumerate(tiers):
+        if scale[0] == 0.0 or (i >= 1 and f_constant):
+            continue
         inner = []
         inner_below = []
         for shift, child, below in branches:
@@ -155,9 +175,9 @@ def _compile(tree: Tree, inputs: CompileInputs) -> Network:
         level_terms.append(scalar_mul(scale[0], sum_diff_depth(inner, inputs.j_net, act)))
         if inner_below:
             below_terms.append(scalar_mul(-scale[0], sum_diff_depth(inner_below, inputs.j_net, act)))
-    blocks = [block_datum, sum_diff_depth(level_terms, inputs.j_net, act)]
-    if below_terms:
-        blocks.append(sum_diff_depth(below_terms, inputs.j_net, act))
+    blocks = [block_datum] + [
+        sum_diff_depth(terms, inputs.j_net, act) for terms in (level_terms, below_terms) if terms
+    ]
     return sum_diff_depth(blocks, inputs.j_net, act)
 
 
@@ -181,15 +201,7 @@ class SizeReport:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "depth": self.depth,
-            "max_width": self.max_width,
-            "params": self.params,
-            "bound_depth": self.bound_depth,
-            "bound_width": self.bound_width,
-            "bound_params": self.bound_params,
-        }
+        return {**asdict(self), "dims": list(self.dims)}
 
 
 def size_report(inputs: CompileInputs, compiled: Network) -> SizeReport:
@@ -213,13 +225,7 @@ class EquivalenceReport:
     worst_probe: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "probe_count": self.probe_count,
-            "worst_probe": self.worst_probe,
-        }
+        return asdict(self)
 
 
 def verify_equivalence(
@@ -228,8 +234,6 @@ def verify_equivalence(
     t: float,
     probes: int = 20,
     tol: float = 1.0e-8,
-    probe_low: float = -3.0,
-    probe_high: float = 3.0,
     allow_large: bool = False,
     *,
     compiled: Network | None = None,
@@ -258,7 +262,7 @@ def verify_equivalence(
         g=lambda pts: realize(inputs.g_net, act, pts)[:, 0],
     )
     cfg = MlpConfig(n=inputs.n, M=inputs.M, horizon=inputs.horizon, t=t, d=inputs.d)
-    xs = np.array([probe_point(inputs.oracle, idx, probe_low, probe_high) for idx in range(probes)])
+    xs = np.array([probe_point(inputs.oracle, idx, *PROBE_BOX) for idx in range(probes)])
     xs = xs.reshape(-1, inputs.d)
     estimates = mlp_eval(cfg, xs, theta, fns, inputs.oracle)
     residuals = np.abs(realize(compiled, act, xs)[:, 0] - estimates) / (1.0 + np.abs(estimates))
@@ -293,8 +297,9 @@ def prune_zero_blocks(net: Network) -> Network:
         if np.all(keep):
             continue
         w_k, b_k = layers[k]
-        layers[k] = (w_k[keep], b_k[keep])
-        layers[k + 1] = (w_next[:, keep], layers[k + 1][1])
+        # fresh owned arrays: marked read-only, Network adopts them uncopied
+        layers[k] = (read_only(w_k[keep]), read_only(b_k[keep]))
+        layers[k + 1] = (read_only(w_next.compress(keep, axis=1)), layers[k + 1][1])
     return Network(tuple(layers))
 
 

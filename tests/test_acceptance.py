@@ -131,6 +131,8 @@ def sweep():
                 "inputs": inputs,
                 "equivalence": report,
                 "size": size_report(inputs, compiled),
+                # no hidden unit whose outgoing weights are all zero
+                "live": all(np.all(np.any(w != 0.0, axis=0)) for w, _ in compiled.layers[1:]),
             }
         )
     elapsed = time.perf_counter() - start
@@ -155,6 +157,8 @@ def test_02_size_bounds_hold_exactly(sweep):
         if not s.within_bounds():
             violations.append((e["label"], dataclasses.asdict(s)))
     assert not violations, f"size bound violations: {violations}"
+    dead = [e["label"] for e in sweep["entries"] if not e["live"]]
+    assert not dead, f"compiled nets with dead hidden units: {dead}"
 
 
 def test_03_compiled_shape_ignores_randomness(sweep):

@@ -19,6 +19,7 @@ from picardnets import (
     network,
     parallelize,
     power,
+    prune_zero_blocks,
     realize,
     relu,
     scalar_mul,
@@ -310,6 +311,8 @@ def test_operations_copy_no_array(monkeypatch):
     a, b, square, flat = (rand_net(w) for w in ((2, 3, 4, 1), (2, 5, 2, 1), (1, 2, 1), (2, 1)))
     inner = rand_net((2, 2))
     filler = monomial_net(1)
+    # the middle hidden unit feeds the output with weight zero
+    dead = network(([[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0]), ([[1.0, 0.0, 2.0]], [0.5]))
     monkeypatch.setattr(network_mod, "_freeze", counting)
     results = [
         compose(a, inner),
@@ -326,6 +329,7 @@ def test_operations_copy_no_array(monkeypatch):
         activation_wrapper(2),
         sum_diff_depth([a, flat], filler, relu()),
         linear_combination_same([0.5, 2.0], [1.0, -1.0], [0.0, 1.0], [b, b]),
+        prune_zero_blocks(dead),
     ]
     # the shifts are the caller's values: a (2,) block each for linear_combination_same
     assert copied == [(2,), (2,)]

@@ -11,9 +11,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import picardnets
 from picardnets import load_network, realize
 from picardnets.cli import main
 from picardnets.pde import CSV_HEADER
+
+
+def cli_env(**extra):
+    # a child interpreter finds the package where this one imported it from
+    src = os.path.dirname(os.path.dirname(picardnets.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def run(capsys, *argv):
@@ -43,19 +51,22 @@ def test_compile_writes_network_and_report(tmp_path, capsys):
     assert report["depth"] <= report["bound_depth"]
 
 
-def test_compile_prune_shrinks_or_keeps_params(tmp_path, capsys):
-    plain = tmp_path / "plain.json"
-    pruned = tmp_path / "pruned.json"
-    code, _, _ = run(capsys, "compile", *BASE, "--out", str(plain))
+def test_compile_zero_nonlinearity_writes_only_live_units(tmp_path, capsys):
+    # f = 0 multiplies every child network by zero, so none of their units may be built
+    out = tmp_path / "net.json"
+    flags = [
+        "--d", "5", "--n", "3", "--m", "3", "--t", "0.0", "--horizon", "1.0",
+        "--activation", "relu", "--f", "zero", "--seed", "5", "--allow-large", "--out", str(out),
+    ]
+    code, _, _ = run(capsys, "compile", *flags)
     assert code == 0
-    code, _, _ = run(capsys, "compile", *BASE, "--prune", "--out", str(pruned))
-    assert code == 0
-    n_plain, act = load_network(plain)
-    n_pruned, _ = load_network(pruned)
-    xs = np.linspace(-1, 1, 10).reshape(5, 2)
-    np.testing.assert_allclose(
-        realize(n_pruned, act, xs), realize(n_plain, act, xs), rtol=1e-13, atol=1e-13
-    )
+    net, _ = load_network(out)
+    for w, _ in net.layers[1:]:
+        assert np.all(np.any(w != 0.0, axis=0))
+    # there is nothing left to prune, and the flag that did it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", *flags, "--prune"])
+    assert exc.value.code == 2
 
 
 def test_verify_prints_passing_report(capsys):
@@ -538,6 +549,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
@@ -556,7 +568,7 @@ def test_compiled_bytes_do_not_depend_on_blas_threads(tmp_path):
                 "--f", "linear:0.1", "--activation", "relu", "--seed", "3", "--allow-large",
                 "--out", str(out),
             ],
-            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            env=cli_env(OPENBLAS_NUM_THREADS=threads),
             check=True,
         )
         saved.append(out.read_bytes())

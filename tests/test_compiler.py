@@ -7,10 +7,13 @@ import pytest
 import picardnets.compiler as compiler_mod
 from picardnets import (
     CompileInputs,
+    Grid,
+    LipschitzFn,
     MlpConfig,
     ProblemFns,
     RandomOracle,
     affine,
+    approx_net_relu,
     bound_depth,
     bound_params,
     bound_width,
@@ -21,6 +24,7 @@ from picardnets import (
     depth,
     dims,
     fan_in,
+    interp_net_relu,
     leaky_relu,
     mlp_eval,
     monomial_net,
@@ -223,31 +227,62 @@ def test_inputs_validation():
         CompileInputs(**{**good, "horizon": -1.0})
 
 
-def test_prune_removes_dead_units_and_preserves_values():
-    # a zero nonlinearity multiplies every child network by zero, which leaves
-    # the children's hidden units with all-zero outgoing columns
-    inputs = replace(make_inputs("relu", n=2, M=2, seed=7), f_net=affine([[0.0]], [0.0]))
-    net = compile_mlp(inputs, (0,), 0.25)
-    slim = prune_zero_blocks(net)
-    assert param_count(slim) < param_count(net)
-    assert depth(slim) == depth(net)
-    xs = RNG.standard_normal((16, 2))
-    # dropping zero summands may reorder the remaining additions by an ulp
-    np.testing.assert_allclose(
-        realize(slim, inputs.activation, xs),
-        realize(net, inputs.activation, xs),
-        rtol=1e-14,
-        atol=1e-14,
+def relu_datum_inputs(n, M, f_net, d=5):
+    # the CLI's relu datum: the 161-knot interpolant of s^2 on [-8, 8], summed over coordinates
+    act = relu()
+    knots = np.linspace(-8.0, 8.0, 161)
+    square = interp_net_relu(Grid(knots), knots**2)
+    return CompileInputs(
+        n=n,
+        M=M,
+        horizon=1.0,
+        d=d,
+        g_net=compose(fan_in(1, d), parallelize([square] * d)),
+        f_net=f_net,
+        j_net=default_identity(act),
+        activation=act,
+        oracle=RandomOracle(7, d),
     )
 
 
-@pytest.mark.parametrize("act_tag, n, M", [("relu", 2, 2), ("softplus", 3, 2), ("relu", 2, 3)])
-def test_dense_nonlinearity_compiles_without_dead_units(act_tag, n, M):
-    # every emitted block carries weight, so no hidden unit's outgoing weights are all zero
-    net = compile_mlp(make_inputs(act_tag, n=n, M=M, seed=7), (0,), 0.25)
+def sin_net():
+    # what `interp-build --fn sin --q 2 --eps 0.5` builds: 17 units, one with a zero kink
+    return approx_net_relu(LipschitzFn(np.sin, 1.0), 2.0, 0.5)[0]
+
+
+# case -> (inputs, t, params of the same compile before dead units were left out,
+# after prune_zero_blocks); the first three have a dense random f, and no shape
+# depends on the random weights
+LIVE_CASES = {
+    "relu-2-2": (lambda: make_inputs("relu", n=2, M=2), 0.25, 593),
+    "softplus-3-2": (lambda: make_inputs("softplus", n=3, M=2), 0.25, 8_555),
+    "relu-2-3": (lambda: make_inputs("relu", n=2, M=3), 0.25, 1_465),
+    "sin-3-2": (lambda: relu_datum_inputs(3, 2, sin_net()), 0.0, 5_469_235),
+    "zero-3-3": (lambda: relu_datum_inputs(3, 3, affine([[0.0]], [0.0])), 0.0, 152_174),
+    "constant-3-3": (lambda: relu_datum_inputs(3, 3, affine([[0.0]], [0.3])), 0.0, 152_174),
+    # constant through a zero output layer, whose hidden units pruning cannot all drop
+    "constant-hidden-3-3": (
+        lambda: relu_datum_inputs(3, 3, network(([[1.0], [2.0]], [0.0, 0.1]), ([[0.0, 0.0]], [0.3]))),
+        0.0,
+        260_891,
+    ),
+    "horizon-3-3": (lambda: relu_datum_inputs(3, 3, affine([[0.1]], [0.0])), 1.0, 152_174),
+    "sin-horizon-2-2": (lambda: relu_datum_inputs(2, 2, sin_net()), 1.0, 38_653),
+}
+
+
+@pytest.mark.parametrize("case", list(LIVE_CASES))
+def test_compiled_networks_have_no_dead_units(case):
+    # no hidden unit's outgoing weights are all zero, the estimator is still
+    # reproduced, and no compile is larger than the old one after pruning
+    make, t, pruned_before = LIVE_CASES[case]
+    inputs = make()
+    net = compile_mlp(inputs, (0,), t, allow_large=True)
     for w, _ in net.layers[1:]:
         assert np.all(np.any(w != 0.0, axis=0))
-    assert param_count(prune_zero_blocks(net)) == param_count(net)
+    report = verify_equivalence(inputs, (0,), t, compiled=net)
+    assert report.passed, report
+    assert param_count(net) <= pruned_before
 
 
 def test_prune_hand_built_case():

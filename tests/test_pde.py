@@ -41,15 +41,18 @@ def reference_point(problem, t, x):
 
 
 def residual_loop(problem, n_probes=16, h=1.0e-3):
-    """The residual check's maximum as it was computed, point by point."""
+    """The residual check's maximum computed point by point (Richardson step in time)."""
     lam = problem.lam if problem.f_kind == "linear" else 0.0
     pts = box_points(RandomOracle(20_160_913, problem.d), n_probes, *problem.box)
     residuals = []
     for t in np.linspace(0.25 * problem.horizon, 0.75 * problem.horizon, 4):
         for row in pts:
-            u_t = (reference_point(problem, t + h, row) - reference_point(problem, t - h, row)) / (
-                2.0 * h
+            half, full = (
+                (reference_point(problem, t + k, row) - reference_point(problem, t - k, row))
+                / (2.0 * k)
+                for k in (0.5 * h, h)
             )
+            u_t = (4.0 * half - full) / 3.0
             lap = 0.0
             center = reference_point(problem, t, row)
             for axis in range(problem.d):
@@ -156,6 +159,10 @@ def test_reference_solution_refuses_an_overflowing_growth_factor():
         {"direction": "initial"},
         {"direction": "initial", "f_kind": "linear", "lam": -0.2, "c": 2.0},
         {"d": 5, "c": 1.5, "box": (-1.0, 2.0), "f_kind": "linear", "lam": 0.1},
+        # fast growth: the O(h^2 lam^3 u) error of a plain central time
+        # difference passes 1e-6 on these, and the Richardson step cancels it
+        {"d": 3, "c": 1.5, "box": (-1.0, 2.0), "horizon": 0.5, "f_kind": "linear", "lam": -0.7},
+        *({"d": 5, "f_kind": "linear", "lam": lam} for lam in (-2.0, 0.5, 1.0, 2.0)),
     ],
 )
 def test_residual_check_passes_for_exact_references(kw):
