@@ -21,6 +21,7 @@ operands' live units, and on whether f is constant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -252,6 +253,8 @@ def verify_equivalence(
     """
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     if compiled is None:
         compiled = compile_mlp(inputs, theta, t, allow_large=allow_large)
     elif input_dim(compiled) != inputs.d or output_dim(compiled) != 1:

@@ -3,9 +3,16 @@
 A network is an ordered list of affine layers (W_1, b_1), ..., (W_L, b_L) with
 W_k of shape (l_k, l_{k-1}) and b_k of shape (l_k,). The realized function
 applies the activation elementwise after every layer except the last; the last
-layer stays purely affine. Weights are dense float64 and immutable: a network
-adopts a read-only float64 array that owns its memory, and copies anything else
-once, so layers carried from one network into another are shared, never copied.
+layer stays purely affine. Weights are stored dense, as float64 and immutable: a
+network adopts a read-only float64 array that owns its memory, and copies
+anything else once, so layers carried from one network into another are shared,
+never copied.
+
+`realize` multiplies a sparse layer through a CSR copy of its weights, which
+each network builds once, on its first `realize`, and keeps. A layer is sparse
+when at most a tenth of its entries are nonzero, whatever its size. The rule
+depends only on the layer's values, so `realize` stays a pure function of the
+network and the input.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +78,37 @@ class Network:
             frozen.append((w, b))
         object.__setattr__(self, "layers", tuple(frozen))
 
+    @cached_property
+    def _products(self) -> tuple[object | None, ...]:
+        """Per layer, the CSR copy of W that `realize` multiplies by, or None for the dense W."""
+        return tuple(_sparse_copy(w) for w, _ in self.layers)
+
+
+# A layer with at most 1/_SPARSE_RATIO of its entries nonzero is multiplied through CSR.
+_SPARSE_RATIO = 10
+
+
+def _sparse_copy(w: np.ndarray) -> object | None:
+    """A `scipy.sparse.csr_array` of `w`, columns ascending within each row, or
+    None if more than 1/_SPARSE_RATIO of its entries are nonzero.
+
+    The nonzeros are found on the boolean mask `w != 0`: building it reads the
+    float array once, and the mask's count and `flatnonzero` are cheap, where
+    `np.flatnonzero(w)` alone takes several times as long.
+    """
+    nonzero = w != 0
+    if _SPARSE_RATIO * np.count_nonzero(nonzero) > w.size:
+        return None
+    import scipy.sparse  # deferred: importing it costs every CLI start, and most nets never need it
+
+    flat = np.flatnonzero(nonzero)
+    del nonzero
+    rows, cols = np.divmod(flat, w.shape[1])
+    index = np.int32 if w.size < 2**31 else np.int64  # 32-bit indices read faster
+    indptr = np.zeros(w.shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=w.shape[0]), out=indptr[1:])
+    return scipy.sparse.csr_array((w.reshape(-1)[flat], cols.astype(index), indptr), shape=w.shape)
+
 
 def network(*layers: tuple[object, object]) -> Network:
     """Build a Network from (weights, bias) pairs, coercing to float64 arrays."""
@@ -124,6 +163,14 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
     is accepted in place of an Activation. The bias and an Activation are
     applied in place on each layer's product, so one (N, l_k) matrix is held
     per layer; `x` itself is never written.
+
+    Weights are stored dense, but a layer with at most a tenth of its entries
+    nonzero, of any size, is multiplied through a CSR copy, built on the
+    network's first `realize` and cached on it. Its sums run over the
+    nonzeros in column order, one row at a time, so they can differ from the
+    dense product by a few ulps, and a row's bits do not depend on the other
+    rows of the block. A non-finite input meets only the nonzero weights
+    there, so a zero weight times inf adds nothing instead of NaN.
     """
     z = np.asarray(x, dtype=np.float64)
     squeeze = z.ndim == 1
@@ -132,8 +179,8 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
     if z.ndim != 2 or z.shape[1] != input_dim(net):
         raise ValueError(f"input has shape {np.shape(x)}, expected last axis {input_dim(net)}")
     last = len(net.layers) - 1
-    for k, (w, b) in enumerate(net.layers):
-        z = z @ w.T
+    for k, ((w, b), csr) in enumerate(zip(net.layers, net._products)):
+        z = z @ w.T if csr is None else (csr @ z.T).T
         z += b
         if k != last:
             z = act(z, out=z) if isinstance(act, Activation) else act(z)
@@ -167,26 +214,42 @@ _ZERO_BLOCKS = tuple(_ZERO * n for n in (4096, 256, 16, 1))
 # `NaN`, `true`) leaves the block reader, so `json.loads` of a chunk yields only numbers.
 _NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
 _CHUNK_BYTES = 1 << 20
+# The writer formats arrays in chunks of this many entries, so a save holds one
+# chunk's strings (about 2 MB of pointers) beside the network, not one per entry.
+_WRITE_ENTRIES = 1 << 18
 
 
-def _json_floats(a: np.ndarray) -> str:
-    """`json.dumps(a.ravel().tolist())`, with one `repr` per distinct value.
+def _json_floats(a: np.ndarray) -> Iterator[str]:
+    """The text inside the brackets of `json.dumps(a.ravel().tolist())`, `_WRITE_ENTRIES` entries a piece.
 
     Compiled nets are mostly zeros and repeat few values, so each distinct bit
-    pattern is formatted once. Grouping is by bits, not by value, so -0.0 keeps
-    its sign; every +0.0 entry shares one string object.
+    pattern of a piece is formatted once. Grouping is by bits, not by value, so
+    -0.0 keeps its sign; every +0.0 entry shares one string object.
     """
     flat = np.ravel(a, order="C")
-    if not np.all(np.isfinite(flat)):
+    for start in range(0, flat.size, _WRITE_ENTRIES):
+        bits = flat[start : start + _WRITE_ENTRIES].view(np.int64)
+        nonzero = bits != 0
+        values, inverse = np.unique(bits[nonzero], return_inverse=True)
+        texts = np.array([repr(v) for v in values.view(np.float64).tolist()], dtype=object)
+        out = np.empty(bits.size, dtype=object)
+        out.fill("0.0")
+        out[nonzero] = texts[inverse]
+        yield (", " if start else "") + ", ".join(out.tolist())
+
+
+def _json_pieces(net: Network, act: Activation) -> Iterator[str]:
+    """The text of `dumps_network` in pieces, none longer than one array chunk."""
+    if not all(np.all(np.isfinite(a)) for layer in net.layers for a in layer):
         raise ValueError("network contains non-finite values; refusing to serialize")
-    bits = flat.view(np.int64)
-    nonzero = bits != 0
-    values, inverse = np.unique(bits[nonzero], return_inverse=True)
-    texts = np.array([repr(v) for v in values.view(np.float64).tolist()], dtype=object)
-    out = np.empty(flat.size, dtype=object)
-    out.fill("0.0")
-    out[nonzero] = texts[inverse]
-    return "[" + ", ".join(out.tolist()) + "]"
+    yield f'{_header(act.tag(), dims(net))}, "layers": ['
+    for k, (w, b) in enumerate(net.layers):
+        yield ', {"b": [' if k else '{"b": ['
+        yield from _json_floats(b)
+        yield '], "w": ['
+        yield from _json_floats(w)
+        yield "]}"
+    yield "]}"
 
 
 def _header(tag: str, shape: Sequence[int]) -> str:
@@ -316,10 +379,7 @@ def _read_blocks(data: bytes) -> tuple[list[Layer], str]:
 
 
 def dumps_network(net: Network, act: Activation) -> str:
-    layers = ", ".join(
-        f'{{"b": {_json_floats(b)}, "w": {_json_floats(w)}}}' for w, b in net.layers
-    )
-    return f'{_header(act.tag(), dims(net))}, "layers": [{layers}]}}'
+    return "".join(_json_pieces(net, act))
 
 
 def loads_network(text: str | bytes) -> tuple[Network, Activation]:
@@ -339,8 +399,9 @@ def loads_network(text: str | bytes) -> tuple[Network, Activation]:
 
 
 def save_network(path: str | Path, net: Network, act: Activation) -> None:
+    """Write `dumps_network(net, act)` and a newline, one array chunk at a time."""
     with Path(path).open("w") as fh:
-        fh.write(dumps_network(net, act))
+        fh.writelines(_json_pieces(net, act))
         fh.write("\n")
 
 

@@ -250,6 +250,8 @@ def brownian_moment_check(
     """
     if gamma < 1 or n_samples < 2:
         raise ValueError("need gamma >= 1 and at least two samples")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"elapsed time s must be finite and > 0, got {s}")
     oracle = RandomOracle(seed, d)
     # sample i is drawn along the path (i,); one block draws them all
     paths = np.arange(n_samples, dtype=np.int64)[:, None]

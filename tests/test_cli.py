@@ -86,6 +86,19 @@ def test_verify_rejects_a_probe_count_below_one(capsys, probes):
     assert "probe" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("verify", "--tol", v) for v in ("nan", "inf", "-1")]
+    + [("sampler-check", "--s", v) for v in ("nan", "inf", "0", "-1")],
+)
+def test_a_tolerance_or_elapsed_time_out_of_range_is_a_usage_error(capsys, command, flag, value):
+    argv = BASE if command == "verify" else ["--d", "2", "--gamma", "1", "--samples", "10"]
+    code, out, err = run(capsys, command, *argv, flag, value)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and f"got {float(value)}" in lines[0], lines
+
+
 def test_compile_is_deterministic_and_seed_sensitive(tmp_path, capsys):
     a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
     run(capsys, "compile", *BASE, "--out", str(a))
