@@ -9,9 +9,11 @@ checkout first for even i, and reads each run's result from that checkout's
 `bench/out/W-trace0.json`. `--trace-pairs K` then runs K pairs with
 `--trace 1`. The output keeps, per workload, every run's result and, for each
 bounded metric of the untraced pairs, the parent's median and quartiles, the
-new median, and the number of pairs in which the new run was lower. Traced
-runs keep every printed metric, so the per-layer counts sit next to their
-closed forms. It also records, for each checkout, how many `uniform01` calls
+new median, and the number of pairs in which the new run was lower. Untraced
+runs also keep the untimed network sizes (`net_params`, `net_nnz`, `json_mb`)
+where the workload prints them, so a shape change shows in any pair file.
+Traced runs keep every printed metric, so the per-layer counts sit next to
+their closed forms. It also records, for each checkout, how many `uniform01` calls
 and hashed paths one (4,3), d = 5 sample tree takes. An existing output file
 is updated in place, so workloads can be measured in separate invocations.
 """
@@ -55,19 +57,24 @@ def work_counts(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+# Untimed counts of a compile workload's network, kept for every untraced run.
+SIZES = ("net_params", "net_nnz", "json_mb")
+
+
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     out = checkout / "bench" / "out" / f"{workload}-trace{trace}.json"
     out.unlink(missing_ok=True)  # a run that dies before writing must not leave an older result
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     result = json.loads(out.read_text())
+    every = {k: v["value"] for k, v in result["every_metric"].items()}
     return {
         "exit": proc.returncode,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-        **({"every_metric": {k: v["value"] for k, v in result["every_metric"].items()}} if trace else {}),
+        **({"every_metric": every} if trace else {"sizes": {k: every[k] for k in SIZES if k in every}}),
         "environment": result["environment"],
     }
 

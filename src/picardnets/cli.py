@@ -337,9 +337,14 @@ def _cmd_interp_build(args: argparse.Namespace) -> int:
         width_extra = 1.0
     else:
         raise ValueError("interp-build supports relu, leaky:ALPHA, and softplus only")
-    base = max(1.0, 2.0 * lip) ** (args.q / (args.q - 1.0)) * args.eps ** (
-        -args.q / (args.q - 1.0)
-    )
+    try:
+        base = max(1.0, 2.0 * lip) ** (args.q / (args.q - 1.0)) * args.eps ** (
+            -args.q / (args.q - 1.0)
+        )
+    except OverflowError:  # a finite power past the float range
+        raise ValueError(
+            f"size bound is not finite at q={args.q}, eps={args.eps}, L={lip}"
+        ) from None
     audit = _audit_interp(net, act, fn, lip, args.q, args.eps, factor)
     audit.update(
         {

@@ -10,12 +10,13 @@ the whole estimate compiles into a single network via parallel sums with depth
 padding. It makes no oracle draw of its own: the compiled network realizes
 exactly the estimator's value function for the same tree.
 
-It builds only live units, not hidden units whose outgoing weights are all
-zero: the operands' dead units are pruned first, a constant f becomes one
-affine layer, and a tier that is exactly zero (scale 0 at t = horizon, or f
-constant for tiers i >= 1) gets no units. So the shape does not depend on
-path, seed, or t < horizon; it depends on whether t = horizon, on the
-operands' live units, and on whether f is constant.
+It builds neither dead units (outgoing weights all zero) nor f units fed by
+the zero network. The operands' dead units are pruned first; f of a level-0
+recursion (identically 0) is f(0), so tier 0 and tier 1's subtracted terms
+are one output bias per node, as in `mlp_eval`; a tier i >= 1 that is exactly
+0 (scale 0 at t = horizon, or f constant) gets no units. The shape ignores
+path, seed and t < horizon and depends on the operands' live units; a
+constant f gives the same datum-only shape as t = horizon.
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ def compile_mlp(
 
     The compiled network evaluates level inputs.n at time t along the given
     path: realize(compiled, act, x) == mlp_eval at (t, x) with the same oracle,
-    exactly in exact arithmetic. Only live units are built (module docstring),
-    so the shape ignores path, seed and t < horizon but depends on whether
-    t = horizon, on the operands' live units, and on whether f is constant.
+    exactly in exact arithmetic. Level-0 terms are one output bias per node
+    (module docstring); the shape ignores path, seed and t < horizon, and a
+    constant f gives the same datum-only shape as t = horizon.
     Refuses to build when the a-priori parameter bound exceeds 10**8 unless
     `allow_large` is set.
     """
@@ -133,19 +134,22 @@ def compile_mlp(
         )
     # the operands' units that feed nothing would be copied into every term
     f_net, g_net = prune_zero_blocks(inputs.f_net), prune_zero_blocks(inputs.g_net)
-    if not all(np.any(w) for w, _ in f_net.layers):  # f is constant: f(x) == f(0)
-        f_net = affine([[0.0]], realize(f_net, inputs.activation, np.zeros((1, 1)))[0])
     inputs = replace(inputs, f_net=f_net, g_net=g_net)
-    return _compile(draw_tree(cfg, theta, inputs.oracle), inputs)
+    f_zero = float(realize(f_net, inputs.activation, np.zeros((1, 1)))[0, 0])
+    f_constant = not all(np.any(w) for w, _ in f_net.layers)  # f(x) == f(0)
+    return _compile(draw_tree(cfg, theta, inputs.oracle), inputs, f_zero, f_constant)
 
 
-def _compile(tree: Tree, inputs: CompileInputs) -> Network:
+def _compile(tree: Tree, inputs: CompileInputs, f_zero: float, f_constant: bool) -> Network:
     # a tree drawn for one oracle: every seed axis has length 1
     shifts, tiers = tree
-    if not tiers:
+    if not tiers:  # only the root, for n = 0: no level-0 tree below it is compiled
         return affine(np.zeros((1, inputs.d)), np.zeros(1))
     act = inputs.activation
     eye = read_only(np.eye(inputs.d))  # shared by every shift layer
+
+    def f_term(node: Tree, shift: np.ndarray) -> Network:
+        return compose(compose(inputs.f_net, _compile(node, inputs, f_zero, f_constant)), affine(eye, shift))
 
     block_datum = sum_same_depth(
         [
@@ -154,32 +158,29 @@ def _compile(tree: Tree, inputs: CompileInputs) -> Network:
         ]
     )
 
-    # f of the level-i children, and (for i >= 1) minus f of the level-(i-1)
-    # children, one depth-padded sum per level; level 0 has no subtracted term.
-    # A tier is exactly 0, and gets no units, when its scale is 0 (t = horizon)
-    # or when i >= 1 and f is constant (f(child) - f(below) = 0).
-    f_constant = not np.any(inputs.f_net.layers[0][0])
-    level_terms = []
-    below_terms = []
-    for i, (scale, branches) in enumerate(tiers):
-        if scale[0] == 0.0 or (i >= 1 and f_constant):
+    # f of a level-0 recursion, which is identically 0, is f(0) (as in mlp_eval):
+    # tier 0 adds, and tier 1 subtracts for its `below` terms, scale * len(branches)
+    # * f(0), both in the output bias. The rest are depth-padded sums of f terms; a
+    # tier i >= 1 is exactly 0, and gets no units, at scale 0 (t = horizon) or constant f.
+    scale, branches = tiers[0]
+    bias = scale[0] * len(branches) * f_zero
+    level_terms, below_terms = [], []
+    for i, (scale, branches) in enumerate(tiers[1:], start=1):
+        if scale[0] == 0.0 or f_constant:
             continue
-        inner = []
-        inner_below = []
-        for shift, child, below in branches:
-            shift_net = affine(eye, shift[0])
-            inner.append(compose(compose(inputs.f_net, _compile(child, inputs)), shift_net))
-            if below is not None:
-                inner_below.append(
-                    compose(compose(inputs.f_net, _compile(below, inputs)), shift_net)
-                )
+        inner = [f_term(child, shift[0]) for shift, child, _ in branches]
         level_terms.append(scalar_mul(scale[0], sum_diff_depth(inner, inputs.j_net, act)))
-        if inner_below:
+        if i == 1:
+            bias -= scale[0] * len(branches) * f_zero
+        else:
+            inner_below = [f_term(below, shift[0]) for shift, _, below in branches]
             below_terms.append(scalar_mul(-scale[0], sum_diff_depth(inner_below, inputs.j_net, act)))
     blocks = [block_datum] + [
         sum_diff_depth(terms, inputs.j_net, act) for terms in (level_terms, below_terms) if terms
     ]
-    return sum_diff_depth(blocks, inputs.j_net, act)
+    net = sum_diff_depth(blocks, inputs.j_net, act)
+    w, b = net.layers[-1]
+    return Network(net.layers[:-1] + ((w, read_only(b + bias)),))
 
 
 @dataclass(frozen=True)

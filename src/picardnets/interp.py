@@ -171,14 +171,23 @@ def _approx_grid(fn: LipschitzFn, q: float, eps: float) -> tuple[Grid, np.ndarra
     The half-width b solves max(1, 2L) = eps * b**(q-1), so outside [-b, b] the
     clamped interpolant's error is absorbed by the weight max(1, |x|**q); the
     cell count K = max(1, ceil(2 L b / eps)) makes the on-grid error <= eps.
+    q must be finite, and b and 2 L b / eps must be finite floats.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("error target must lie in (0, 1]")
-    if q <= 1.0:
-        raise ValueError("growth exponent must exceed 1")
+    if not (math.isfinite(q) and q > 1.0):
+        raise ValueError(f"growth exponent must be finite and exceed 1, got {q}")
     L = fn.lipschitz
-    b = (max(1.0, 2.0 * L) / eps) ** (1.0 / (q - 1.0))
-    K = max(1, math.ceil(2.0 * L * b / eps))
+    try:
+        b = (max(1.0, 2.0 * L) / eps) ** (1.0 / (q - 1.0))
+    except OverflowError:  # a finite power past the float range
+        b = math.inf
+    cells = 2.0 * L * b / eps
+    if not (math.isfinite(b) and math.isfinite(cells)):
+        raise ValueError(
+            f"grid half-width {b} or cell count {cells} is not finite at q={q}, eps={eps}, L={L}"
+        )
+    K = max(1, math.ceil(cells))
     pts = np.linspace(-b, b, K + 1)
     vals = np.asarray(fn.fn(pts), dtype=np.float64)
     return Grid(pts), vals, b, K

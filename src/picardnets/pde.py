@@ -247,6 +247,7 @@ def brownian_moment_check(
 
     The exact value is (2 s)^gamma * prod_{k=0}^{gamma-1} (d/2 + k). Passes
     when the sampled mean is within max(3 standard errors, 3%) of exact.
+    Raises ValueError when the exact or the sampled moment is not finite.
     """
     if gamma < 1 or n_samples < 2:
         raise ValueError("need gamma >= 1 and at least two samples")
@@ -256,10 +257,19 @@ def brownian_moment_check(
     # sample i is drawn along the path (i,); one block draws them all
     paths = np.arange(n_samples, dtype=np.int64)[:, None]
     increments = brownian_increment(oracle, paths, np.full(n_samples, float(s)))
-    values = np.vecdot(increments, increments) ** gamma
-    exact = (2.0 * s) ** gamma * math.prod(d / 2.0 + k for k in range(gamma))
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1)) / math.sqrt(n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        values = np.vecdot(increments, increments) ** gamma
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1)) / math.sqrt(n_samples)
+    try:
+        exact = (2.0 * s) ** gamma * math.prod(d / 2.0 + k for k in range(gamma))
+    except OverflowError:  # a finite power past the float range
+        exact = math.inf
+    if not all(map(math.isfinite, (exact, mean, stderr))):
+        raise ValueError(
+            f"moment of order {2 * gamma} is not finite in float64 at d={d}, s={s}: "
+            f"exact {exact}, sampled {mean} with standard error {stderr}"
+        )
     slack = max(3.0 * stderr, 0.03 * abs(exact))
     return {
         "d": d,

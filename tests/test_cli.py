@@ -554,6 +554,40 @@ def test_interp_build_rejects_unknown_function(tmp_path, capsys):
     assert "tan" in err
 
 
+# case -> (argv, a phrase the one error line must carry)
+OUT_OF_FLOAT_RANGE = {
+    "sampler-exact-overflows": (["sampler-check", "--d", "2", "--gamma", "2000"], "not finite"),
+    "sampler-sample-overflows": (["sampler-check", "--d", "2", "--gamma", "200"], "not finite"),
+    "interp-huge-L": (["interp-build", "--q", "2", "--eps", "0.5", "--L", "1e308"], "not finite"),
+    "interp-tiny-eps": (["interp-build", "--q", "2", "--eps", "1e-300"], "not finite"),
+    "interp-nan-q": (["interp-build", "--q", "nan", "--eps", "0.5"], "growth exponent"),
+    "interp-inf-q": (["interp-build", "--q", "inf", "--eps", "0.5"], "growth exponent"),
+    "interp-q-near-1": (["interp-build", "--q", "1.0001", "--eps", "0.5", "--L", "10"], "not finite"),
+    "interp-size-bound-overflows": (
+        ["interp-build", "--q", "2", "--eps", "1e-160", "--L", "0"],
+        "size bound",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(OUT_OF_FLOAT_RANGE))
+def test_values_past_the_float_range_are_usage_errors(tmp_path, capsys, case):
+    # an overflow is reported as one usage error before anything is written;
+    # warnings are errors here, so the CLI may not print any on the way
+    argv, phrase = OUT_OF_FLOAT_RANGE[case]
+    if argv[0] == "sampler-check":
+        argv = [*argv, "--samples", "10"]
+    else:
+        argv = [*argv, "--fn", "sin", "--activation", "relu",
+                "--out", str(tmp_path / "net.json"), "--report", str(tmp_path / "audit.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and phrase in lines[0], lines
+    assert not list(tmp_path.iterdir())
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [

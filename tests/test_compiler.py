@@ -250,39 +250,46 @@ def sin_net():
     return approx_net_relu(LipschitzFn(np.sin, 1.0), 2.0, 0.5)[0]
 
 
-# case -> (inputs, t, params of the same compile before dead units were left out,
-# after prune_zero_blocks); the first three have a dense random f, and no shape
-# depends on the random weights
+# case -> (inputs, t, dims, params); the first three have a dense random f, and
+# no shape depends on the random weights or the seed. Level-0 terms are one
+# bias, so a constant f compiles to the datum-only shape of t = horizon.
 LIVE_CASES = {
-    "relu-2-2": (lambda: make_inputs("relu", n=2, M=2), 0.25, 593),
-    "softplus-3-2": (lambda: make_inputs("softplus", n=3, M=2), 0.25, 8_555),
-    "relu-2-3": (lambda: make_inputs("relu", n=2, M=3), 0.25, 1_465),
-    "sin-3-2": (lambda: relu_datum_inputs(3, 2, sin_net()), 0.0, 5_469_235),
-    "zero-3-3": (lambda: relu_datum_inputs(3, 3, affine([[0.0]], [0.0])), 0.0, 152_174),
-    "constant-3-3": (lambda: relu_datum_inputs(3, 3, affine([[0.0]], [0.3])), 0.0, 152_174),
+    "relu-2-2": (lambda: make_inputs("relu", n=2, M=2), 0.25, (2, 24, 6, 1), 229),
+    "softplus-3-2": (lambda: make_inputs("softplus", n=3, M=2), 0.25, (2, 108, 26, 10, 1), 3_439),
+    "relu-2-3": (lambda: make_inputs("relu", n=2, M=3), 0.25, (2, 54, 8, 1), 611),
+    "sin-3-2": (lambda: relu_datum_inputs(3, 2, sin_net()), 0.0, (5, 28980, 166, 38, 1), 4_991_111),
+    "zero-3-3": (lambda: relu_datum_inputs(3, 3, affine([[0.0]], [0.0])), 0.0, (5, 21735, 1), 152_146),
+    "constant-3-3": (
+        lambda: relu_datum_inputs(3, 3, affine([[0.0]], [0.3])), 0.0, (5, 21735, 1), 152_146
+    ),
     # constant through a zero output layer, whose hidden units pruning cannot all drop
     "constant-hidden-3-3": (
         lambda: relu_datum_inputs(3, 3, network(([[1.0], [2.0]], [0.0, 0.1]), ([[0.0, 0.0]], [0.3]))),
         0.0,
-        260_891,
+        (5, 21735, 1),
+        152_146,
     ),
-    "horizon-3-3": (lambda: relu_datum_inputs(3, 3, affine([[0.1]], [0.0])), 1.0, 152_174),
-    "sin-horizon-2-2": (lambda: relu_datum_inputs(2, 2, sin_net()), 1.0, 38_653),
+    "horizon-3-3": (lambda: relu_datum_inputs(3, 3, affine([[0.1]], [0.0])), 1.0, (5, 21735, 1), 152_146),
+    "sin-horizon-2-2": (lambda: relu_datum_inputs(2, 2, sin_net()), 1.0, (5, 3220, 1), 22_541),
 }
 
 
 @pytest.mark.parametrize("case", list(LIVE_CASES))
 def test_compiled_networks_have_no_dead_units(case):
-    # no hidden unit's outgoing weights are all zero, the estimator is still
-    # reproduced, and no compile is larger than the old one after pruning
-    make, t, pruned_before = LIVE_CASES[case]
+    # no hidden unit's outgoing weights are all zero, none computes a constant
+    # (all-zero incoming weights), the estimator is still reproduced, and the
+    # shape is the pinned one
+    make, t, want_dims, want_params = LIVE_CASES[case]
     inputs = make()
     net = compile_mlp(inputs, (0,), t, allow_large=True)
     for w, _ in net.layers[1:]:
         assert np.all(np.any(w != 0.0, axis=0))
+    for w, _ in net.layers[:-1]:
+        assert np.all(np.any(w != 0.0, axis=1))
     report = verify_equivalence(inputs, (0,), t, compiled=net)
     assert report.passed, report
-    assert param_count(net) <= pruned_before
+    assert dims(net) == want_dims
+    assert param_count(net) == want_params
 
 
 def test_prune_hand_built_case():
