@@ -293,10 +293,7 @@ def _audit_interp(
     net: Network, act: Activation, fn, lip: float, q: float, eps: float, factor: float
 ) -> dict:
     xs = np.linspace(-_AUDIT_SPAN, _AUDIT_SPAN, _AUDIT_GRID)
-    got = np.empty_like(xs)
-    for start in range(0, xs.size, 256):
-        chunk = xs[start : start + 256]
-        got[start : start + 256] = realize(net, act, chunk[:, None])[:, 0]
+    got = realize(net, act, xs[:, None])[:, 0]
     weight = np.maximum(1.0, np.abs(xs) ** q)
     weighted = np.abs(got - fn(xs)) / weight
     quotients = np.abs(np.diff(got)) / np.diff(xs)

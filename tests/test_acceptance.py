@@ -218,13 +218,6 @@ def test_05_interp_nets_match_the_linear_oracle():
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1.0e-10, err_msg=f"trial={trial}")
 
 
-def _net_values_chunked(net, act, xs, chunk=512):
-    parts = [
-        realize(net, act, xs[i : i + chunk, None])[:, 0] for i in range(0, len(xs), chunk)
-    ]
-    return np.concatenate(parts)
-
-
 def test_06_growth_weighted_approximation_guarantees():
     target = LipschitzFn(np.sin, 1.0)
     q = 2.0
@@ -247,7 +240,7 @@ def test_06_growth_weighted_approximation_guarantees():
             exponent = q / (q - 1.0)
             budget = param_scale * max(1.0, 2.0 * target.lipschitz) ** exponent * eps**-exponent
             assert guarantee.params <= budget, f"{name} eps={eps}: {guarantee.params} > {budget}"
-            got = _net_values_chunked(net, act, xs)
+            got = realize(net, act, xs[:, None])[:, 0]
             weighted = np.abs(got - np.sin(xs)) / weight
             worst = float(weighted.max())
             allowed = err_factor * eps * (1.0 + 1.0e-9)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from picardnets import (
+    Activation,
     Network,
     compose,
     depth,
@@ -33,7 +35,7 @@ from picardnets import (
     scalar_mul,
     softplus,
 )
-from picardnets.network import _read_blocks, from_json_obj
+from picardnets.network import _STREAM_NEXT_WIDTH, _TILE_ROWS, _TILE_UNITS, _read_blocks, from_json_obj
 
 
 def two_layer():
@@ -458,19 +460,114 @@ def test_activation_out_is_bit_identical(values, tag):
     assert _same_bits(buf, want)
 
 
-def test_realize_holds_one_activation_matrix_per_layer():
-    # the compile-wide net's shape, (5, 608950, 1), realized on a batch of 16
-    rng = np.random.default_rng(3)
-    width = 608_950
-    net = network((rng.standard_normal((width, 5)), rng.standard_normal(width)), (np.ones((1, width)), [0.5]))
-    x = rng.standard_normal((16, 5))
+# -- wide layers in tiles ---------------------------------------------------------
+
+
+def _one_block_realize(net, act, x):
+    """`realize` as it was before wide layers were streamed: one (N, l_k) matrix per layer."""
+    z = np.asarray(x, dtype=np.float64)
+    squeeze = z.ndim == 1
+    if z.ndim == 1:
+        z = z[None, :]
+    last = len(net.layers) - 1
+    for k, ((w, b), csr) in enumerate(zip(net.layers, net._products)):
+        z = z @ w.T if csr is None else (csr @ z.T).T
+        z += b
+        if k != last:
+            z = act(z, out=z) if isinstance(act, Activation) else act(z)
+    return z[0] if squeeze else z
+
+
+def _wide_net(width, seed=11):
+    """3 -> width -> 4 -> 1, dense, weights scaled by 1/sqrt(fan-in) so repu:2 stays in range."""
+    rng = np.random.default_rng(seed)
+    shape = (3, width, 4, 1)
+    return network(
+        *[
+            (rng.standard_normal((rows, cols)) / np.sqrt(cols), 0.5 * rng.standard_normal(rows))
+            for cols, rows in zip(shape, shape[1:])
+        ]
+    )
+
+
+@pytest.mark.parametrize("width", [_TILE_UNITS - 1, _TILE_UNITS, _TILE_UNITS + 1, 3 * _TILE_UNITS + 5])
+def test_streamed_realize_matches_the_one_block_pass(width):
+    net = _wide_net(width)
+    streamed = width > _TILE_UNITS
+    assert net._streamed == (streamed, False, False)
+    x = np.random.default_rng(12).standard_normal((_TILE_ROWS + 1, 3))
+    for tag in ("relu", "leaky:0.1", "softplus", "repu:2", "tanh"):
+        for rows in (0, 1, 17, _TILE_ROWS + 1, None):
+            block = x[0] if rows is None else x[:rows]
+            got = realize(net, _activation(tag), block)
+            want = _one_block_realize(net, _activation(tag), block)
+            assert got.shape == want.shape == ((1,) if rows is None else (rows, 1))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=f"{tag} rows={rows}")
+            assert _same_bits(got, realize(net, _activation(tag), block))
+            if not streamed:
+                assert _same_bits(got, want)
+
+
+def test_streamed_realize_puts_non_finite_values_where_the_one_block_pass_does():
+    mixed = _wide_net(3 * _TILE_UNITS + 5)
+    # with positive weights after the first layer an infinite input stays infinite under relu
+    positive = network(mixed.layers[0], *[(np.abs(w), b) for w, b in mixed.layers[1:]])
+    x = np.random.default_rng(13).standard_normal((_TILE_ROWS + 1, 3))
+    x[[0, 5, 40, 64], [0, 1, 2, 0]] = [np.inf, -np.inf, np.nan, np.inf]
+    for net, tag in itertools.product((mixed, positive), ("relu", "leaky:0.1", "softplus", "tanh")):
+        with np.errstate(invalid="ignore"):  # inf - inf in the products
+            got = realize(net, _activation(tag), x)
+            want = _one_block_realize(net, _activation(tag), x)
+        assert np.array_equal(np.isnan(got), np.isnan(want)), tag
+        assert np.array_equal(np.isposinf(got), np.isposinf(want)), tag
+        assert np.array_equal(np.isneginf(got), np.isneginf(want)), tag
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
+
+
+def test_only_a_wide_dense_layer_before_a_narrow_dense_layer_streams():
+    rng = np.random.default_rng(14)
+    wide = _TILE_UNITS + 1
+
+    def shaped(*shape, sparse_at=()):
+        return network(
+            *[
+                (_sparse_matrix(rng, rows, cols, 0.05) if k in sparse_at else np.ones((rows, cols)), np.zeros(rows))
+                for k, (cols, rows) in enumerate(zip(shape, shape[1:]))
+            ]
+        )
+
+    assert shaped(2, wide, _STREAM_NEXT_WIDTH)._streamed == (True, False)
+    assert shaped(2, wide, _STREAM_NEXT_WIDTH + 1)._streamed == (False, False)
+    assert shaped(2, wide)._streamed == (False,)  # the output layer is not hidden
+    assert shaped(400, wide, 1, sparse_at=(0,))._streamed == (False, False)
+    assert shaped(2, wide, 1, sparse_at=(1,))._streamed == (False, False)
+    assert shaped(2, wide, wide, 1)._streamed == (False, True, False)
+    assert shaped(2, wide, 1, wide, 1)._streamed == (True, False, True, False)
+
+
+def test_a_wide_layer_realizes_in_tile_sized_memory():
+    # a (5, 400,000, 1) selector net: each hidden unit reads one coordinate, as
+    # the compiled nets' first layer does; 256 points in one block would hold
+    # an 819 MB activation matrix
+    width = 400_000
+    rng = np.random.default_rng(15)
+    w = np.zeros((width, 5))
+    w[np.arange(width), np.arange(width) % 5] = 1.0
+    net = network((w, rng.standard_normal(width)), (rng.standard_normal((1, width)), [0.5]))
+    assert net._streamed == (True, False)
+    x = rng.standard_normal((256, 5))
+    x.setflags(write=False)
+    before = x.copy()
     tracemalloc.start()
     try:
-        realize(net, relu(), x)
+        got = realize(net, relu(), x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * 16 * width * 8
+    assert got.shape == (256, 1)
+    assert peak < 64e6
+    assert _same_bits(x, before)
 
 
 # -- sparse layers ---------------------------------------------------------------
