@@ -11,11 +11,16 @@ checkout first for even i, and reads each run's result from that checkout's
 bounded metric of the untraced pairs, the parent's median and quartiles, the
 new median, and the number of pairs in which the new run was lower. Untraced
 runs also keep the untimed network sizes (`net_params`, `net_nnz`, `json_mb`)
-where the workload prints them, so a shape change shows in any pair file.
-Traced runs keep every printed metric, so the per-layer counts sit next to
-their closed forms. It also records, for each checkout, how many `uniform01` calls
-and hashed paths one (4,3), d = 5 sample tree takes. An existing output file
-is updated in place, so workloads can be measured in separate invocations.
+where the workload prints them, so a shape change shows in any pair file, and
+the scaled time of each phase (`compile_s.scaled`, `save_s.scaled`, ...), so
+it shows which phase moved. Traced runs keep every printed metric, so the
+per-layer counts sit next to their closed forms. A run that writes no result
+(it failed to start, crashed or ran past RUN_TIMEOUT_S) is kept with its exit
+code and the tail of its stderr, and the summary covers only the pairs in
+which both runs wrote one. It also records, for each checkout, how many
+`uniform01` calls and hashed paths one (4,3), d = 5 sample tree takes. An
+existing output file is updated in place, so workloads can be measured in
+separate invocations.
 """
 
 from __future__ import annotations
@@ -53,35 +58,53 @@ print(json.dumps({"uniform01_calls_per_tree": oracle.calls, "hashed_paths_per_tr
 def work_counts(checkout: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     cmd = [sys.executable, "-c", WORK_COUNTS]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        return {"exit": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
     return json.loads(proc.stdout)
 
 
 # Untimed counts of a compile workload's network, kept for every untraced run.
 SIZES = ("net_params", "net_nnz", "json_mb")
+# A run still going after this long is stopped and kept as failed; a 20-s compile run takes about a minute.
+RUN_TIMEOUT_S = 600
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     out = checkout / "bench" / "out" / f"{workload}-trace{trace}.json"
     out.unlink(missing_ok=True)  # a run that dies before writing must not leave an older result
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    result = json.loads(out.read_text())
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        code, stderr = proc.returncode, proc.stderr
+    except subprocess.TimeoutExpired as exc:
+        code, stderr = None, exc.stderr or ""
+        if isinstance(stderr, bytes):
+            stderr = stderr.decode(errors="replace")
+    try:
+        result = json.loads(out.read_text())
+    except (OSError, ValueError):
+        return {"exit": code, "correct": False, "no_result": True, "stderr_tail": stderr[-2000:]}
     every = {k: v["value"] for k, v in result["every_metric"].items()}
+    untraced = {
+        "sizes": {k: every[k] for k in SIZES if k in every},
+        "phases": {k: v for k, v in every.items() if k.endswith(".scaled")},
+    }
     return {
-        "exit": proc.returncode,
+        "exit": code,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-        **({"every_metric": every} if trace else {"sizes": {k: every[k] for k in SIZES if k in every}}),
+        **({"every_metric": every} if trace else untraced),
         "environment": result["environment"],
     }
 
 
 def summarize(runs: list[dict]) -> dict:
+    runs = [run for run in runs if "metrics" in run["parent"] and "metrics" in run["new"]]
     summary = {}
-    for metric in runs[0]["parent"]["metrics"]:
+    for metric in runs[0]["parent"]["metrics"] if runs else ():
         old = [run["parent"]["metrics"][metric] for run in runs]
         new = [run["new"]["metrics"][metric] for run in runs]
         q1, _, q3 = quantiles(old, n=4, method="inclusive") if len(old) > 1 else (old[0],) * 3
@@ -116,8 +139,8 @@ def main(argv: list[str] | None = None) -> int:
             pair = {"seed": seed}
             for side, checkout in sides if seed % 2 else sides[::-1]:  # alternate which runs first
                 pair[side] = run_once(checkout.resolve(), args.workload, seed, trace)
-                metrics = pair[side]["metrics"]
-                print(args.workload, f"trace {trace}", f"seed {seed}", side, metrics, flush=True)
+                shown = pair[side].get("metrics", f"no result, exit {pair[side]['exit']}")
+                print(args.workload, f"trace {trace}", f"seed {seed}", side, shown, flush=True)
             runs.append(pair)
         if runs:
             entry[f"trace{trace}"] = {"runs": runs, **({} if trace else {"summary": summarize(runs)})}

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import activation_wrapper, affine, compose, scalar_mul, sum_same_depth
+from .compiler import PARAM_BOUND_LIMIT
 from .network import Network, param_count
 
 
@@ -165,13 +166,20 @@ def interp_net_softplus(grid: Grid, values: object, beta: float) -> Network:
     return compose(affine([[1.0]], [vals[0]]), sum_same_depth(terms))
 
 
-def _approx_grid(fn: LipschitzFn, q: float, eps: float) -> tuple[Grid, np.ndarray, float, int]:
+def _approx_grid(
+    fn: LipschitzFn, q: float, eps: float, units_per_knot: int = 1
+) -> tuple[Grid, np.ndarray, float, int]:
     """Pick the symmetric grid for a growth-weighted error target.
 
     The half-width b solves max(1, 2L) = eps * b**(q-1), so outside [-b, b] the
     clamped interpolant's error is absorbed by the weight max(1, |x|**q); the
     cell count K = max(1, ceil(2 L b / eps)) makes the on-grid error <= eps.
     q must be finite, and b and 2 L b / eps must be finite floats.
+
+    The net built on the grid has `units_per_knot` (K + 1) hidden units and
+    3 units_per_knot (K + 1) + 1 parameters; a grid whose net would exceed
+    PARAM_BOUND_LIMIT parameters is a ValueError, raised before any knot is
+    allocated.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("error target must lie in (0, 1]")
@@ -188,6 +196,12 @@ def _approx_grid(fn: LipschitzFn, q: float, eps: float) -> tuple[Grid, np.ndarra
             f"grid half-width {b} or cell count {cells} is not finite at q={q}, eps={eps}, L={L}"
         )
     K = max(1, math.ceil(cells))
+    params = 3 * units_per_knot * (K + 1) + 1
+    if params > PARAM_BOUND_LIMIT:
+        raise ValueError(
+            f"{K} grid cells at q={q}, eps={eps}, L={L} give a net of {params} parameters, "
+            f"over the limit of {PARAM_BOUND_LIMIT}"
+        )
     pts = np.linspace(-b, b, K + 1)
     vals = np.asarray(fn.fn(pts), dtype=np.float64)
     return Grid(pts), vals, b, K
@@ -204,7 +218,7 @@ def approx_net_leaky(
     fn: LipschitzFn, q: float, eps: float, alpha: float
 ) -> tuple[Network, ApproxGuarantee]:
     """Leaky-slope approximation realizing exactly the ReLU interpolant; double width."""
-    grid, vals, b, K = _approx_grid(fn, q, eps)
+    grid, vals, b, K = _approx_grid(fn, q, eps, units_per_knot=2)
     net = interp_net_leaky(grid, vals, alpha)
     return net, ApproxGuarantee(eps=eps, q=q, b=b, K=K, width=2 * (K + 1), params=param_count(net))
 

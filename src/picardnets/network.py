@@ -10,7 +10,10 @@ never copied.
 
 `realize` multiplies a sparse layer through a CSR copy of its weights, which
 each network builds once, on its first `realize`, and keeps. A layer is sparse
-when at most a tenth of its entries are nonzero, whatever its size.
+when at most a tenth of its entries are nonzero, whatever its size. The copy
+keeps one row per run of identical rows, as compiled nets' layers repeat
+their rows in long runs, and `realize` copies each run's product to its rows.
+The JSON writer formats such a run once and the reader parses it once.
 
 `realize` never builds the activation matrix of a wide dense hidden layer (more
 than 2,048 units) whose next layer is dense and at most 32 wide. It forms that
@@ -85,8 +88,8 @@ class Network:
         object.__setattr__(self, "layers", tuple(frozen))
 
     @cached_property
-    def _products(self) -> tuple[object | None, ...]:
-        """Per layer, the CSR copy of W that `realize` multiplies by, or None for the dense W."""
+    def _products(self) -> tuple[tuple[object, np.ndarray | None] | None, ...]:
+        """Per layer, what `_sparse_copy` gives: the CSR copy of W's runs and its row index, or None for the dense W."""
         return tuple(_sparse_copy(w) for w, _ in self.layers)
 
     @cached_property
@@ -116,26 +119,48 @@ _TILE_UNITS = 2048
 _STREAM_NEXT_WIDTH = 32
 
 
-def _sparse_copy(w: np.ndarray) -> object | None:
-    """A `scipy.sparse.csr_array` of `w`, columns ascending within each row, or
-    None if more than 1/_SPARSE_RATIO of its entries are nonzero.
+def _new_rows(w: np.ndarray) -> np.ndarray:
+    """Per row of `w`, whether it differs in any bit from the row before; row 0 always does.
 
-    The nonzeros are found on the boolean mask `w != 0`: building it reads the
-    float array once, and the mask's count and `flatnonzero` are cheap, where
-    `np.flatnonzero(w)` alone takes several times as long.
+    A run of identical rows is a True followed by Falses. Comparing bits, not
+    values, keeps a row with -0.0 apart from one with +0.0.
+    """
+    bits = w.view(np.int64)
+    new = np.empty(w.shape[0], dtype=bool)
+    new[:1] = True
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    return new
+
+
+def _sparse_copy(w: np.ndarray) -> tuple[object, np.ndarray | None] | None:
+    """A `scipy.sparse.csr_array` of one row of `w` per run of identical rows, and
+    the index of each row of `w` into it (None if no two neighbouring rows are
+    equal); or None if more than 1/_SPARSE_RATIO of the entries of `w` are nonzero.
+
+    Columns ascend within each row. The nonzeros are found on the boolean mask
+    `w != 0`: building it reads the float array once, and the mask's count and
+    `flatnonzero` are cheap, where `np.flatnonzero(w)` alone takes several
+    times as long.
     """
     nonzero = w != 0
     if _SPARSE_RATIO * np.count_nonzero(nonzero) > w.size:
         return None
     import scipy.sparse  # deferred: importing it costs every CLI start, and most nets never need it
 
+    new = _new_rows(w)
+    starts = np.flatnonzero(new)
+    index = None
+    if starts.size < w.shape[0]:
+        nonzero = nonzero[starts]
+        index = np.cumsum(new) - 1
     flat = np.flatnonzero(nonzero)
     del nonzero
     rows, cols = np.divmod(flat, w.shape[1])
-    index = np.int32 if w.size < 2**31 else np.int64  # 32-bit indices read faster
-    indptr = np.zeros(w.shape[0] + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=w.shape[0]), out=indptr[1:])
-    return scipy.sparse.csr_array((w.reshape(-1)[flat], cols.astype(index), indptr), shape=w.shape)
+    kind = np.int32 if w.size < 2**31 else np.int64  # 32-bit indices read faster
+    indptr = np.zeros(starts.size + 1, dtype=kind)
+    np.cumsum(np.bincount(rows, minlength=starts.size), out=indptr[1:])
+    csr = scipy.sparse.csr_array((w[starts[rows], cols], cols.astype(kind), indptr), shape=(starts.size, w.shape[1]))
+    return csr, index
 
 
 def network(*layers: tuple[object, object]) -> Network:
@@ -205,8 +230,11 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
     network's first `realize` and cached on it. Its sums run over the
     nonzeros in column order, one row at a time, so they can differ from the
     dense product by a few ulps, and a row's bits do not depend on the other
-    rows of the block. A non-finite input meets only the nonzero weights
-    there, so a zero weight times inf adds nothing instead of NaN.
+    rows of the block. The copy holds one row per run of identical rows, and
+    each run's product is copied to every row of the run, so the values are
+    those of a CSR copy of every row, bit for bit. A non-finite input meets
+    only the nonzero weights there, so a zero weight times inf adds nothing
+    instead of NaN.
     """
     z = np.asarray(x, dtype=np.float64)
     squeeze = z.ndim == 1
@@ -216,12 +244,16 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
         raise ValueError(f"input has shape {np.shape(x)}, expected last axis {input_dim(net)}")
     last = len(net.layers) - 1
     layers = enumerate(zip(net.layers, net._products, net._streamed))
-    for k, ((w, b), csr, streamed) in layers:
+    for k, ((w, b), product, streamed) in layers:
         if streamed:  # the next layer's product is formed here, so the loop skips it
             k, ((w_next, b_next), _, _) = next(layers)
             z, b = _stream(z, w, b, w_next, act), b_next
-        else:
-            z = z @ w.T if csr is None else (csr @ z.T).T
+        elif product is None:
+            z = z @ w.T
+        else:  # one product row per run of identical rows, copied to each row of the run
+            csr, index = product
+            z = csr @ z.T
+            z = (z if index is None else z[index]).T
         z += b
         if k != last:
             z = act(z, out=z) if isinstance(act, Activation) else act(z)
@@ -251,11 +283,15 @@ def _stream(
 # every bit. The text is exactly what `json.dumps(obj, sort_keys=True, allow_nan=False)`
 # gives for that object.
 #
+# The writer formats a run of rows that are identical bit for bit once and repeats
+# its text, so the text is that of one row per run and `", "` + row for each copy.
+#
 # Text in exactly that layout is read in blocks (`_read_blocks`): runs of at least 16
 # `0.0` entries are left unparsed in a zero-filled array, and the numbers between runs
 # are parsed by `json.loads` in chunks of about 1 MiB, so a load holds the arrays plus
-# one chunk rather than one Python float per entry. Any other valid layout (other key
-# order or spacing, say) goes through `json.loads` + `from_json_obj`, which also
+# one chunk rather than one Python float per entry. Exact byte copies of a parsed row
+# are skipped and filled by copying it (`_read_array`). Any other valid layout (other
+# key order or spacing, say) goes through `json.loads` + `from_json_obj`, which also
 # raises the errors for malformed text.
 
 _LAYERS_OPEN = b', "layers": ['
@@ -270,28 +306,57 @@ _ZERO_BLOCKS = tuple(_ZERO * n for n in (4096, 256, 16, 1))
 # `NaN`, `true`) leaves the block reader, so `json.loads` of a chunk yields only numbers.
 _NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
 _CHUNK_BYTES = 1 << 20
+# After a probe for repeated rows skips at least this many bytes, the next row
+# is probed at once; after one that skips fewer, the batches grow as after a miss.
+# A probe costs about as much as parsing 1 KB: at 1 KB, 50-entry rows repeated in
+# pairs read 1.4x slower than at 2 KB, while at 4 KB compile-wide's 4,000-byte
+# runs of 5-entry rows went unskipped and its load took 1.8x as long.
+_PROBE_BYTES = 2048
 # The writer formats arrays in chunks of this many entries, so a save holds one
 # chunk's strings (about 2 MB of pointers) beside the network, not one per entry.
 _WRITE_ENTRIES = 1 << 18
 
 
-def _json_floats(a: np.ndarray) -> Iterator[str]:
-    """The text inside the brackets of `json.dumps(a.ravel().tolist())`, `_WRITE_ENTRIES` entries a piece.
+def _entry_texts(a: np.ndarray) -> np.ndarray:
+    """The shortest round-trip text of each entry of `a`, row-major, as an object array.
 
     Compiled nets are mostly zeros and repeat few values, so each distinct bit
-    pattern of a piece is formatted once. Grouping is by bits, not by value, so
-    -0.0 keeps its sign; every +0.0 entry shares one string object.
+    pattern is formatted once. Grouping is by bits, not by value, so -0.0 keeps
+    its sign; every +0.0 entry shares one string object.
     """
-    flat = np.ravel(a, order="C")
-    for start in range(0, flat.size, _WRITE_ENTRIES):
-        bits = flat[start : start + _WRITE_ENTRIES].view(np.int64)
-        nonzero = bits != 0
-        values, inverse = np.unique(bits[nonzero], return_inverse=True)
-        texts = np.array([repr(v) for v in values.view(np.float64).tolist()], dtype=object)
-        out = np.empty(bits.size, dtype=object)
-        out.fill("0.0")
-        out[nonzero] = texts[inverse]
-        yield (", " if start else "") + ", ".join(out.tolist())
+    bits = np.ravel(a).view(np.int64)
+    nonzero = bits != 0
+    values, inverse = np.unique(bits[nonzero], return_inverse=True)
+    texts = np.array([repr(v) for v in values.view(np.float64).tolist()], dtype=object)
+    out = np.empty(bits.size, dtype=object)
+    out.fill("0.0")
+    out[nonzero] = texts[inverse]
+    return out
+
+
+def _json_floats(a: np.ndarray) -> Iterator[str]:
+    """The text inside the brackets of `json.dumps(a.ravel().tolist())`, `_WRITE_ENTRIES` entries or fewer a piece.
+
+    A matrix whose rows fit in a piece is written whole rows a piece, and each
+    run of rows that are identical bit for bit is formatted once: its text is
+    repeated. A 1-D array, or a matrix with longer rows, is cut into pieces of
+    `_WRITE_ENTRIES` entries across rows, with no run looked for.
+    """
+    if a.ndim == 1 or a.shape[1] > _WRITE_ENTRIES:
+        flat = np.ravel(a)
+        blocks = (flat[s : s + _WRITE_ENTRIES].reshape(1, -1) for s in range(0, flat.size, _WRITE_ENTRIES))
+    else:
+        step = _WRITE_ENTRIES // a.shape[1]
+        blocks = (a[s : s + step] for s in range(0, a.shape[0], step))
+    for k, block in enumerate(blocks):
+        new = _new_rows(block)
+        if new.all():
+            texts = _entry_texts(block).tolist()
+        else:
+            distinct = _entry_texts(block[new]).reshape(-1, block.shape[1]).tolist()
+            runs = np.array([", ".join(row) for row in distinct], dtype=object)
+            texts = runs[np.cumsum(new) - 1].tolist()
+        yield (", " if k else "") + ", ".join(texts)
 
 
 def _json_pieces(net: Network, act: Activation) -> Iterator[str]:
@@ -377,26 +442,102 @@ def _parse_numbers(data: bytes, pos: int, stop: int, flat: np.ndarray, filled: i
         pos = cut + 1
 
 
-def _read_array(data: bytes, pos: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Read the entries from `pos` to the next `]` into a new read-only array; returns it and the `]`'s index."""
-    stop = data.find(b"]", pos)
-    if stop < 0:
-        raise ValueError("unterminated array")
-    out = np.zeros(shape)
-    flat = out.reshape(-1)
-    filled = 0
+def _read_numbers(data: bytes, pos: int, stop: int, flat: np.ndarray, filled: int) -> int:
+    """Read the entries of `data[pos:stop]` into `flat[filled:]`, skipping runs of 16 or more `0.0`; returns the new fill count."""
     while True:
         run = data.find(_ZERO_PROBE, pos, stop)
         if run < 0:
-            filled = _parse_numbers(data, pos, stop, flat, filled)
-            break
+            return _parse_numbers(data, pos, stop, flat, filled)
         _expect(data, run - 1, b",")
-        filled = _parse_numbers(data, pos, run - 1, flat, filled)
+        if run > pos:  # a run at `pos` follows the comma that ends the text before it
+            filled = _parse_numbers(data, pos, run - 1, flat, filled)
         pos = run + 1
         for block in _ZERO_BLOCKS:
             while data.startswith(block, pos, stop):
                 pos += len(block)
         filled += (pos - run - 1) // len(_ZERO)
+
+
+def _commas(view: np.ndarray, pos: int, n: int, stop: int) -> np.ndarray:
+    """The indices of the first `n` commas in `view[pos:stop]`, or of all of them if there are fewer."""
+    found, count, window = [], 0, 8 * n
+    while count < n and pos < stop:
+        end = min(stop, pos + window)
+        hits = np.flatnonzero(view[pos:end] == ord(","))
+        found.append(hits[: n - count] + pos)
+        count, pos, window = count + hits.size, end, 2 * window
+    return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
+
+
+def _repeats(data: bytes, pos: int, stop: int, unit: bytes) -> tuple[int, int]:
+    """How many copies of `unit` follow `pos`, the last one ending at a comma or at `stop`; and the index after them.
+
+    Copies are compared in blocks of 1, 2, 4, ... copies while they match, then
+    in the halves back down, so n copies take about 2 log2(n) memcmps. A block
+    of several copies is at most _CHUNK_BYTES long.
+    """
+    blocks, copies = [unit], 0
+    while data.startswith(blocks[-1], pos, stop):
+        pos, copies = pos + len(blocks[-1]), copies + len(blocks[-1]) // len(unit)
+        if 2 * len(blocks[-1]) <= _CHUNK_BYTES:
+            blocks.append(blocks[-1] * 2)
+    for block in reversed(blocks[:-1]):
+        if data.startswith(block, pos, stop):
+            pos, copies = pos + len(block), copies + len(block) // len(unit)
+    if copies and pos < stop and data[pos] != ord(","):  # the last copy's last entry runs on, as 1.0 does in 1.05
+        pos, copies = pos - len(unit), copies - 1
+    return copies, pos
+
+
+def _read_array(data: bytes, pos: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Read the entries from `pos` to the next `]` into a new read-only array; returns it and the `]`'s index.
+
+    The rows of a matrix whose rows fit in one write piece are read in
+    batches. After each batch one whole row is parsed, and the copies of its
+    text that follow it, each `", "` + row, are skipped with `startswith` and
+    filled by copying the parsed row. A batch after a miss is twice as long
+    as the one before, up to _CHUNK_BYTES, so an array with no repeated rows
+    pays a probe per chunk.
+    """
+    stop = data.find(b"]", pos)
+    if stop < 0:
+        raise ValueError("unterminated array")
+    out = np.zeros(shape)
+    flat = out.reshape(-1)
+    cols = shape[1] if len(shape) == 2 and shape[1] <= _WRITE_ENTRIES else flat.size
+    view = np.frombuffer(data, dtype=np.uint8)
+    filled = span = 0
+    while True:
+        if span:  # a batch: up to the first comma `span` bytes on
+            cut = data.find(b",", pos + span, stop)
+            cut = stop if cut < 0 else cut
+            filled = _read_numbers(data, pos, cut, flat, filled)
+            if cut == stop:
+                break
+            pos = cut + 1
+        # the rest of the row the batch ended in, then one whole row to look for copies of
+        need = -filled % cols + cols
+        if filled + need >= flat.size:
+            filled = _read_numbers(data, pos, stop, flat, filled)
+            break
+        commas = _commas(view, pos, need, stop)
+        if commas.size < need:
+            raise ValueError("wrong entry count")
+        end = int(commas[-1])
+        start = int(commas[-1 - cols]) if need > cols else pos - 1
+        filled = _read_numbers(data, pos, end, flat, filled)
+        unit = b"," + data[start + 1 : end]
+        copies, pos = _repeats(data, end, stop, unit)
+        if filled + copies * cols > flat.size:
+            raise ValueError("wrong entry count")
+        if copies:
+            flat[filled : filled + copies * cols].reshape(copies, cols)[:] = flat[filled - cols : filled]
+            filled += copies * cols
+        # a probe that saved little is as good as a miss
+        span = 0 if copies * len(unit) >= _PROBE_BYTES else min(max(2 * span, len(unit)), _CHUNK_BYTES)
+        if pos == stop:
+            break
+        pos += 1
     if filled != flat.size or not np.all(np.isfinite(flat)):
         raise ValueError("wrong entry count or non-finite entries")
     return read_only(out), stop
@@ -441,8 +582,10 @@ def dumps_network(net: Network, act: Activation) -> str:
 def loads_network(text: str | bytes) -> tuple[Network, Activation]:
     """Inverse of `dumps_network`; text in any other valid JSON layout loads too.
 
-    Every entry of "w" and "b" must be a finite JSON number; anything malformed is
-    a ValueError.
+    Text in the layout `dumps_network` writes is read in blocks: runs of zeros
+    and exact byte copies of a matrix row are skipped and filled in, and the
+    rest is parsed by the json module a chunk at a time. Every entry of "w"
+    and "b" must be a finite JSON number; anything malformed is a ValueError.
     """
     try:
         try:

@@ -544,6 +544,22 @@ def test_interp_build_rejects_square_power_family(tmp_path, capsys):
     assert "softplus" in err
 
 
+@pytest.mark.parametrize("eps", ["1e-7", "1e-4"])
+def test_interp_build_refuses_a_grid_over_the_parameter_limit(tmp_path, capsys, monkeypatch, eps):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linspace was called")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    out = tmp_path / "x.json"
+    code, stdout, err = run(
+        capsys,
+        "interp-build", "--fn", "sin", "--q", "2", "--eps", eps,
+        "--activation", "relu", "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "over the limit" in err
+
+
 def test_interp_build_rejects_unknown_function(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -145,6 +145,29 @@ def test_approx_grid_rejects_bad_targets():
         _approx_grid(target, 1.0, 0.5)
 
 
+def _refuse_linspace(*args, **kwargs):
+    raise AssertionError("np.linspace was called")
+
+
+def test_a_grid_over_the_parameter_limit_is_refused_before_it_is_allocated(monkeypatch):
+    # L = 1, q = 2: K = ceil(4 / eps^2). At eps = 1e-4 the relu net would have
+    # 1.2e9 parameters; at eps = 4.5e-4 (K = 19,753,087) the relu net has
+    # 5.9e7, under the limit, and the leaky one, two units per knot, 1.2e8.
+    monkeypatch.setattr(np, "linspace", _refuse_linspace)
+    target = LipschitzFn(fn=np.sin, lipschitz=1.0)
+    for build in (
+        lambda eps: approx_net_relu(target, 2.0, eps),
+        lambda eps: approx_net_softplus(target, 2.0, eps),
+        lambda eps: approx_net_leaky(target, 2.0, eps, 0.1),
+    ):
+        with pytest.raises(ValueError, match="over the limit of 100000000"):
+            build(1e-4)
+    with pytest.raises(ValueError, match="19753087 grid cells .* 118518529 parameters"):
+        approx_net_leaky(target, 2.0, 4.5e-4, 0.1)
+    with pytest.raises(AssertionError, match="linspace"):  # under the limit the grid is built
+        approx_net_relu(target, 2.0, 4.5e-4)
+
+
 def weighted_error(net, act, fn, q, lo=-12.0, hi=12.0, n=2001):
     xs = np.linspace(lo, hi, n)
     got = realize(net, act, xs[:, None])[:, 0]

@@ -331,6 +331,51 @@ def repetitive_nets(draw):
     return network(*layers)
 
 
+# Run lengths on both sides of 16, 256 and 4,096 rows, and of the powers of two
+# in which the block reader compares copies of a row.
+ROW_RUNS = st.sampled_from([1, 2, 3, 15, 16, 17, 255, 256, 257, 4095, 4097])
+SHORT_ROW_RUNS = st.sampled_from([1, 2, 3, 15, 16, 17])
+
+
+@st.composite
+def repeated_rows(draw, cols, max_rows, runs=ROW_RUNS):
+    """A matrix of `cols` columns made of runs of identical rows, at most about `max_rows` rows.
+
+    Neighbouring runs may differ only in the sign of a zero, which must keep them apart.
+    The text of 2.0 begins that of 2.05, so a row ending in 2.0 may begin the text of the next.
+    """
+    entry = st.sampled_from(EDGE_VALUES + [2.0, 2.05])
+    rows = []
+    while not rows or (len(rows) < max_rows and draw(st.booleans())):
+        row = draw(st.lists(entry, min_size=cols, max_size=cols))
+        zeros = [k for k, v in enumerate(rows[-1]) if v == 0.0] if rows else []
+        if zeros and draw(st.booleans()):  # the last row with one zero of the other sign
+            row = list(rows[-1])
+            k = draw(st.sampled_from(zeros))
+            row[k] = -row[k]
+        rows += [row] * draw(runs)
+    return np.array(rows).reshape(-1, cols)
+
+
+@st.composite
+def repeated_row_nets(draw, runs=ROW_RUNS):
+    """Two-layer nets whose weight matrices repeat rows in runs, the last row repeated or not."""
+    first = draw(repeated_rows(draw(st.integers(1, 3)), 4097, runs))
+    second = draw(repeated_rows(len(first), 3, SHORT_ROW_RUNS)) if len(first) <= 300 else np.ones((1, len(first)))
+    biases = draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=1, max_size=8))
+    return network((first, np.resize(biases, len(first))), (second, np.zeros(len(second))))
+
+
+def _repeated_rows_net():
+    """Runs of 17, 257, 1, 3, 1 and 4,097 rows, the first two apart only in the sign of a zero.
+
+    The text of the 3-row run's rows begins that of the row after them.
+    """
+    a, signed, b = [0.0, 1.5, -2.0], [-0.0, 1.5, -2.0], [5e-324, 0.0, 0.1]
+    first = np.array([a] * 17 + [signed] * 257 + [a] + [[1.0, 0.0, 2.0]] * 3 + [[1.0, 0.0, 2.05]] + [b] * 4097)
+    return network((first, np.zeros(len(first))), (np.ones((2, len(first))), [0.5, -0.0]))
+
+
 def _reference_dumps(net, act):
     """The writer `dumps_network` replaced: one Python float per entry through json."""
     obj = {
@@ -342,14 +387,15 @@ def _reference_dumps(net, act):
 
 
 @settings(max_examples=100, deadline=None)
-@given(repetitive_nets(), st.sampled_from(["relu", "softplus", "leaky:0.1", "repu:2"]))
+@given(repetitive_nets() | repeated_row_nets(), st.sampled_from(["relu", "softplus", "leaky:0.1", "repu:2"]))
+@example(_repeated_rows_net(), "relu")
 def test_dumps_is_byte_identical_to_the_json_module(net, tag):
     act = parse_activation(tag)
     assert dumps_network(net, act) == _reference_dumps(net, act)
 
 
 @settings(max_examples=60, deadline=None)
-@given(repetitive_nets(), st.integers(1, 5))
+@given(repetitive_nets() | repeated_row_nets(SHORT_ROW_RUNS), st.integers(1, 5))
 def test_chunked_writer_is_byte_identical_to_the_json_module(net, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(importlib.import_module("picardnets.network"), "_WRITE_ENTRIES", chunk)
@@ -470,8 +516,13 @@ def _one_block_realize(net, act, x):
     if z.ndim == 1:
         z = z[None, :]
     last = len(net.layers) - 1
-    for k, ((w, b), csr) in enumerate(zip(net.layers, net._products)):
-        z = z @ w.T if csr is None else (csr @ z.T).T
+    for k, ((w, b), product) in enumerate(zip(net.layers, net._products)):
+        if product is None:
+            z = z @ w.T
+        else:
+            csr, index = product
+            z = csr @ z.T
+            z = (z if index is None else z[index]).T
         z += b
         if k != last:
             z = act(z, out=z) if isinstance(act, Activation) else act(z)
@@ -631,6 +682,34 @@ def test_sparse_rows_do_not_depend_on_the_block():
     for i in range(16):
         assert _same_bits(realize(net, relu(), x[i]), block[i])
         assert _same_bits(realize(net, relu(), x[i : i + 1]), block[i : i + 1])
+
+
+def test_a_sparse_layer_with_repeated_rows_realizes_as_it_does_without_the_row_index(monkeypatch):
+    # 400 rows in runs of 1 to 60 copies of 12 distinct rows, two of them apart only in a zero's sign
+    rng = np.random.default_rng(9)
+    distinct = _sparse_matrix(rng, 12, 400, 0.05)
+    distinct[5] = distinct[4]
+    distinct[5, np.flatnonzero(distinct[4] == 0)[0]] = -0.0
+    runs = np.repeat(np.arange(12), [60, 1, 2, 40, 17, 16, 15, 100, 1, 50, 60, 38])
+    net = network(
+        (rng.standard_normal((400, 8)), rng.standard_normal(400)),
+        (distinct[runs], rng.standard_normal(400)),
+        (rng.standard_normal((3, 400)), rng.standard_normal(3)),
+    )
+    csr, index = net._products[1]
+    assert csr.shape == (12, 400) and np.array_equal(index, runs)
+    module = importlib.import_module("picardnets.network")
+    monkeypatch.setattr(module, "_new_rows", lambda w: np.ones(w.shape[0], dtype=bool))
+    twin = network(*net.layers)
+    assert twin._products[1][0].shape == (400, 400) and twin._products[1][1] is None
+    x = rng.standard_normal((17, 8))
+    for tag in ("relu", "leaky:0.1", "softplus", "tanh"):
+        for block in (x[:0], x[:1], x, x[3]):
+            got = realize(net, _activation(tag), block)
+            assert got.shape == ((3,) if block.ndim == 1 else (len(block), 3))
+            assert _same_bits(got, realize(twin, _activation(tag), block)), tag
+    got = realize(net, relu(), x)
+    assert np.max(np.abs(got - _reference_realize(net, OLD_ACTIVATIONS["relu"], x))) <= 1e-12 * np.max(np.abs(got))
 
 
 def test_sparse_realize_never_writes_its_input():
@@ -823,9 +902,14 @@ def _long_run_net():
     return network((w, np.zeros(70))), relu()
 
 
+def repeated_row_nets_and_activations():
+    return st.tuples(repeated_row_nets(), st.sampled_from(["relu", "softplus"]).map(parse_activation))
+
+
 @settings(max_examples=120, deadline=None)
-@given(run_nets())
+@given(run_nets() | repeated_row_nets_and_activations())
 @example(_long_run_net())
+@example((_repeated_rows_net(), relu()))
 def test_block_reader_is_bit_identical_to_the_json_module(net_and_act):
     net, act = net_and_act
     text = dumps_network(net, act)
@@ -843,8 +927,11 @@ MUTATION_BYTES = st.sampled_from(list(b'0123456789-+.eE ,[]{}":\nNItrx\x00\xff')
 
 @st.composite
 def mutated_texts(draw):
-    """A canonical network text with one byte replaced, deleted or inserted, or cut short."""
-    net, act = draw(run_nets())
+    """A canonical network text with one byte replaced, deleted or inserted, or cut short.
+
+    Most of a repeated-row net's text is runs of copies of a row, so most of its edits land in one.
+    """
+    net, act = draw(run_nets() | repeated_row_nets_and_activations())
     data = dumps_network(net, act).encode()
     # half of the edits land in the header, where the dims are
     pos = draw(st.integers(0, len(data) - 1) | st.integers(0, min(len(data) - 1, 48)))
@@ -881,6 +968,40 @@ def test_block_reader_and_json_module_agree_on_damaged_text(data):
         return
     # what the block reader accepts, the json module reads the same way
     assert want is not None and _same_net(Network(tuple(layers)), want[0]) and act.tag() == want[1].tag()
+
+
+# Edits inside runs of repeated rows: (old bytes, new bytes, which occurrence of old).
+RUN_EDITS = {
+    "last-entry-runs-on": (b"1.0, 2.0", b"1.0, 2.05", 20),
+    "last-row-of-a-run-runs-on": (b"1.0, 2.0", b"1.0, 2.05", 39),
+    "other-value-in-a-copy": (b"0.0, 2.0", b"0.0, 2.5", 150),
+    "signed-zero-in-a-copy": (b" 0.0, 2.0", b" -0.0, 2.0", 150),
+    "extra-entry-in-a-copy": (b"1.0, 2.0", b"1.0, 2.0, 2.0", 20),
+    "missing-entry-in-a-copy": (b", 0.0, 2.0", b", 2.0", 150),
+    "empty-entry-in-a-copy": (b", 0.0, 2.0", b", , 2.0", 150),
+    "no-space-before-a-copy": (b", 1.0, 2.0", b",1.0, 2.0", 10),
+    "copy-past-the-last-row": (b"0.0, 2.0]", b"0.0, 2.0, 0.0, 2.0]", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_EDITS))
+def test_edits_inside_runs_of_rows_are_read_as_the_json_module_reads_them(case):
+    w = np.array([[1.0, 2.0]] * 40 + [[0.0, 2.0]] * 300)
+    text = dumps_network(network((w, np.zeros(340)), (np.ones((1, 340)), [0.0])), relu()).encode()
+    old, new, nth = RUN_EDITS[case]
+    at = -1
+    for _ in range(nth + 1):
+        at = text.index(old, at + 1)
+    data = text[:at] + new + text[at + len(old) :]
+    want, got = _outcome(_reference_loads, data), _outcome(loads_network, data)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert _same_net(got[0], want[0])
+    try:
+        layers, _ = _read_blocks(data)
+    except (ValueError, OverflowError):
+        return
+    assert want is not None and _same_net(Network(tuple(layers)), want[0])
 
 
 def _zeros(n):
