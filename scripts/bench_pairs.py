@@ -8,12 +8,13 @@ parent checkout and in the new one, the parent first for odd i and the new
 checkout first for even i, and reads each run's result from that checkout's
 `bench/out/W-trace0.json`. `--trace-pairs K` then runs K pairs with
 `--trace 1`. The output keeps, per workload, every run's result and, for each
-bounded metric of the untraced pairs, the parent's median and quartiles, the
-new median, and the number of pairs in which the new run was lower. Untraced
-runs also keep the untimed network sizes (`net_params`, `net_nnz`, `json_mb`)
-where the workload prints them, so a shape change shows in any pair file, and
-the scaled time of each phase (`compile_s.scaled`, `save_s.scaled`, ...), so
-it shows which phase moved. Traced runs keep every printed metric, so the
+bounded metric of the untraced pairs (`summary`) and for the scaled time of
+each of their phases (`phase_summary`: `compile_s.scaled`, `save_s.scaled`,
+...), the parent's median and quartiles, the new median, and the number of
+pairs in which the new run was lower, so a pair file shows which phase moved.
+Untraced runs also keep the untimed network sizes (`net_params`, `net_nnz`,
+`json_mb`) where the workload prints them, so a shape change shows in any
+pair file. Traced runs keep every printed metric, so the
 per-layer counts sit next to their closed forms. A run that writes no result
 (it failed to start, crashed or ran past RUN_TIMEOUT_S) is kept with its exit
 code and the tail of its stderr, and the summary covers only the pairs in
@@ -101,12 +102,14 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     }
 
 
-def summarize(runs: list[dict]) -> dict:
-    runs = [run for run in runs if "metrics" in run["parent"] and "metrics" in run["new"]]
+def summarize(runs: list[dict], field: str = "metrics") -> dict:
+    """Per value of `field` in the pairs in which both runs wrote a result: the parent's median
+    and quartiles, the new median, its change and the number of pairs in which the new run was lower."""
+    runs = [run for run in runs if field in run["parent"] and field in run["new"]]
     summary = {}
-    for metric in runs[0]["parent"]["metrics"] if runs else ():
-        old = [run["parent"]["metrics"][metric] for run in runs]
-        new = [run["new"]["metrics"][metric] for run in runs]
+    for metric in runs[0]["parent"][field] if runs else ():
+        old = [run["parent"][field][metric] for run in runs]
+        new = [run["new"][field][metric] for run in runs]
         q1, _, q3 = quantiles(old, n=4, method="inclusive") if len(old) > 1 else (old[0],) * 3
         summary[metric] = {
             "parent_median": median(old),
@@ -143,7 +146,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(args.workload, f"trace {trace}", f"seed {seed}", side, shown, flush=True)
             runs.append(pair)
         if runs:
-            entry[f"trace{trace}"] = {"runs": runs, **({} if trace else {"summary": summarize(runs)})}
+            summaries = {"summary": summarize(runs), "phase_summary": summarize(runs, "phases")}
+            entry[f"trace{trace}"] = {"runs": runs, **({} if trace else summaries)}
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     report["workloads"].setdefault(args.workload, {}).update(entry)

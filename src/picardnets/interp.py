@@ -4,9 +4,12 @@
 values exactly on all of R (clamped to the boundary values outside the grid).
 `interp_net_leaky` realizes the same function under a leaky slope, and
 `interp_net_softplus` a smoothed variant whose distance to the piecewise
-interpolant is controlled by the sharpness parameter. The `approx_net_*`
-constructors pick the grid from a Lipschitz bound and a growth-weighted error
-target and return the network together with its audited guarantee.
+interpolant is controlled by the sharpness parameter. Each is one hidden
+layer with a unit per knot (two under the leaky slope), built directly from
+the knots' arrays, so a grid of 100,000 cells builds in milliseconds. The
+`approx_net_*` constructors pick the grid from a Lipschitz bound and a
+growth-weighted error target and return the network together with its
+audited guarantee.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import activation_wrapper, affine, compose, scalar_mul, sum_same_depth
 from .compiler import PARAM_BOUND_LIMIT
-from .network import Network, param_count
+from .network import Network, network, param_count
 
 
 @dataclass(frozen=True)
@@ -117,16 +119,22 @@ def _kink_coefficients(grid: Grid, values: object) -> np.ndarray:
     return right_slope - left_slope
 
 
+def _one_hidden_layer(scales: np.ndarray, shifts: np.ndarray, heights: np.ndarray, offset: float) -> Network:
+    """The (1, n, 1) net x -> offset + sum_k heights[k] * act(scales[k] * x + shifts[k]).
+
+    Its entries are those of the sum of one composed unit per knot, bit for
+    bit: each junction of that composition adds 0.0 to the shifts, the
+    heights and the offset, which turns -0.0 into 0.0.
+    """
+    return network((scales[:, None], shifts + 0.0), ((heights + 0.0)[None, :], [offset + 0.0]))
+
+
 def interp_net_relu(grid: Grid, values: object) -> Network:
     """Width K+1 single-hidden-layer net; under max(x, 0) it realizes
     the clamped piecewise-linear interpolant exactly on all of R."""
     coeffs = _kink_coefficients(grid, values)
     vals = _values_array(grid, values)
-    terms = [
-        scalar_mul(c, compose(activation_wrapper(1), affine([[1.0]], [-p])))
-        for c, p in zip(coeffs, grid.points)
-    ]
-    return compose(affine([[1.0]], [vals[0]]), sum_same_depth(terms))
+    return _one_hidden_layer(np.ones(coeffs.size), -grid.points, coeffs, vals[0])
 
 
 def interp_net_leaky(grid: Grid, values: object, alpha: float) -> Network:
@@ -134,7 +142,8 @@ def interp_net_leaky(grid: Grid, values: object, alpha: float) -> Network:
 
     Each ReLU kink max(z, 0) is rebuilt from the two-sided identity
     (alpha * a(-s z) + a(s z)) * s / (1 - alpha^2) with s = |1-alpha|/(1-alpha),
-    which holds pointwise for every alpha >= 0 except 1.
+    which holds pointwise for every alpha >= 0 except 1. The units a(-s z) of
+    every knot come first, then the units a(s z).
     """
     if alpha < 0 or alpha == 1.0 or not np.isfinite(alpha):
         raise ValueError("leaky slope must be finite, >= 0, and != 1")
@@ -142,14 +151,13 @@ def interp_net_leaky(grid: Grid, values: object, alpha: float) -> Network:
     vals = _values_array(grid, values)
     s = abs(1.0 - alpha) / (1.0 - alpha)
     denom = (1.0 - alpha) * (1.0 - alpha**2)
-    terms = []
-    for c, p in zip(coeffs, grid.points):
-        h = c * abs(1.0 - alpha) * alpha / denom
-        terms.append(scalar_mul(h, compose(activation_wrapper(1), affine([[-s]], [s * p]))))
-    for c, p in zip(coeffs, grid.points):
-        h = c * abs(1.0 - alpha) / denom
-        terms.append(scalar_mul(h, compose(activation_wrapper(1), affine([[s]], [-s * p]))))
-    return compose(affine([[1.0]], [vals[0]]), sum_same_depth(terms))
+    pts = grid.points
+    return _one_hidden_layer(
+        np.repeat([-s, s], pts.size),
+        np.concatenate([s * pts, -s * pts]),
+        np.concatenate([coeffs * abs(1.0 - alpha) * alpha / denom, coeffs * abs(1.0 - alpha) / denom]),
+        vals[0],
+    )
 
 
 def interp_net_softplus(grid: Grid, values: object, beta: float) -> Network:
@@ -159,11 +167,7 @@ def interp_net_softplus(grid: Grid, values: object, beta: float) -> Network:
         raise ValueError("sharpness must be finite and > 0")
     coeffs = _kink_coefficients(grid, values)
     vals = _values_array(grid, values)
-    terms = [
-        scalar_mul(c / beta, compose(activation_wrapper(1), affine([[beta]], [-beta * p])))
-        for c, p in zip(coeffs, grid.points)
-    ]
-    return compose(affine([[1.0]], [vals[0]]), sum_same_depth(terms))
+    return _one_hidden_layer(np.full(coeffs.size, beta), -beta * grid.points, coeffs / beta, vals[0])
 
 
 def _approx_grid(

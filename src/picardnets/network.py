@@ -13,7 +13,10 @@ each network builds once, on its first `realize`, and keeps. A layer is sparse
 when at most a tenth of its entries are nonzero, whatever its size. The copy
 keeps one row per run of identical rows, as compiled nets' layers repeat
 their rows in long runs, and `realize` copies each run's product to its rows.
-The JSON writer formats such a run once and the reader parses it once.
+The JSON writer formats such a run once and the reader parses it once. The
+writer hands a block of mostly distinct numbers to `json.dumps`, which formats
+each at C speed, and the reader parses each distinct number of a chunk that
+repeats a few values once.
 
 `realize` never builds the activation matrix of a wide dense hidden layer (more
 than 2,048 units) whose next layer is dense and at most 32 wide. It forms that
@@ -285,14 +288,22 @@ def _stream(
 #
 # The writer formats a run of rows that are identical bit for bit once and repeats
 # its text, so the text is that of one row per run and `", "` + row for each copy.
+# A block with no such run and more than half its entries distinct bit patterns
+# (compile-wide's 608,580 first-layer biases, say) is written by `json.dumps`, whose
+# encoder formats each float with `float.__repr__`, so the bytes are the same. Any
+# other block has each of its distinct bit patterns formatted once by `repr`.
 #
 # Text in exactly that layout is read in blocks (`_read_blocks`): runs of at least 16
 # `0.0` entries are left unparsed in a zero-filled array, and the numbers between runs
 # are parsed by `json.loads` in chunks of about 1 MiB, so a load holds the arrays plus
-# one chunk rather than one Python float per entry. Exact byte copies of a parsed row
-# are skipped and filled by copying it (`_read_array`). Any other valid layout (other
-# key order or spacing, say) goes through `json.loads` + `from_json_obj`, which also
-# raises the errors for malformed text.
+# one chunk rather than one Python float per entry. A chunk whose first 4,096 entries
+# are at most a quarter distinct tokens (compile-wide's 1 x 608,580 last layer holds
+# about 2,100 distinct values) is split at its commas 64 KiB at a time, the tokens not
+# seen before are parsed by one `json.loads`, and each token is mapped to its value
+# (`_chunk_values`). Exact byte copies of a parsed row are skipped and filled by
+# copying it (`_read_array`). Any other valid layout (other key order or spacing, say)
+# goes through `json.loads` + `from_json_obj`, which also raises the errors for
+# malformed text.
 
 _LAYERS_OPEN = b', "layers": ['
 _ZERO = b"0.0, "
@@ -312,9 +323,19 @@ _CHUNK_BYTES = 1 << 20
 # pairs read 1.4x slower than at 2 KB, while at 4 KB compile-wide's 4,000-byte
 # runs of 5-entry rows went unskipped and its load took 1.8x as long.
 _PROBE_BYTES = 2048
-# The writer formats arrays in chunks of this many entries, so a save holds one
-# chunk's strings (about 2 MB of pointers) beside the network, not one per entry.
+# The writer formats arrays in blocks of this many entries, so a save holds one
+# block's strings (about 2 MB of pointers) beside the network, not one per entry.
 _WRITE_ENTRIES = 1 << 18
+# A block of mostly distinct entries goes through `json.dumps` this many entries a
+# piece, so a save holds one piece's floats and text. Saving 600,000 distinct
+# floats peaked (tracemalloc) at 0.48 times their text; at 2^18 a piece, 1.25 times.
+_DUMPS_ENTRIES = 1 << 16
+# The reader decides how to parse a chunk from its first this many entries.
+_PROBE_TOKENS = 4096
+# A chunk of repeated numbers is split into tokens this many bytes at a time. Split
+# whole, a 1 MiB chunk holds 50,000 token objects at once, and compile-wide's peak
+# RSS, set later by verify's compile, came out 1-2 MB higher than with 64 KiB pieces.
+_MEMO_BYTES = 1 << 16
 
 
 def _entry_texts(a: np.ndarray) -> np.ndarray:
@@ -334,13 +355,22 @@ def _entry_texts(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _json_floats(a: np.ndarray) -> Iterator[str]:
-    """The text inside the brackets of `json.dumps(a.ravel().tolist())`, `_WRITE_ENTRIES` entries or fewer a piece.
+def _mostly_distinct(a: np.ndarray) -> bool:
+    """Whether more than half the entries of `a` are distinct bit patterns, counted on the sorted bits."""
+    bits = np.sort(np.ravel(a).view(np.int64))
+    return 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) > bits.size
 
-    A matrix whose rows fit in a piece is written whole rows a piece, and each
+
+def _json_floats(a: np.ndarray) -> Iterator[str]:
+    """The text inside the brackets of `json.dumps(a.ravel().tolist())`, in pieces of at most one block.
+
+    A matrix whose rows fit in a block is written whole rows a block, and each
     run of rows that are identical bit for bit is formatted once: its text is
-    repeated. A 1-D array, or a matrix with longer rows, is cut into pieces of
-    `_WRITE_ENTRIES` entries across rows, with no run looked for.
+    repeated. A 1-D array, or a matrix with longer rows, is cut into blocks of
+    `_WRITE_ENTRIES` entries across rows, with no run looked for. A block with
+    no run whose entries are mostly distinct is written by `json.dumps` in
+    pieces of `_DUMPS_ENTRIES`, which formats each float with `float.__repr__`
+    at C speed; every other block formats each distinct bit pattern once.
     """
     if a.ndim == 1 or a.shape[1] > _WRITE_ENTRIES:
         flat = np.ravel(a)
@@ -349,14 +379,19 @@ def _json_floats(a: np.ndarray) -> Iterator[str]:
         step = _WRITE_ENTRIES // a.shape[1]
         blocks = (a[s : s + step] for s in range(0, a.shape[0], step))
     for k, block in enumerate(blocks):
+        if k:
+            yield ", "
         new = _new_rows(block)
-        if new.all():
-            texts = _entry_texts(block).tolist()
-        else:
+        if not new.all():
             distinct = _entry_texts(block[new]).reshape(-1, block.shape[1]).tolist()
             runs = np.array([", ".join(row) for row in distinct], dtype=object)
-            texts = runs[np.cumsum(new) - 1].tolist()
-        yield (", " if k else "") + ", ".join(texts)
+            yield ", ".join(runs[np.cumsum(new) - 1].tolist())
+        elif _mostly_distinct(block):
+            entries = np.ravel(block)
+            for s in range(0, entries.size, _DUMPS_ENTRIES):
+                yield (", " if s else "") + json.dumps(entries[s : s + _DUMPS_ENTRIES].tolist())[1:-1]
+        else:
+            yield ", ".join(_entry_texts(block).tolist())
 
 
 def _json_pieces(net: Network, act: Activation) -> Iterator[str]:
@@ -423,6 +458,37 @@ def _expect(data: bytes, pos: int, token: bytes) -> int:
     return pos + len(token)
 
 
+def _chunk_values(chunk: bytes) -> list:
+    """The JSON numbers of `chunk`, parsed as `json.loads` parses them inside brackets.
+
+    A chunk whose first `_PROBE_TOKENS` comma-separated tokens are at most a
+    quarter distinct is read `_MEMO_BYTES` at a time: the tokens of each piece
+    not seen before are parsed by one `json.loads`, and each token is mapped to
+    its value. Any other chunk goes through `json.loads` whole.
+    """
+    head = chunk.split(b",", _PROBE_TOKENS)[:_PROBE_TOKENS]
+    if 4 * len(set(head)) > len(head):
+        values = json.loads(b"[" + chunk + b"]")
+        # An empty chunk would swallow the comma before it.
+        if not values:
+            raise ValueError("wrong entry count")
+        return values
+    values, known, start = [], {}, 0
+    while start <= len(chunk):
+        cut = chunk.find(b",", start + _MEMO_BYTES)
+        cut = len(chunk) if cut < 0 else cut
+        tokens = chunk[start:cut].split(b",")
+        fresh = [token for token in dict.fromkeys(tokens) if token not in known]
+        parsed = json.loads(b"[" + b",".join(fresh) + b"]")
+        # An empty token would swallow a comma, so one fewer value than tokens comes back.
+        if len(parsed) != len(fresh):
+            raise ValueError("wrong entry count")
+        known.update(zip(fresh, parsed))
+        values += map(known.__getitem__, tokens)
+        start = cut + 1
+    return values
+
+
 def _parse_numbers(data: bytes, pos: int, stop: int, flat: np.ndarray, filled: int) -> int:
     """Parse the numbers of `data[pos:stop]` into `flat[filled:]`; returns the new fill count."""
     while True:
@@ -431,9 +497,8 @@ def _parse_numbers(data: bytes, pos: int, stop: int, flat: np.ndarray, filled: i
         chunk = data[pos:cut]
         if chunk.translate(None, _NUMBER_BYTES):
             raise ValueError("entries must be JSON numbers")
-        values = json.loads(b"[" + chunk + b"]")
-        # An empty chunk would swallow the comma before it.
-        if not values or filled + len(values) > flat.size:
+        values = _chunk_values(chunk)
+        if filled + len(values) > flat.size:
             raise ValueError("wrong entry count")
         flat[filled : filled + len(values)] = values
         filled += len(values)
@@ -584,7 +649,8 @@ def loads_network(text: str | bytes) -> tuple[Network, Activation]:
 
     Text in the layout `dumps_network` writes is read in blocks: runs of zeros
     and exact byte copies of a matrix row are skipped and filled in, and the
-    rest is parsed by the json module a chunk at a time. Every entry of "w"
+    rest is parsed by the json module a chunk at a time, a chunk that repeats
+    a few values one distinct value at a time. Every entry of "w"
     and "b" must be a finite JSON number; anything malformed is a ValueError.
     """
     try:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,17 @@ from picardnets import (
     scalar_mul,
     softplus,
 )
-from picardnets.network import _STREAM_NEXT_WIDTH, _TILE_ROWS, _TILE_UNITS, _read_blocks, from_json_obj
+from picardnets.network import (
+    _STREAM_NEXT_WIDTH,
+    _TILE_ROWS,
+    _TILE_UNITS,
+    _chunk_values,
+    _json_floats,
+    _mostly_distinct,
+    _new_rows,
+    _read_blocks,
+    from_json_obj,
+)
 
 
 def two_layer():
@@ -853,6 +864,81 @@ def test_compose_and_scalar_mul_share_the_layers_they_carry_over():
         assert not w.flags.writeable and not b.flags.writeable
 
 
+def _spied_json(calls):
+    """A stand-in for the json module in `picardnets.network` that records what dumps and loads are given."""
+    return SimpleNamespace(
+        dumps=lambda obj: calls.append(obj) or json.dumps(obj),
+        loads=lambda text: calls.append(text) or json.loads(text),
+    )
+
+
+# Values whose shortest text the json module and repr must agree on: signed zeros,
+# the smallest subnormal, a small and a large exponent, and the largest double.
+WRITER_EDGES = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def arrays_around_the_distinct_share(draw, mostly_distinct):
+    """A 1-D or 2-D array with more than half (or at most half) of its entries distinct bit patterns."""
+    size = draw(st.integers(1 if mostly_distinct else 2, 48))
+    count = draw(st.integers(size // 2 + 1, size) if mostly_distinct else st.integers(1, size // 2))
+    values = st.sampled_from(WRITER_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(values, min_size=count, max_size=count, unique_by=float.hex))
+    repeats = draw(st.lists(st.sampled_from(pool), min_size=size - count, max_size=size - count))
+    entries = draw(st.permutations(pool + repeats))
+    cols = draw(st.sampled_from([c for c in (None, 1, 2, 3, 4) if c is None or size % c == 0]))
+    return np.array(entries) if cols is None else np.array(entries).reshape(-1, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans().flatmap(lambda side: st.tuples(st.just(side), arrays_around_the_distinct_share(side))),
+    st.integers(1, 9),
+)
+def test_both_writer_paths_match_the_json_module_around_the_distinct_share(side_and_array, piece):
+    mostly_distinct, a = side_and_array
+    assert _mostly_distinct(a) == mostly_distinct
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        module = importlib.import_module("picardnets.network")
+        patch.setattr(module, "json", _spied_json(calls))
+        patch.setattr(module, "_DUMPS_ENTRIES", piece)
+        got = "".join(_json_floats(a))
+    assert got == json.dumps(a.ravel().tolist())[1:-1]
+    # json.dumps writes exactly the blocks with no run of rows whose entries are mostly distinct
+    no_runs = a.ndim == 1 or _new_rows(a).all()
+    assert len(calls) == (-(-a.size // piece) if mostly_distinct and no_runs else 0)
+
+
+def test_saving_and_loading_600000_distinct_floats_stays_near_the_array_bytes(tmp_path):
+    # a (1 -> 600,000) layer: one run of equal weight rows and 600,000 distinct biases
+    bias = np.random.default_rng(12).standard_normal(600_000)
+    net = network((np.ones((600_000, 1)), bias))
+    array_bytes = 2 * bias.nbytes
+    text = dumps_network(net, relu())
+    path = tmp_path / "net.json"
+    tracemalloc.start()
+    try:
+        save_network(path, net, relu())
+        saved = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == text + "\n"
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        loaded, _ = loads_network(data)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same_net(loaded, net)
+    # Measured: a save peaked at 7.3 MB (0.48 of the 15.4 MB text), and at 52.7 MB when
+    # every block went through np.unique and one object array of texts; a load of the
+    # file's bytes at 10.9 MB, 1.1 times the 9.6 MB of arrays.
+    assert saved < 0.75 * len(text)
+    assert read < 2 * array_bytes
+
+
 # -- reading network JSON in blocks ------------------------------------------------
 
 
@@ -1002,6 +1088,97 @@ def test_edits_inside_runs_of_rows_are_read_as_the_json_module_reads_them(case):
     except (ValueError, OverflowError):
         return
     assert want is not None and _same_net(Network(tuple(layers)), want[0])
+
+
+# Tokens a memo of parsed tokens could confuse: an integer beside the same float,
+# signed zeros, whitespace around one number, overflow to inf, empty tokens, and
+# integers past 2^63.
+HAND_TOKENS = [
+    b"1", b"1.0", b" 1.0", b"1.0 ", b"\n1.0\t", b"-0.0", b"0.0", b" 0.0", b"-0", b"1e400", b"-1e400",
+    b"", b" ", b"9223372036854775808", b"-9223372036854775809", b"1" + b"0" * 30, b"1E5", b"5e-324",
+]
+
+
+@st.composite
+def repeating_chunks(draw):
+    """Comma-separated tokens drawn from a pool of at most six, so most chunks repeat their tokens."""
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: b" " + repr(v).encode())
+    pool = draw(st.lists(st.sampled_from(HAND_TOKENS) | floats, min_size=1, max_size=6, unique=True))
+    return b",".join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80)))
+
+
+def _parsed(parse, chunk):
+    """What `parse` reads from `chunk`, each value as its type and repr, or None for a ValueError."""
+    try:
+        return [(type(v), repr(v)) for v in parse(chunk)]
+    except ValueError:
+        return None
+
+
+def _json_module_chunk(chunk):
+    values = json.loads(b"[" + chunk + b"]")
+    if not values:  # the block reader refuses an empty chunk, which would swallow a comma
+        raise ValueError("no entries")
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_chunks(), st.integers(1, 64) | st.just(1 << 16))
+@example(b",,,", 1 << 16)
+@example(b"1.0," * 12, 4)  # the last piece ends at the trailing comma, before the empty token
+def test_chunks_are_read_as_the_json_module_reads_them(chunk, piece):
+    # pieces of a few bytes split a chunk where tokens seen in one piece recur in the next
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("picardnets.network"), "_MEMO_BYTES", piece)
+        got = _parsed(_chunk_values, chunk)
+    assert got == _parsed(_json_module_chunk, chunk)
+
+
+# Chunks that repeat few tokens, so they are parsed one distinct token at a time.
+MEMO_CHUNKS = {
+    "integer-beside-float": b",".join([b"1", b" 1.0"] * 20),
+    "signed-zeros": b",".join([b"-0.0", b" 0.0", b" 0.0"] * 20),
+    "whitespace-variants": b",".join([b"1.5", b" 1.5", b"1.5 ", b"\t1.5\n", b" 1.5 "] * 20),
+    "overflow": b",".join([b" 1e400", b" 2.0"] * 20),
+    "empty-token": b",".join([b" 2.0", b"", b" 2.0"] * 20),
+    "all-empty": b"," * 40,
+    "past-2-to-the-63": b",".join([b" 9223372036854775808", b" 18446744073709551617", b" 1" + b"0" * 400] * 20),
+    "first-token-without-space": b"0.5" + b", 0.5" * 60,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CHUNKS))
+def test_hand_edited_chunks_read_one_distinct_token_at_a_time_as_the_json_module_reads_them(case):
+    chunk, calls = MEMO_CHUNKS[case], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("picardnets.network"), "json", _spied_json(calls))
+        got = _parsed(_chunk_values, chunk)
+    assert got == _parsed(_json_module_chunk, chunk)
+    # one parse, of the distinct tokens only
+    assert calls == [b"[" + b",".join(dict.fromkeys(chunk.split(b","))) + b"]"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the block reader fell back to the json module")
+
+
+def test_a_row_wider_than_a_write_block_with_repeated_values_is_read_without_the_fallback(monkeypatch):
+    # A ValueError inside the block reader sends the text to json.loads + from_json_obj,
+    # so a fault on a fast path would show only as a slow load: refuse that fallback.
+    rng = np.random.default_rng(6)
+    w = rng.choice(rng.standard_normal(50), size=(1, 300_000))  # 300,000 > 2^18 entries, 50 values
+    net = network((w, [0.5]))
+    text = dumps_network(net, relu()).encode()
+    calls = []
+    module = importlib.import_module("picardnets.network")
+    monkeypatch.setattr(module, "from_json_obj", _refuse)
+    monkeypatch.setattr(module, "json", _spied_json(calls))
+    loaded, _ = loads_network(text)
+    assert _same_net(loaded, net)
+    layers, _ = _read_blocks(text)
+    assert _same_net(Network(tuple(layers)), net)
+    # every 1 MiB chunk parsed its 50 or 51 distinct tokens, not its entries
+    assert sum(map(len, calls)) < len(text) // 100
 
 
 def _zeros(n):
