@@ -19,7 +19,8 @@ per-layer counts sit next to their closed forms. A run that writes no result
 (it failed to start, crashed or ran past RUN_TIMEOUT_S) is kept with its exit
 code and the tail of its stderr, and the summary covers only the pairs in
 which both runs wrote one. It also records, for each checkout, how many
-`uniform01` calls and hashed paths one (4,3), d = 5 sample tree takes. An
+`uniform01` calls and hashed paths one (4,3), d = 5 sample tree takes, with
+the hashed paths also split into time and Gaussian draws. An
 existing output file is updated in place, so workloads can be measured in
 separate invocations.
 """
@@ -35,24 +36,34 @@ from pathlib import Path
 from statistics import median, quantiles
 
 
-# One (4,3), d = 5 sample tree drawn through an oracle that counts its calls and the paths it hashes.
+# One (4,3), d = 5 sample tree drawn through an oracle that counts its calls and the
+# paths it hashes, in all and by kind (time and Gaussian).
 WORK_COUNTS = """
 import json
+from collections import Counter
 import numpy as np
 import picardnets as pn
 from picardnets.engine import MlpConfig, draw_tree
+from picardnets.sampling import KIND_GAUSS, KIND_TIME
 
 class Counting(pn.RandomOracle):
-    calls = paths = 0
+    def __init__(self, seed, d):
+        super().__init__(seed, d)
+        self.calls, self.paths = 0, Counter()
 
     def uniform01(self, theta, kind, count):
         self.calls += 1
-        self.paths += len(theta) if isinstance(theta, np.ndarray) and theta.ndim == 2 else 1
+        self.paths[kind] += len(theta) if isinstance(theta, np.ndarray) and theta.ndim == 2 else 1
         return super().uniform01(theta, kind, count)
 
 oracle = Counting(1, 5)
 draw_tree(MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5), pn.ROOT_PATH, oracle)
-print(json.dumps({"uniform01_calls_per_tree": oracle.calls, "hashed_paths_per_tree": oracle.paths}))
+print(json.dumps({
+    "uniform01_calls_per_tree": oracle.calls,
+    "hashed_paths_per_tree": oracle.paths.total(),
+    "hashed_time_paths_per_tree": oracle.paths[KIND_TIME],
+    "hashed_gauss_paths_per_tree": oracle.paths[KIND_GAUSS],
+}))
 """
 
 

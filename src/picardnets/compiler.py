@@ -13,10 +13,12 @@ exactly the estimator's value function for the same tree.
 It builds neither dead units (outgoing weights all zero) nor f units fed by
 the zero network. The operands' dead units are pruned first; f of a level-0
 recursion (identically 0) is f(0), so tier 0 and tier 1's subtracted terms
-are one output bias per node, as in `mlp_eval`; a tier i >= 1 that is exactly
-0 (scale 0 at t = horizon, or f constant) gets no units. The shape ignores
-path, seed and t < horizon and depends on the operands' live units; a
-constant f gives the same datum-only shape as t = horizon.
+are one output bias per node, as in `mlp_eval`. The tree holds no draws for
+them: tier 0 is only its scale, with one f(0) per datum shift, and tier 1's
+`below` is None. A tier i >= 1 that is exactly 0 (scale 0 at t = horizon, or
+f constant) gets no units. The shape ignores path, seed and t < horizon and
+depends on the operands' live units; a constant f gives the same datum-only
+shape as t = horizon.
 """
 
 from __future__ import annotations
@@ -159,11 +161,11 @@ def _compile(tree: Tree, inputs: CompileInputs, f_zero: float, f_constant: bool)
     )
 
     # f of a level-0 recursion, which is identically 0, is f(0) (as in mlp_eval):
-    # tier 0 adds, and tier 1 subtracts for its `below` terms, scale * len(branches)
-    # * f(0), both in the output bias. The rest are depth-padded sums of f terms; a
-    # tier i >= 1 is exactly 0, and gets no units, at scale 0 (t = horizon) or constant f.
-    scale, branches = tiers[0]
-    bias = scale[0] * len(branches) * f_zero
+    # tier 0, which holds no branches, adds scale * len(shifts) * f(0), and tier 1,
+    # whose `below` is None, subtracts scale * len(branches) * f(0), both in the
+    # output bias. The rest are depth-padded sums of f terms; a tier i >= 1 is
+    # exactly 0, and gets no units, at scale 0 (t = horizon) or constant f.
+    bias = tiers[0][0][0] * len(shifts) * f_zero
     level_terms, below_terms = [], []
     for i, (scale, branches) in enumerate(tiers[1:], start=1):
         if scale[0] == 0.0 or f_constant:

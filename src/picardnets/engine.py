@@ -14,9 +14,13 @@ so `draw_tree` makes every oracle call of one estimate up front, as two
 block calls per depth of the recursion, and returns the draws as a tree of
 plain tuples. The estimator here and the compiler in
 `compiler.py` only read that tree, so both see the same draws by
-construction. The paths do not depend on the seed, so one tree holds the
-draws of S oracles side by side, and with the array-valued f and g of
-`ProblemFns` one read of it serves a whole block of S seeds by N points.
+construction. The tree holds only the draws they read: a summand of f on a
+level-0 recursion is f(0) whatever is drawn for it, so tier 0 and level-0
+recursions get no draws and no nodes, and a (4,3) tree hashes 1,032 paths
+where the definition's recursion hashes 2,544. The paths do not depend on
+the seed, so one tree holds the draws of S oracles side by side, and with
+the array-valued f and g of `ProblemFns` one read of it serves a whole block
+of S seeds by N points.
 """
 
 from __future__ import annotations
@@ -80,12 +84,22 @@ class ProblemFns:
 # carries a seed axis of length S. `shifts` holds the M**n datum shifts drawn
 # along (theta, 0, -k), shape (M**n, 1, S, d); the singleton axis broadcasts them
 # over a block of points. Tier i < n is (scale, branches): `scale` is the
-# quadrature weight (horizon - t) / M**(n-i) at the node's time t, shape (S,),
-# and the branches drawn along (theta, i, k) are each (shift, child, below) with
-# `shift` of shape (S, d). `child` is the level-i tree at the branch's drawn time
-# along the branch path; `below` is the level-(i-1) tree at the same time along
-# (theta, -i, k) when i >= 1, and None for i = 0. Level 0 is ((), ()). The drawn
-# times enter the tree only through the scales and shifts, the two things read.
+# quadrature weight (horizon - t) / M**(n-i) at the node's time t, shape (S,).
+# Tier 0 is (scale, ()): each of its M**n summands is f of a level-0 recursion,
+# which is identically 0, so it is f(0) whatever time and displacement it would
+# get, and none is drawn. The branches of a tier i >= 1, drawn along (theta, i, k),
+# are each (shift, child, below) with `shift` of shape (S, d). `child` is the
+# level-i tree at the branch's drawn time along the branch path; `below` is the
+# level-(i-1) tree at the same time along (theta, -i, k) when i >= 2, and None
+# for i = 1, whose subtracted term is f(0) again. So every node of a tree of
+# level n >= 1 has level >= 1, and the level-0 tree ((), ()) is only the whole
+# tree for n = 0. The drawn times enter the tree only through the scales and
+# shifts, the two things read.
+#
+# A level-n tree hashes D(n) paths: D(0) = 0 and
+#     D(n) = M**n + sum_{i=1}^{n-1} M**(n-i) * (2 + D(i) + D(i-1)),
+# a Gaussian vector per datum shift, and a time and a Gaussian vector per
+# branch. At (4,3) that is 1,032 paths: 138 times and 894 Gaussian vectors.
 Tree = tuple
 
 
@@ -105,8 +119,9 @@ def _oracle_list(oracle: RandomOracle | Sequence[RandomOracle], d: int) -> list[
 def draw_tree(
     cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle | Sequence[RandomOracle]
 ) -> Tree:
-    """Every oracle draw of the level-cfg.n estimate at (cfg.t, theta), as a tree,
-    for one oracle or for each of a sequence of S oracles (S = 1 for one).
+    """Every oracle draw that the level-cfg.n estimate at (cfg.t, theta) reads,
+    as a tree (layout above), for one oracle or for each of a sequence of S
+    oracles (S = 1 for one).
 
     The draws are made breadth first. Every path drawn at one depth of the tree
     has the same length, and a node's time is its parent's branch time, so one
@@ -114,67 +129,70 @@ def draw_tree(
     branches, then `brownian_increment` for all its datum shifts and branch
     displacements. The paths do not depend on the seed, so each depth builds its
     block once for all oracles. Block rows equal per-path draws bit for bit, so
-    seed j of this tree is the tree that the definition's recursion draws path
-    by path with oracle j.
+    seed j of this tree holds the draws that the definition's recursion makes
+    path by path with oracle j, less those of tier 0 and of level-0 recursions,
+    which no reader reads: D(n) hashed paths in all (see above).
     """
     theta_bytes(theta)  # rejects entries that are not 64-bit integers
     oracles = _oracle_list(oracle, cfg.d)
+    if not cfg.n:
+        return _LEAF
     M, horizon = cfg.M, cfg.horizon
-    # path suffixes of a level-m node's datum draws (0, -k) and branches (i, k), in layout order
-    datum_sfx = _Suffixes([[(0, -k) for k in range(1, M**m + 1)] for m in range(cfg.n + 1)])
-    branch_sfx = _Suffixes(
-        [[(i, k) for i in range(m) for k in range(1, M ** (m - i) + 1)] for m in range(cfg.n + 1)]
-    )
+    # per level m: the path suffixes of a node's datum draws (0, -k) and of its
+    # branches (i >= 1, k), and the divisors M**(m-i) of its tier weights, in layout order
+    levels_up = range(cfg.n + 1)
+    datum_sfx = [np.array([(0, -k) for k in range(1, M**m + 1)], dtype=np.int64) for m in levels_up]
+    branch_sfx = [
+        np.array([(i, k) for i in range(1, m) for k in range(1, M ** (m - i) + 1)], dtype=np.int64)
+        .reshape(-1, 2)  # (0, 2) for m <= 1
+        for m in levels_up
+    ]
+    divisors = [np.array([M ** (m - i) for i in range(m)], dtype=np.int64) for m in levels_up]
 
     # one depth of nodes: their levels, their times (one row per seed) and their paths
     levels = np.array([cfg.n])
     times = np.full((len(oracles), 1), cfg.t, dtype=np.float64)
     paths = np.array(theta, dtype=np.int64).reshape(1, len(theta))
     depths = []
-    while levels.any():
-        drawn = np.flatnonzero(levels)
-        datum_owner, datum_paths = datum_sfx.extend(paths, drawn, levels[drawn])
-        branch_owner, branch_paths = branch_sfx.extend(paths, drawn, levels[drawn])
+    while len(levels):
+        at = levels.tolist()
+        datum_owner, datum_rows = _per_node(datum_sfx, at)
+        branch_owner, branch_rows = _per_node(branch_sfx, at)
+        tier_owner, tier_divisors = _per_node(divisors, at)
+        datum_paths = np.hstack([paths[datum_owner], datum_rows])
+        branch_paths = np.hstack([paths[branch_owner], branch_rows])
         start = times[:, branch_owner]
         s = np.array([uniform_time(o, branch_paths, t, horizon) for o, t in zip(oracles, start)])
         elapsed = np.concatenate([horizon - times[:, datum_owner], s - start], axis=1)
         move_paths = np.vstack([datum_paths, branch_paths])
         moves = np.array([brownian_increment(o, move_paths, e) for o, e in zip(oracles, elapsed)])
-        i, k = branch_paths[:, -2], branch_paths[:, -1]
-        # a tier's branches are the M**(m-i) consecutive rows from k = 1, and
-        # its weight is (horizon - t) / M**(m-i) at its level-m node's time t
-        tier_at = np.flatnonzero(k == 1)
-        tier_owner = branch_owner[tier_at]
-        scales = (horizon - times[:, tier_owner]) / M ** (levels[tier_owner] - i[tier_at])
         moves = moves.transpose(1, 0, 2)
+        scales = (horizon - times[:, tier_owner]) / tier_divisors
+        i, k = branch_rows[:, 0], branch_rows[:, 1]
         n_datum = len(datum_paths)
-        depths.append((levels.tolist(), scales.T, moves[:n_datum, None], moves[n_datum:], i.tolist()))
+        depths.append((at, scales.T, moves[:n_datum, None], moves[n_datum:], i.tolist()))
         # the next depth: every branch's child along (theta, i, k), then the
-        # level-(i-1) tree along (theta, -i, k) of every branch with i >= 1
-        below = i >= 1
-        below_sfx = np.stack([-i[below], k[below]], axis=1)
-        below_paths = np.hstack([paths[branch_owner[below]], below_sfx])
+        # level-(i-1) tree along (theta, -i, k) of every branch with i >= 2
+        below = i >= 2
+        below_paths = np.hstack([paths[branch_owner[below]], np.stack([-i[below], k[below]], axis=1)])
         levels = np.concatenate([i, i[below] - 1])
         times = np.concatenate([s, s[:, below]], axis=1)
         paths = np.vstack([branch_paths, below_paths])
 
     # assemble from the deepest depth up; `nodes` are the trees of the depth below
-    nodes = [_LEAF] * len(levels)
+    nodes: list[Tree] = []
     for levels, scales, datum_moves, branch_moves, branch_levels in reversed(depths):
         belows = iter(nodes[len(branch_levels) :])
         branches = [
-            (move, child, next(belows) if i else None)
+            (move, child, next(belows) if i >= 2 else None)
             for move, child, i in zip(branch_moves, nodes, branch_levels)
         ]
         scales = iter(scales)
         parents = []
         datum_at = branch_at = 0
         for m in levels:
-            if not m:
-                parents.append(_LEAF)
-                continue
-            tiers = []
-            for i in range(m):
+            tiers = [(next(scales), ())]
+            for i in range(1, m):
                 tiers.append((next(scales), tuple(branches[branch_at : branch_at + M ** (m - i)])))
                 branch_at += M ** (m - i)
             parents.append((datum_moves[datum_at : datum_at + M**m], tuple(tiers)))
@@ -183,24 +201,10 @@ def draw_tree(
     return nodes[0]
 
 
-class _Suffixes:
-    """The path suffixes of a node of each level, stacked for block gathers."""
-
-    def __init__(self, per_level: list[list[tuple[int, int]]]) -> None:
-        self.counts = np.array([len(rows) for rows in per_level])
-        self.offsets = np.cumsum(self.counts) - self.counts
-        self.rows = np.array([row for rows in per_level for row in rows], dtype=np.int64).reshape(-1, 2)
-
-    def extend(
-        self, paths: np.ndarray, nodes: np.ndarray, levels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Each node's path once per suffix of its level, with that suffix
-        appended, and the node each new path comes from."""
-        counts = self.counts[levels]
-        owner = np.repeat(nodes, counts)
-        # row r of the result is suffix r - (first row of its node) of its node's level
-        rows = np.arange(len(owner)) + np.repeat(self.offsets[levels] - np.cumsum(counts) + counts, counts)
-        return owner, np.hstack([paths[owner], self.rows[rows]])
+def _per_node(table: list[np.ndarray], levels: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows table[m] of every node of level m, node after node, and the node each row belongs to."""
+    rows = [table[m] for m in levels]
+    return np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.concatenate(rows)
 
 
 def mlp_eval(
@@ -246,8 +250,8 @@ def mlp_eval(
         g_vals = fns.g((x + shifts).reshape(-1, cfg.d)).reshape(len(shifts), *shape)
         total = np.cumsum(g_vals, axis=0)[-1] / len(shifts)
         for i, (scale, branches) in enumerate(tiers):
-            if i == 0:  # every child is level 0, and there is no subtracted term
-                total = total + scale * zero_sums[len(branches)]
+            if i == 0:  # M**m summands f(0), one per datum shift, and no subtracted term
+                total = total + scale * zero_sums[len(shifts)]
                 continue
             acc_i = 0.0
             for shift, child, below in branches:

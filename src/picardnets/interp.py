@@ -124,8 +124,11 @@ def _one_hidden_layer(scales: np.ndarray, shifts: np.ndarray, heights: np.ndarra
 
     Its entries are those of the sum of one composed unit per knot, bit for
     bit: each junction of that composition adds 0.0 to the shifts, the
-    heights and the offset, which turns -0.0 into 0.0.
+    heights and the offset, which turns -0.0 into 0.0. An entry that is not
+    finite (a kink slope or a sharpness past the float range) is a ValueError.
     """
+    if not all(np.all(np.isfinite(part)) for part in (scales, shifts, heights, offset)):
+        raise ValueError("interpolation net entries overflow: a kink slope or the sharpness is too large")
     return network((scales[:, None], shifts + 0.0), ((heights + 0.0)[None, :], [offset + 0.0]))
 
 

@@ -60,8 +60,9 @@ def reference_eval(n, t, x, theta, cfg, fns, oracle):
 
 def reference_draw_tree(n, t, theta, cfg, oracle, times):
     """The sample tree of one oracle drawn path by path, as the definition
-    recurses, with the seed axis left out; `times` collects each branch path's
-    drawn time."""
+    recurses, with the seed axis left out and only the draws its readers read:
+    tier 0 is (scale, ()), and the tier-1 `below` is None, so no level-0
+    subtree is drawn. `times` collects each drawn branch path's time."""
     if n == 0:
         return (), ()
     horizon = cfg.horizon
@@ -69,15 +70,15 @@ def reference_draw_tree(n, t, theta, cfg, oracle, times):
     shifts = np.array(
         [brownian_increment(oracle, theta + (0, -k), horizon - t) for k in range(1, M**n + 1)]
     )
-    tiers = []
-    for i in range(n):
+    tiers = [((horizon - t) / M**n, ())]
+    for i in range(1, n):
         branches = []
         for k in range(1, M ** (n - i) + 1):
             branch = theta + (i, k)
             s = times[branch] = uniform_time(oracle, branch, t, horizon)
             shift = brownian_increment(oracle, branch, s - t)
             child = reference_draw_tree(i, s, branch, cfg, oracle, times)
-            below = reference_draw_tree(i - 1, s, theta + (-i, k), cfg, oracle, times) if i >= 1 else None
+            below = reference_draw_tree(i - 1, s, theta + (-i, k), cfg, oracle, times) if i >= 2 else None
             branches.append((shift, child, below))
         tiers.append(((horizon - t) / M ** (n - i), tuple(branches)))
     return shifts, tuple(tiers)
@@ -217,6 +218,31 @@ def test_each_branch_draw_happens_exactly_once():
         assert ((0, i, k), KIND_TIME) in counts
         assert ((0, i, k), KIND_GAUSS) in counts
         assert all(theta != (0, -i, k) for theta, _ in oracle.calls)
+    # a tier-0 branch's summand is f(0) whatever is drawn for it, so nothing is
+    assert not [theta for theta, _ in oracle.calls if theta[-2] == 0 and theta[-1] >= 1]
+
+
+def drawn_paths(n, M):
+    """D(n) = M**n + sum_{i=1}^{n-1} M**(n-i) (2 + D(i) + D(i-1)) with D(0) = 0, and
+    T(n), the time draws among them: the same sum without M**n and with 1 in place of 2."""
+    if n == 0:
+        return 0, 0
+    lower = [drawn_paths(i, M) for i in range(n)]
+    paths = M**n + sum(M ** (n - i) * (2 + lower[i][0] + lower[i - 1][0]) for i in range(1, n))
+    times = sum(M ** (n - i) * (1 + lower[i][1] + lower[i - 1][1]) for i in range(1, n))
+    return paths, times
+
+
+@pytest.mark.parametrize(
+    "n, M, paths, times",
+    [(0, 3, 0, 0), (1, 4, 4, 0), (2, 3, 24, 3), (3, 2, 56, 10), (4, 3, 1032, 138), (5, 2, 1124, 206)],
+)
+def test_tree_hashes_the_closed_form_count_of_paths(n, M, paths, times):
+    assert drawn_paths(n, M) == (paths, times)
+    oracle = LoggingOracle(4, 2)
+    draw_tree(MlpConfig(n=n, M=M, horizon=1.0, t=0.0, d=2), ROOT_PATH, oracle)
+    kinds = Counter(kind for _, kind in oracle.calls)
+    assert kinds == +Counter({KIND_TIME: times, KIND_GAUSS: paths - times})  # + drops zero counts
 
 
 def test_heat_kernel_mean_for_zero_nonlinearity():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -196,6 +197,19 @@ def test_interp_nets_equal_the_composed_construction_bit_for_bit(grid_and_values
     assert _same_layers(interp_net_relu(grid, vals), _composed_relu(grid, vals))
     assert _same_layers(interp_net_leaky(grid, vals, alpha), _composed_leaky(grid, vals, alpha))
     assert _same_layers(interp_net_softplus(grid, vals, beta), _composed_softplus(grid, vals, beta))
+
+
+def test_interp_nets_with_overflowing_entries_are_refused():
+    # the last cell's slope 1 / 2.2e-311 is inf, so the kinks would weigh inf and -inf
+    grid, vals = Grid([-3.0, -2.0, -1.0, 0.0, 2.2e-311]), [0.0, 0.0, 0.0, 0.0, 1.0]
+    builders = (interp_net_relu, partial(interp_net_leaky, alpha=0.1), partial(interp_net_softplus, beta=2.0))
+    with np.errstate(over="ignore"):  # the overflow itself, which the error reports
+        for build in builders:
+            with pytest.raises(ValueError, match="overflow"):
+                build(grid, vals)
+        # a finite sharpness whose shifts -beta * knot pass the float range
+        with pytest.raises(ValueError, match="overflow"):
+            interp_net_softplus(Grid([-3.0, 0.0, 3.0]), [1.0, 0.0, 1.0], 1e308)
 
 
 def test_a_grid_of_100000_cells_builds_in_arrays():
