@@ -20,9 +20,11 @@ per-layer counts sit next to their closed forms. A run that writes no result
 code and the tail of its stderr, and the summary covers only the pairs in
 which both runs wrote one. It also records, for each checkout, how many
 `uniform01` calls and hashed paths one (4,3), d = 5 sample tree takes, with
-the hashed paths also split into time and Gaussian draws. An
-existing output file is updated in place, so workloads can be measured in
-separate invocations.
+the hashed paths also split into time and Gaussian draws, and (as
+`compile_memory_4_3`) the `tracemalloc` peak of compiling compile-wide's
+inputs next to the bytes of the net it builds: a count of what a compile
+holds that does not depend on timing. An existing output file is updated in
+place, so workloads can be measured in separate invocations.
 """
 
 from __future__ import annotations
@@ -67,9 +69,34 @@ print(json.dumps({
 """
 
 
-def work_counts(checkout: Path) -> dict:
+# The traced peak of one compile of compile-wide's inputs ((4,3), d = 5, the CLI's relu
+# datum, f = 0.1 u) and the bytes of the net it returns.
+COMPILE_MEMORY = """
+import json
+import tracemalloc
+import numpy as np
+import picardnets as pn
+from picardnets.cli import QUADRATIC_DATUM_CELLS, QUADRATIC_DATUM_RANGE
+
+d, act = 5, pn.relu()
+knots = np.linspace(-QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_CELLS + 1)
+square = pn.interp_net_relu(pn.Grid(knots), knots**2)
+inputs = pn.CompileInputs(
+    n=4, M=3, horizon=1.0, d=d, g_net=pn.compose(pn.fan_in(1, d), pn.parallelize([square] * d)),
+    f_net=pn.affine([[0.1]], [0.0]), j_net=pn.default_identity(act), activation=act, oracle=pn.RandomOracle(1, d),
+)
+tracemalloc.start()
+net = pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+output = sum(w.nbytes + b.nbytes for w, b in net.layers)
+print(json.dumps({"traced_peak_mb": peak / 1e6, "output_mb": output / 1e6, "peak_over_output": peak / output}))
+"""
+
+
+def run_snippet(checkout: Path, code: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    cmd = [sys.executable, "-c", WORK_COUNTS]
+    cmd = [sys.executable, "-c", code]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode:
         return {"exit": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
@@ -162,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     report["workloads"].setdefault(args.workload, {}).update(entry)
-    report["work_counts_4_3"] = {side: work_counts(checkout.resolve()) for side, checkout in sides}
+    report["work_counts_4_3"] = {side: run_snippet(checkout.resolve(), WORK_COUNTS) for side, checkout in sides}
+    report["compile_memory_4_3"] = {side: run_snippet(checkout.resolve(), COMPILE_MEMORY) for side, checkout in sides}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 

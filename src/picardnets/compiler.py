@@ -4,11 +4,17 @@ For fixed level, branching factor, path, and evaluation time, the estimator's
 value at x is an explicit finite expression in x: terminal-datum evaluations at
 shifted points, plus nonlinearity evaluations of recursively defined lower
 levels. The compiler reads the same sample tree the estimator reads
-(`engine.draw_tree`) and turns each piece into a network (datum net composed
-with a shift, nonlinearity net composed with a recursively compiled child), so
-the whole estimate compiles into a single network via parallel sums with depth
-padding. It makes no oracle draw of its own: the compiled network realizes
-exactly the estimator's value function for the same tree.
+(`engine.draw_tree`) and turns each piece into a network (datum net with a
+shifted input, nonlinearity net composed with a recursively compiled child),
+so the whole estimate compiles into a single network via parallel sums with
+depth padding. It makes no oracle draw of its own: the compiled network
+realizes exactly the estimator's value function for the same tree.
+
+A compile holds its output plus the operands of the sum it is building, about
+twice the output at the root sum. A shifted term shares its operand's first
+weight array and gets only a new bias, an operand already at the target depth
+or alone in its sum is used as it is, and each list of terms is dropped as soon
+as its sum is built.
 
 It builds neither dead units (outgoing weights all zero) nor f units fed by
 the zero network. The operands' dead units are pruned first; f of a level-0
@@ -30,7 +36,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .activations import Activation
-from .calculus import affine, compose, scalar_mul, sum_diff_depth, sum_same_depth
+from .calculus import affine, compose, scalar_mul, shift_input, sum_diff_depth, sum_same_depth
 from .engine import MlpConfig, ProblemFns, Tree, draw_tree, mlp_eval
 from .network import (
     Network,
@@ -147,18 +153,21 @@ def _compile(tree: Tree, inputs: CompileInputs, f_zero: float, f_constant: bool)
     shifts, tiers = tree
     if not tiers:  # only the root, for n = 0: no level-0 tree below it is compiled
         return affine(np.zeros((1, inputs.d)), np.zeros(1))
-    act = inputs.activation
-    eye = read_only(np.eye(inputs.d))  # shared by every shift layer
+    act, filler = inputs.activation, inputs.j_net
 
-    def f_term(node: Tree, shift: np.ndarray) -> Network:
-        return compose(compose(inputs.f_net, _compile(node, inputs, f_zero, f_constant)), affine(eye, shift))
-
-    block_datum = sum_same_depth(
-        [
-            scalar_mul(1.0 / len(shifts), compose(inputs.g_net, affine(eye, shift)))
-            for shift in shifts[:, 0, 0]
+    def f_terms(shifted_nodes) -> Network:
+        # the sum of f(node(x + shift)) over (shift, node) pairs; the terms die with this call
+        terms = [
+            shift_input(compose(inputs.f_net, _compile(node, inputs, f_zero, f_constant)), shift[0])
+            for shift, node in shifted_nodes
         ]
-    )
+        return sum_diff_depth(terms, filler, act)
+
+    blocks = [
+        sum_same_depth(
+            [scalar_mul(1.0 / len(shifts), shift_input(inputs.g_net, shift)) for shift in shifts[:, 0, 0]]
+        )
+    ]
 
     # f of a level-0 recursion, which is identically 0, is f(0) (as in mlp_eval):
     # tier 0, which holds no branches, adds scale * len(shifts) * f(0), and tier 1,
@@ -170,17 +179,16 @@ def _compile(tree: Tree, inputs: CompileInputs, f_zero: float, f_constant: bool)
     for i, (scale, branches) in enumerate(tiers[1:], start=1):
         if scale[0] == 0.0 or f_constant:
             continue
-        inner = [f_term(child, shift[0]) for shift, child, _ in branches]
-        level_terms.append(scalar_mul(scale[0], sum_diff_depth(inner, inputs.j_net, act)))
+        level_terms.append(scalar_mul(scale[0], f_terms((shift, child) for shift, child, _ in branches)))
         if i == 1:
             bias -= scale[0] * len(branches) * f_zero
         else:
-            inner_below = [f_term(below, shift[0]) for shift, _, below in branches]
-            below_terms.append(scalar_mul(-scale[0], sum_diff_depth(inner_below, inputs.j_net, act)))
-    blocks = [block_datum] + [
-        sum_diff_depth(terms, inputs.j_net, act) for terms in (level_terms, below_terms) if terms
-    ]
-    net = sum_diff_depth(blocks, inputs.j_net, act)
+            below_terms.append(scalar_mul(-scale[0], f_terms((shift, below) for shift, _, below in branches)))
+    for terms in (level_terms, below_terms):
+        if terms:
+            blocks.append(sum_diff_depth(terms, filler, act))
+            terms.clear()  # each tier's sum is now stacked in the block
+    net = sum_diff_depth(blocks, filler, act)
     w, b = net.layers[-1]
     return Network(net.layers[:-1] + ((w, read_only(b + bias)),))
 

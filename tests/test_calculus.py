@@ -2,7 +2,11 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import picardnets.calculus as calculus_mod
 from picardnets import (
     activation_wrapper,
     affine,
@@ -23,6 +27,7 @@ from picardnets import (
     realize,
     relu,
     scalar_mul,
+    shift_input,
     softplus,
     sum_diff_depth,
     sum_same_depth,
@@ -41,6 +46,51 @@ def rand_net(widths, rng=RNG):
 
 
 # -- compose -------------------------------------------------------------
+
+
+def test_shift_input_realizes_the_shifted_net():
+    net = rand_net((3, 5, 2, 1))
+    shift = RNG.standard_normal(3)
+    xs = RNG.standard_normal((16, 3))
+    act = softplus()
+    shifted = shift_input(net, shift)
+    np.testing.assert_allclose(realize(shifted, act, xs), realize(net, act, xs + shift), rtol=1e-12, atol=1e-12)
+    assert dims(shifted) == dims(net)
+    assert shifted.layers[0][0] is net.layers[0][0]
+    assert all(w0 is w1 and b0 is b1 for (w0, b0), (w1, b1) in zip(shifted.layers[1:], net.layers[1:]))
+    with pytest.raises(ValueError):
+        shift_input(net, np.zeros(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shift_input_equals_composing_an_affine_shift(widths, zero_share, seed):
+    # w @ eye is w to the bit when w holds no -0.0, so sharing w changes nothing
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        return np.where(rng.random(shape) < zero_share, 0.0, values)
+
+    net = network(*((draw((widths[k + 1], widths[k])), draw(widths[k + 1])) for k in range(len(widths) - 1)))
+    shift = draw(widths[0])
+    composed = compose(net, affine(np.eye(widths[0]), shift))
+    shifted = shift_input(net, shift)
+    for (w0, b0), (w1, b1) in zip(composed.layers, shifted.layers):
+        assert w0.tobytes() == w1.tobytes()
+        assert b0.tobytes() == b1.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [[(1, 1)], [(2, 3), (1, 1), (4, 2)], [(3, 1), (1, 3), (2, 2), (1, 1)]])
+def test_block_diag_equals_scipy(shapes):
+    blocks = [RNG.standard_normal(shape) for shape in shapes]
+    got = calculus_mod._block_diag(blocks)
+    want = scipy.linalg.block_diag(*blocks)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -120,11 +170,9 @@ def test_extend_reaches_requested_depth_without_changing_values():
 
 
 def test_extend_gap_zero_keeps_layers():
+    # composing the affine identity on top would only copy the last layer
     net = rand_net((3, 4, 1))
-    same = extend(2, monomial_net(1), net)
-    for (w0, b0), (w1, b1) in zip(net.layers, same.layers):
-        assert np.array_equal(w0, w1)
-        assert np.array_equal(b0, b1)
+    assert extend(2, monomial_net(1), net) is net
 
 
 def test_extend_rejects_bad_requests():
@@ -216,8 +264,11 @@ def test_sum_same_depth_realizes_the_sum():
 
 
 def test_sum_same_depth_single_operand_and_affine_case():
-    net = rand_net((2, 3, 1))
-    assert_identical_layers(sum_same_depth([net]), literal_sum([net]))
+    # the sum of one operand is that operand, at every depth
+    for widths in ((2, 1), (2, 3, 1), (2, 3, 4, 1)):
+        net = rand_net(widths)
+        assert_identical_layers(net, literal_sum([net]))
+        assert sum_same_depth([net]) is net
     aff = [affine([[1.0, 2.0]], [0.5]), affine([[3.0, -1.0]], [0.25])]
     total = sum_same_depth(aff)
     assert depth(total) == 1
@@ -279,6 +330,28 @@ def test_sum_diff_depth_rejects_non_identity_filler():
         sum_diff_depth([affine([[1.0]], [0.0]), rand_net((1, 2, 1))], bogus, act)
 
 
+def test_identity_filler_is_probed_once_per_activation(monkeypatch):
+    # a filler that passed is not realized again under the same activation; a bad one is rejected every time
+    probes = []
+    original = calculus_mod.realize
+
+    def counting(net, act, x):
+        probes.append(act)
+        return original(net, act, x)
+
+    monkeypatch.setattr(calculus_mod, "realize", counting)
+    filler = network(([[1.0], [-1.0]], [0.0, 0.0]), ([[1.0, -1.0]], [0.0]))  # identity under relu and softplus
+    nets = [affine([[1.0]], [0.0]), rand_net((1, 2, 1))]
+    for _ in range(3):
+        sum_diff_depth(nets, filler, relu())
+    sum_diff_depth(nets, filler, softplus())
+    assert probes == [relu(), softplus()]
+    bogus = network(([[1.0], [1.0]], [0.0, 0.0]), ([[0.5, 0.6]], [0.0]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="identity"):
+            sum_diff_depth(nets, bogus, relu())
+
+
 def test_sum_diff_depth_rejects_bad_filler_shape():
     act = relu()
     nets = [affine([[1.0]], [0.0]), rand_net((1, 2, 1))]
@@ -330,6 +403,7 @@ def test_operations_copy_no_array(monkeypatch):
         sum_diff_depth([a, flat], filler, relu()),
         linear_combination_same([0.5, 2.0], [1.0, -1.0], [0.0, 1.0], [b, b]),
         prune_zero_blocks(dead),
+        shift_input(a, np.array([0.5, -1.0])),
     ]
     # the shifts are the caller's values: a (2,) block each for linear_combination_same
     assert copied == [(2,), (2,)]

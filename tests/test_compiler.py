@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from picardnets import (
     default_identity,
     depth,
     dims,
+    dumps_network,
     fan_in,
     interp_net_relu,
     leaky_relu,
@@ -318,3 +321,39 @@ def test_estimator_equivalence_holds_at_the_horizon():
     inputs = quad_inputs(n=2, M=2)
     report = verify_equivalence(inputs, (0,), 1.0, probes=5)
     assert report.passed
+
+
+def test_compile_holds_about_its_output_and_the_sum_it_builds():
+    # a compile holds its output plus the operands of the sum it is building:
+    # at most one extra copy of the net (the root sum's operands), not one per level
+    inputs = relu_datum_inputs(3, 3, affine([[0.1]], [0.0]), d=3)
+    tracemalloc.start()
+    try:
+        net = compile_mlp(inputs, (0,), 0.0, allow_large=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = sum(w.nbytes + b.nbytes for w, b in net.layers)
+    assert peak <= 2.2 * output, (peak, output)
+
+
+# dumps_network sha256 of compiled nets, pinned when each level re-multiplied its
+# shifts by the identity and re-stacked single operands; sharing them changes no bit
+PINNED_SHA256 = {
+    "relu": (
+        lambda: affine([[0.1]], [0.0]),
+        (2, 2576, 1),
+        "d89e27dc7faa5fec22235e09917dc64eedcddc19c05086ce95ac4a509b82fac5",
+    ),
+    # the depth-2 datum block is padded to the depth-3 f terms
+    "sin-padded": (sin_net, (2, 2576, 34, 1), "58878ff69c56edd9ff2e3246ddb640ed0b92c62f7d508d4b8a7872930d27ad48"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SHA256))
+def test_compiled_json_bytes_are_pinned(case):
+    make_f, want_dims, want_sha = PINNED_SHA256[case]
+    inputs = relu_datum_inputs(2, 2, make_f(), d=2)
+    net = compile_mlp(inputs, (0,), 0.0, allow_large=True)
+    assert dims(net) == want_dims
+    assert hashlib.sha256(dumps_network(net, inputs.activation).encode()).hexdigest() == want_sha
