@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -37,6 +36,7 @@ from .interp import (
     interp_net_leaky,
     interp_net_relu,
     interp_net_softplus,
+    _softplus_sharpness,
 )
 from .network import Network, load_network, param_count, realize, save_network
 from .pde import (
@@ -77,8 +77,7 @@ def _square_net_1d(act: Activation) -> Network:
     # softplus: sharpness from the cell-error target of the underlying grid
     lip = 2.0 * QUADRATIC_DATUM_RANGE
     cell_err = 2.0 * lip * QUADRATIC_DATUM_RANGE / QUADRATIC_DATUM_CELLS
-    beta = max(2.0, 2.0 * QUADRATIC_DATUM_CELLS**2 * lip * math.log(2.0) / cell_err)
-    return interp_net_softplus(grid, values, beta)
+    return interp_net_softplus(grid, values, _softplus_sharpness(QUADRATIC_DATUM_CELLS, lip, cell_err))
 
 
 def _quadratic_datum_net(d: int, act: Activation) -> Network:

@@ -35,7 +35,6 @@ from .sampling import (
     RandomOracle,
     ThetaPath,
     brownian_increment,
-    check_seed,
     theta_bytes,
     uniform_time,
 )
@@ -295,11 +294,9 @@ def mlp_estimate_batch(
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cfg.d:
         raise ValueError(f"points must have shape (N, {cfg.d}), got {pts.shape}")
-    for seed in root_seeds:
-        check_seed(seed)
+    oracles = [RandomOracle(seed, cfg.d) for seed in root_seeds]
     group = max(1, GROUP_ESTIMATES // max(1, len(pts)))
     out = np.empty((len(root_seeds), len(pts)))
-    for start in range(0, len(root_seeds), group):
-        oracles = [RandomOracle(seed, cfg.d) for seed in root_seeds[start : start + group]]
-        out[start : start + len(oracles)] = mlp_eval(cfg, pts, ROOT_PATH, fns, oracles)
+    for start in range(0, len(oracles), group):
+        out[start : start + group] = mlp_eval(cfg, pts, ROOT_PATH, fns, oracles[start : start + group])
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .activations import Activation
-from .calculus import activation_wrapper, affine, compose, scalar_mul, sum_same_depth
+from .calculus import affine, compose, scalar_mul, sum_same_depth
 from .network import Network, network
 
 _CONDITION_LIMIT = 1.0e12
@@ -65,49 +65,20 @@ def _shift_coefficients(gamma: int, nodes: np.ndarray) -> tuple[float, np.ndarra
     return float(sol[0]), sol[1:]
 
 
-def _node_array(gamma: int, nodes: object | None) -> np.ndarray:
-    if nodes is None:
-        arr = np.arange(1, gamma + 1, dtype=np.float64)
-    else:
-        arr = np.asarray(nodes, dtype=np.float64)
-    if arr.shape != (gamma,):
-        raise ValueError(f"need exactly {gamma} shift nodes, got shape {arr.shape}")
-    if len(np.unique(arr)) != gamma:
-        raise ValueError("shift nodes must be distinct")
-    return arr
-
-
-def identity_repu(gamma: int, nodes: object | None = None) -> Network:
+def identity_repu(gamma: int) -> Network:
     """Identity filler under x -> max(x, 0)**gamma; width 2*gamma, one hidden layer.
 
-    Sums gamma shifted monomial blocks with coefficients from the power-matching
-    system, then adds the constant c_0. Default nodes are 1..gamma.
+    Sums gamma monomial blocks shifted by the nodes 1..gamma, with coefficients
+    from the power-matching system, then adds the constant c_0. From gamma = 8
+    on, that system is ill-conditioned and the call is a ValueError.
     """
     if int(gamma) != gamma or gamma < 2:
         raise ValueError("repu identity needs an integer exponent >= 2")
-    arr = _node_array(gamma, nodes)
-    c0, coeffs = _shift_coefficients(gamma, arr)
+    nodes = np.arange(1, gamma + 1, dtype=np.float64)
+    c0, coeffs = _shift_coefficients(gamma, nodes)
     terms = [
         scalar_mul(c, compose(monomial_net(gamma), affine([[1.0]], [b])))
-        for c, b in zip(coeffs, arr)
-    ]
-    return compose(affine([[1.0]], [c0]), sum_same_depth(terms))
-
-
-def identity_power(gamma: int, nodes: object | None = None) -> Network:
-    """Identity filler under the pure power map x -> x**gamma; width gamma.
-
-    Same coefficient system as `identity_repu` but each term passes the shifted
-    input through a bare activation wrapper, so only gamma hidden units are
-    needed. Useful with a raw callable activation in tests.
-    """
-    if int(gamma) != gamma or gamma < 2:
-        raise ValueError("power identity needs an integer exponent >= 2")
-    arr = _node_array(gamma, nodes)
-    c0, coeffs = _shift_coefficients(gamma, arr)
-    terms = [
-        scalar_mul(c, compose(activation_wrapper(1), affine([[1.0]], [b])))
-        for c, b in zip(coeffs, arr)
+        for c, b in zip(coeffs, nodes)
     ]
     return compose(affine([[1.0]], [c0]), sum_same_depth(terms))
 

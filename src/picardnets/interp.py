@@ -42,10 +42,6 @@ class Grid:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def cells(self) -> int:
-        return self.points.size - 1
-
 
 @dataclass(frozen=True)
 class LipschitzFn:
@@ -78,28 +74,6 @@ def _values_array(grid: Grid, values: object) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValueError("knot values must be finite")
     return vals
-
-
-def lin_interp(grid: Grid, values: object, x: object) -> np.ndarray:
-    """Piecewise-linear interpolant through the knots, clamped outside the grid."""
-    vals = _values_array(grid, values)
-    pts = grid.points
-    xs = np.asarray(x, dtype=np.float64)
-    cell = np.clip(np.searchsorted(pts, xs, side="right") - 1, 0, pts.size - 2)
-    x0 = pts[cell]
-    x1 = pts[cell + 1]
-    frac = np.clip((xs - x0) / (x1 - x0), 0.0, 1.0)
-    return vals[cell] + frac * (vals[cell + 1] - vals[cell])
-
-
-def empirical_modulus(fn: Callable[[np.ndarray], np.ndarray], xs: object, h: float) -> float:
-    """Largest |f(x_i) - f(x_j)| over sample pairs closer than h (a test oracle)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    fx = np.asarray(fn(xs), dtype=np.float64)
-    dx = np.abs(xs[:, None] - xs[None, :])
-    df = np.abs(fx[:, None] - fx[None, :])
-    mask = dx <= h
-    return float(df[mask].max()) if np.any(mask) else 0.0
 
 
 def _kink_coefficients(grid: Grid, values: object) -> np.ndarray:
@@ -230,14 +204,19 @@ def approx_net_leaky(
     return net, ApproxGuarantee(eps=eps, q=q, b=b, K=K, width=2 * (K + 1), params=param_count(net))
 
 
+def _softplus_sharpness(K: int, lipschitz: float, eps: float) -> float:
+    """beta = max(2, 2 K^2 L log(2) / eps): the softplus sharpness on a K-cell
+    grid of an L-Lipschitz target that keeps the smoothing gap below eps."""
+    return max(2.0, 2.0 * K * K * lipschitz * math.log(2.0) / eps)
+
+
 def approx_net_softplus(fn: LipschitzFn, q: float, eps: float) -> tuple[Network, ApproxGuarantee]:
     """Softplus approximation with |net(x) - f(x)| <= 2 * eps * max(1, |x|**q).
 
-    The sharpness beta = max(2, 2 K^2 L log(2) / eps) keeps the smoothing gap
-    to the exact interpolant below eps, which doubles the weighted error bound
+    The sharpness `_softplus_sharpness(K, L, eps)` keeps the smoothing gap to
+    the exact interpolant below eps, which doubles the weighted error bound
     relative to the piecewise-linear constructions.
     """
     grid, vals, b, K = _approx_grid(fn, q, eps)
-    beta = max(2.0, 2.0 * K * K * fn.lipschitz * math.log(2.0) / eps)
-    net = interp_net_softplus(grid, vals, beta)
+    net = interp_net_softplus(grid, vals, _softplus_sharpness(K, fn.lipschitz, eps))
     return net, ApproxGuarantee(eps=eps, q=q, b=b, K=K, width=K + 1, params=param_count(net))

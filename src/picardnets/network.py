@@ -177,14 +177,6 @@ def dims(net: Network) -> tuple[int, ...]:
     return (first_w.shape[1],) + tuple(w.shape[0] for w, _ in net.layers)
 
 
-def dim_at(net: Network, n: int) -> int:
-    """Width of level n, or 0 when n exceeds the depth."""
-    if n < 0:
-        raise ValueError("level index must be >= 0")
-    d = dims(net)
-    return d[n] if n < len(d) else 0
-
-
 def depth(net: Network) -> int:
     return len(net.layers)
 
@@ -662,9 +654,16 @@ def loads_network(text: str | bytes) -> tuple[Network, Activation]:
 
 
 def save_network(path: str | Path, net: Network, act: Activation) -> None:
-    """Write `dumps_network(net, act)` and a newline, one array chunk at a time."""
+    """Write `dumps_network(net, act)` and a newline, one array chunk at a time.
+
+    A net that cannot be saved is refused before `path` is opened, so an
+    existing file there keeps its bytes.
+    """
+    pieces = _json_pieces(net, act)
+    head = next(pieces)  # runs the finiteness check
     with Path(path).open("w") as fh:
-        fh.writelines(_json_pieces(net, act))
+        fh.write(head)
+        fh.writelines(pieces)
         fh.write("\n")
 
 

@@ -57,7 +57,7 @@ def theta_bytes(theta: ThetaPath) -> bytes:
 
 def check_seed(seed: object) -> None:
     """Reject a seed that is not a Python or NumPy integer in the signed 64-bit
-    range: `RandomOracle` would wrap it onto the oracle of another seed."""
+    range, which would otherwise key the oracle of another seed."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seeds must be integers, got {seed!r}")
     if not _INT64_MIN <= seed <= _INT64_MAX:
@@ -84,20 +84,19 @@ def _block_bytes(paths: np.ndarray) -> list[bytes]:
 
 
 class RandomOracle:
-    """Counter-based random field over theta paths for one seed and dimension."""
+    """Counter-based random field over theta paths for one seed and dimension.
+
+    The seed must pass `check_seed`, so that distinct seeds key distinct oracles.
+    """
 
     def __init__(self, seed: int, d: int) -> None:
+        check_seed(seed)
         if d < 1:
             raise ValueError("dimension must be >= 1")
         self.seed = int(seed)
         self.d = int(d)
-        self._key = struct.pack("<q", self._mask(seed))
+        self._key = struct.pack("<q", self.seed)
         self._keyed = hashlib.blake2b(digest_size=64, key=self._key)
-
-    @staticmethod
-    def _mask(seed: int) -> int:
-        # wrap arbitrary python ints into signed 64-bit range
-        return ((int(seed) + 2**63) % 2**64) - 2**63
 
     def uniform01(self, theta: Paths, kind: bytes, count: int) -> np.ndarray:
         """`count` uniforms in (0, 1), eight per digest block: shape (count,)

@@ -5,7 +5,6 @@ from picardnets import (
     default_identity,
     dims,
     identity_leaky,
-    identity_power,
     identity_repu,
     identity_softplus,
     leaky_relu,
@@ -79,20 +78,9 @@ def test_identity_repu(gamma):
 def test_identity_repu_rejects_low_exponent_and_bad_nodes():
     with pytest.raises(ValueError):
         identity_repu(1)
-    with pytest.raises(ValueError):
-        identity_repu(2, nodes=[1.0, 1.0])  # not distinct
-    with pytest.raises(ValueError):
-        identity_repu(2, nodes=[1.0])  # wrong count
+    # the nodes 1..8 give a condition estimate of about 9e12
     with pytest.raises(ValueError, match="ill-conditioned"):
-        identity_repu(2, nodes=[1.0, 1.0 + 1e-13])
-
-
-def test_identity_power_with_raw_callable():
-    gamma = 3
-    net = identity_power(gamma)
-    assert dims(net) == (1, gamma, 1)
-    got = realize(net, lambda z: z**gamma, XS)[:, 0]
-    np.testing.assert_allclose(got, XS[:, 0], rtol=0, atol=1e-10 * (1 + 5.0**gamma))
+        identity_repu(8)
 
 
 def test_default_identity_dispatch():

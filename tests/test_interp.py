@@ -18,12 +18,10 @@ from picardnets import (
     approx_net_softplus,
     compose,
     dims,
-    empirical_modulus,
     interp_net_leaky,
     interp_net_relu,
     interp_net_softplus,
     leaky_relu,
-    lin_interp,
     param_count,
     realize,
     relu,
@@ -50,19 +48,6 @@ def test_grid_validation():
         Grid(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         Grid(np.array([0.0, np.inf]))
-    assert Grid(np.array([0.0, 1.0, 2.0])).cells == 2
-
-
-def test_lin_interp_matches_numpy_interp():
-    # np.interp clamps to the boundary values outside the grid by default,
-    # which is exactly the convention here
-    for _ in range(20):
-        grid = random_grid(RNG.integers(2, 12))
-        vals = RNG.standard_normal(grid.points.size)
-        xs = RNG.uniform(-10.0, 10.0, 200)
-        want = np.interp(xs, grid.points, vals)
-        got = lin_interp(grid, vals, xs)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_kink_coefficients_telescope_to_zero_and_linear_case():
@@ -87,7 +72,7 @@ def test_interp_net_relu_equals_interpolant_everywhere():
         assert dims(net) == (1, grid.points.size, 1)
         xs = RNG.uniform(-12.0, 12.0, 300)
         got = realize(net, relu(), xs[:, None])[:, 0]
-        want = lin_interp(grid, vals, xs)
+        want = np.interp(xs, grid.points, vals)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1 + np.abs(want).max()))
 
 
@@ -100,7 +85,7 @@ def test_interp_net_leaky_equals_relu_interpolant(alpha):
     assert dims(net) == (1, 2 * grid.points.size, 1)
     xs = RNG.uniform(-12.0, 12.0, 400)
     got = realize(net, act, xs[:, None])[:, 0]
-    want = lin_interp(grid, vals, xs)
+    want = np.interp(xs, grid.points, vals)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * (1 + np.abs(want).max()))
 
 
@@ -115,7 +100,7 @@ def test_interp_net_softplus_gap_bound():
     vals = RNG.standard_normal(7)
     coeffs = _kink_coefficients(grid, vals)
     xs = np.linspace(-12.0, 12.0, 2001)
-    want = lin_interp(grid, vals, xs)
+    want = np.interp(xs, grid.points, vals)
     gaps = []
     for beta in (4.0, 16.0, 64.0):
         net = interp_net_softplus(grid, vals, beta)
@@ -225,12 +210,6 @@ def test_a_grid_of_100000_cells_builds_in_arrays():
     assert g.K == 100_782 and dims(net) == (1, 100_783, 1)
     # the net's own arrays take 3.2 MB
     assert peak < 16e6
-
-
-def test_empirical_modulus_on_a_linear_function():
-    xs = np.linspace(-1.0, 1.0, 101)
-    mod = empirical_modulus(lambda z: 2.0 * z, xs, h=0.1)
-    assert mod == pytest.approx(0.2, abs=1e-12)
 
 
 def test_approx_grid_frozen_values():

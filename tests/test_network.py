@@ -18,7 +18,6 @@ from picardnets import (
     Network,
     compose,
     depth,
-    dim_at,
     dims,
     dumps_network,
     hidden_count,
@@ -66,16 +65,6 @@ def test_size_operators_hand_computed():
     assert max_width(net) == 3
     # 3*(2+1) + 1*(3+1)
     assert param_count(net) == 13
-
-
-def test_dim_at_past_the_end_is_zero():
-    net = two_layer()
-    assert dim_at(net, 0) == 2
-    assert dim_at(net, 2) == 1
-    assert dim_at(net, 3) == 0
-    assert dim_at(net, 99) == 0
-    with pytest.raises(ValueError):
-        dim_at(net, -1)
 
 
 def test_construction_rejects_mismatched_shapes():
@@ -169,6 +158,15 @@ def test_serialize_rejects_non_finite(bad, field):
     net = network(([[1.0], [2.0]], [0.0, 0.0]), (last["w"], last["b"]))
     with pytest.raises(ValueError, match="non-finite"):
         dumps_network(net, relu())
+
+
+def test_refused_save_keeps_the_old_file(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_bytes(b"old content")
+    net = network(([[1.0], [2.0]], [0.0, 0.0]), ([[1.0, math.inf]], [0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        save_network(path, net, relu())
+    assert path.read_bytes() == b"old content"
 
 
 def test_loads_rejects_inconsistent_dims():

@@ -151,15 +151,14 @@ def test_gaussian_moments_loose():
     assert abs(draws.std() - 1.0) < 3.0 / np.sqrt(n)
 
 
-def test_seed_masking_wraps_identically():
-    a = RandomOracle(2**63, 1)
-    b = RandomOracle(-(2**63), 1)
-    np.testing.assert_array_equal(
-        a.uniform01((0,), KIND_TIME, 4), b.uniform01((0,), KIND_TIME, 4)
-    )
-    # negative seeds are first-class
-    c = RandomOracle(-1, 1)
-    assert c.uniform01((0,), KIND_TIME, 1).shape == (1,)
+def test_oracle_rejects_seeds_outside_64_bits():
+    # each of these used to key the oracle of another seed without complaint
+    for bad in (1.7, True, np.float64(2.0), np.True_, 2**64 + 1, 2**63, -(2**63) - 1, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            RandomOracle(bad, 1)
+    # both ends of the range, and negative seeds, are first-class and distinct
+    draws = [RandomOracle(seed, 1).uniform01((0,), KIND_TIME, 4) for seed in (2**63 - 1, -(2**63), -1)]
+    assert len({d.tobytes() for d in draws}) == 3
 
 
 def test_dimension_validation():
