@@ -21,10 +21,14 @@ code and the tail of its stderr, and the summary covers only the pairs in
 which both runs wrote one. It also records, for each checkout, how many
 `uniform01` calls and hashed paths one (4,3), d = 5 sample tree takes, with
 the hashed paths also split into time and Gaussian draws, and (as
-`compile_memory_4_3`) the `tracemalloc` peak of compiling compile-wide's
-inputs next to the bytes of the net it builds: a count of what a compile
-holds that does not depend on timing. An existing output file is updated in
-place, so workloads can be measured in separate invocations.
+`compile_memory_4_3` and `compile_memory_3_2_sin`) the `tracemalloc` peak
+of compiling compile-wide's and compile-deep's inputs next to the bytes of
+the net it builds: a count of what a compile holds that does not depend on
+timing. For a compile workload it also records, per checkout and as
+`peak_phases_W`, the resident high-water mark after each phase of one
+request made as `bench/run.py --peak-only` makes it, so a pair file shows
+which phase sets `peak_mb`. An existing output file is updated in place, so
+workloads can be measured in separate invocations.
 """
 
 from __future__ import annotations
@@ -69,21 +73,25 @@ print(json.dumps({
 """
 
 
-# The traced peak of one compile of compile-wide's inputs ((4,3), d = 5, the CLI's relu
-# datum, f = 0.1 u) and the bytes of the net it returns.
+# The traced peak of one compile of a compile workload's inputs (d = 5, the CLI's relu
+# datum; compile-wide: (4,3) with f = 0.1 u, compile-deep: (3,2) with the 17-unit sin net)
+# and the bytes of the net it returns.
 COMPILE_MEMORY = """
 import json
+import sys
 import tracemalloc
 import numpy as np
 import picardnets as pn
 from picardnets.cli import QUADRATIC_DATUM_CELLS, QUADRATIC_DATUM_RANGE
 
+n, M, sin = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "sin"
 d, act = 5, pn.relu()
 knots = np.linspace(-QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_CELLS + 1)
 square = pn.interp_net_relu(pn.Grid(knots), knots**2)
+f_net = pn.approx_net_relu(pn.LipschitzFn(np.sin, 1.0), 2.0, 0.5)[0] if sin else pn.affine([[0.1]], [0.0])
 inputs = pn.CompileInputs(
-    n=4, M=3, horizon=1.0, d=d, g_net=pn.compose(pn.fan_in(1, d), pn.parallelize([square] * d)),
-    f_net=pn.affine([[0.1]], [0.0]), j_net=pn.default_identity(act), activation=act, oracle=pn.RandomOracle(1, d),
+    n=n, M=M, horizon=1.0, d=d, g_net=pn.compose(pn.fan_in(1, d), pn.parallelize([square] * d)),
+    f_net=f_net, j_net=pn.default_identity(act), activation=act, oracle=pn.RandomOracle(1, d),
 )
 tracemalloc.start()
 net = pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True)
@@ -92,11 +100,58 @@ tracemalloc.stop()
 output = sum(w.nbytes + b.nbytes for w, b in net.layers)
 print(json.dumps({"traced_peak_mb": peak / 1e6, "output_mb": output / 1e6, "peak_over_output": peak / output}))
 """
+COMPILE_MEMORY_CASES = {"compile_memory_4_3": ("4", "3", "linear"), "compile_memory_3_2_sin": ("3", "2", "sin")}
 
 
-def run_snippet(checkout: Path, code: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    cmd = [sys.executable, "-c", code]
+# The resident high-water mark (VmHWM, MB) after set-up and after each phase of one request,
+# made the way `bench/run.py --peak-only` makes it (see PEAK_ENV): the bench modules are
+# imported unchanged and `PhaseClock.phase` is wrapped to read the mark as each phase ends.
+# The mark only rises, so the phase after which it last rises is the one that sets `peak_mb`.
+PEAK_PHASES = """
+import json
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+sys.path[:0] = ["src", "bench"]
+import hostclock
+import reference, spans  # noqa: F401  (run.py imports them before its peak request)
+from workloads import make_workload
+
+
+def hwm_mb():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0
+
+
+marks = {}
+timed = hostclock.PhaseClock.phase
+
+
+@contextmanager
+def phase(self, name):
+    with timed(self, name):
+        yield
+    marks[name] = hwm_mb()
+
+
+hostclock.PhaseClock.phase = phase
+out_dir = Path("bench/out")
+out_dir.mkdir(exist_ok=True)
+workload = make_workload(sys.argv[1], 1, out_dir)
+workload.setup()
+marks["setup"] = hwm_mb()
+workload.request(0, hostclock.PhaseClock(None))
+print(json.dumps(marks))
+"""
+# The environment `bench/run.py` gives its peak request: one BLAS thread and a fixed mmap threshold.
+PEAK_ENV = {"OPENBLAS_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": "131072"}
+
+
+def run_snippet(checkout: Path, code: str, *args: str, env: dict | None = None) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), **(env or {})}
+    cmd = [sys.executable, "-c", code, *args]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode:
         return {"exit": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
@@ -190,7 +245,12 @@ def main(argv: list[str] | None = None) -> int:
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     report["workloads"].setdefault(args.workload, {}).update(entry)
     report["work_counts_4_3"] = {side: run_snippet(checkout.resolve(), WORK_COUNTS) for side, checkout in sides}
-    report["compile_memory_4_3"] = {side: run_snippet(checkout.resolve(), COMPILE_MEMORY) for side, checkout in sides}
+    for key, case in COMPILE_MEMORY_CASES.items():
+        report[key] = {side: run_snippet(checkout.resolve(), COMPILE_MEMORY, *case) for side, checkout in sides}
+    if args.workload.startswith("compile-"):
+        report[f"peak_phases_{args.workload}"] = {
+            side: run_snippet(checkout.resolve(), PEAK_PHASES, args.workload, env=PEAK_ENV) for side, checkout in sides
+        }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -9,10 +9,18 @@ marked read-only before the result is built, so `Network` adopts it without a
 copy, and layers carried over from an operand are shared with it. An
 operation that would only restack or re-multiply one operand by an identity
 returns that operand (or its layers) unchanged, so no unit is held twice.
+
+A sum is built in pieces (`_Sum`) and its stacked layers are written once by
+`_write`; the compiler composes, shifts and sums such pieces all the way up
+and writes only the root, so no intermediate sum is ever stacked. Every
+float operation acts on the same arrays as on the stacked network, so the
+written network is the same to the bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 from weakref import WeakKeyDictionary
 
@@ -20,6 +28,7 @@ import numpy as np
 
 from .activations import Activation
 from .network import (
+    Layer,
     Network,
     depth,
     dims,
@@ -50,10 +59,15 @@ def compose(first: Network, second: Network) -> Network:
             f"composition mismatch: outer expects {input_dim(first)} inputs, "
             f"inner produces {output_dim(second)}"
         )
-    w_in, b_in = second.layers[-1]
+    return Network(second.layers[:-1] + _junction(first, second.layers[-1]))
+
+
+def _junction(first: Network, last: Layer) -> tuple[Layer, ...]:
+    """The layers of `first` on top of a network whose last layer is `last`: the two
+    affine maps merged into one layer, then the rest of `first`."""
+    w_in, b_in = last
     w_out, b_out = first.layers[0]
-    junction = (read_only(w_out @ w_in), read_only(w_out @ b_in + b_out))
-    return Network(second.layers[:-1] + (junction,) + first.layers[1:])
+    return ((read_only(w_out @ w_in), read_only(w_out @ b_in + b_out)),) + first.layers[1:]
 
 
 def shift_input(net: Network, shift: np.ndarray) -> Network:
@@ -112,14 +126,148 @@ def extend(target_depth: int, filler: Network, net: Network) -> Network:
     return compose(power(filler, gap), net)
 
 
-def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The block-diagonal matrix of 2-D `blocks`, zero elsewhere; each block is copied in, never computed on."""
-    out = np.zeros((sum(a.shape[0] for a in blocks), sum(a.shape[1] for a in blocks)))
-    row = col = 0
-    for a in blocks:
-        out[row : row + a.shape[0], col : col + a.shape[1]] = a
-        row, col = row + a.shape[0], col + a.shape[1]
-    return out
+@dataclass(frozen=True, eq=False)
+class _Sum:
+    """A sum of equal-depth networks (depth >= 2), kept in pieces until `_write` lays it out.
+
+    Below its last layer a stacked sum only copies its operands: their first
+    weights one under the other, their middle layers block-diagonal. Those
+    layers stay with the operands, as `bodies`: each operand without its last
+    layer, either a tuple of layers (a `Network`'s, with its first bias None)
+    or a `_Sum` (with `first_b` None). Every float operation acts on what the
+    sum holds itself, the same arrays the stacked network holds there:
+    - `first_b`, the first layer's bias for all rows, which `_shift` moves
+      (None inside another sum, which holds it);
+    - `head`: the joint layer (the operands' last weights side by side, their
+      biases summed), then the layers composed on top of it.
+    """
+
+    bodies: tuple
+    body_dims: tuple[int, ...]  # the widths of the layers below the head
+    first_b: np.ndarray | None
+    head: tuple[Layer, ...]
+
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        return self.body_dims + tuple(w.shape[0] for w, _ in self.head)
+
+
+def _dims(x: Network | _Sum) -> tuple[int, ...]:
+    return x.dims if isinstance(x, _Sum) else dims(x)
+
+
+def _shape(x: _Sum | tuple[Layer, ...], k: int) -> tuple[int, int]:
+    return (x.dims[k + 1], x.dims[k]) if isinstance(x, _Sum) else x[k][0].shape
+
+
+def _place(x: _Sum | tuple[Layer, ...], k: int, w: np.ndarray, b: np.ndarray | None, row: int, col: int) -> None:
+    """Copy layer k of `x` into `w` from (row, col) on, and its bias into `b` from row on.
+
+    Biases that a sum holds for its operands (None in the operands) are not
+    copied, nor any bias when `b` is None.
+    """
+    if isinstance(x, _Sum):
+        body = len(x.body_dims) - 1
+        if k < body:
+            _stack(x.bodies, k, w, b, row, col, shared_input=k == 0)
+            return
+        lw, lb = x.head[k - body]
+    else:
+        lw, lb = x[k]
+    w[row : row + lw.shape[0], col : col + lw.shape[1]] = lw
+    if b is not None and lb is not None:
+        b[row : row + lb.shape[0]] = lb
+
+
+def _stack(
+    pieces: Sequence, k: int, w: np.ndarray, b: np.ndarray | None, row: int, col: int, shared_input: bool
+) -> None:
+    """Copy layer k of each piece, one under the other: in the same input columns
+    when `shared_input` (first layers of a sum), block-diagonal otherwise."""
+    for piece in pieces:
+        _place(piece, k, w, b, row, col)
+        rows, cols = _shape(piece, k)
+        row += rows
+        if not shared_input:
+            col += cols
+
+
+def _write(x: Network | _Sum) -> Network:
+    """The network `x` stands for, each stacked layer allocated once and filled in.
+
+    The first bias and the head are the sum's own arrays, adopted as they are.
+    """
+    if isinstance(x, Network):
+        return x
+    layers = []
+    for k in range(len(x.body_dims) - 1):
+        w = np.zeros((x.dims[k + 1], x.dims[k]))
+        b = x.first_b if k == 0 else np.empty(x.dims[k + 1])
+        _place(x, k, w, None if k == 0 else b, 0, 0)
+        layers.append((read_only(w), read_only(b)))
+    return Network(tuple(layers) + x.head)
+
+
+def _sum(nets: Sequence[Network | _Sum]) -> Network | _Sum:
+    """sum_same_depth of operands already checked, in pieces.
+
+    One operand is returned as it is, and depth-1 operands, whose single
+    layers add up, are summed at once.
+    """
+    if len(nets) == 1:
+        return nets[0]
+    if len(_dims(nets[0])) == 2:
+        w = nets[0].layers[0][0].copy()
+        b = nets[0].layers[0][1].copy()
+        for net in nets[1:]:
+            w = w + net.layers[0][0]
+            b = b + net.layers[0][1]
+        return network((read_only(w), read_only(b)))
+    bodies, first_b, last = [], [], []
+    # each operand's layers but the last go into the bodies: their widths add up
+    widths = [sum(layer) for layer in zip(*(_dims(net)[1:-1] for net in nets))]
+    for net in nets:
+        if isinstance(net, Network):
+            (w0, b0), *middle, top = net.layers
+            bodies.append(((w0, None), *middle))
+            first_b.append(b0)
+            last.append(top)
+        else:
+            if len(net.head) == 1:  # a sum of sums stacks the inner operands directly
+                bodies.extend(net.bodies)
+            else:
+                bodies.append(replace(net, first_b=None, head=net.head[:-1]))
+            first_b.append(net.first_b)
+            last.append(net.head[-1])
+    last_b = last[0][1].copy()
+    for _, b in last[1:]:
+        last_b = last_b + b
+    joint = (read_only(np.hstack([w for w, _ in last])), read_only(last_b))
+    return _Sum(tuple(bodies), (_dims(nets[0])[0], *widths), read_only(np.concatenate(first_b)), (joint,))
+
+
+def _shift(x: Network | _Sum, shift: np.ndarray) -> Network | _Sum:
+    """shift_input of `x`: the stacked first weights are written for the product and dropped."""
+    if isinstance(x, Network):
+        return shift_input(x, shift)
+    w = np.zeros((x.dims[1], x.dims[0]))
+    _place(x, 0, w, None, 0, 0)
+    return replace(x, first_b=read_only(w @ shift + x.first_b))
+
+
+def _compose(first: Network, x: Network | _Sum) -> Network | _Sum:
+    """compose(first, x); on a sum it acts on the head alone."""
+    if isinstance(x, Network):
+        return compose(first, x)
+    return replace(x, head=x.head[:-1] + _junction(first, x.head[-1]))
+
+
+def _offset(x: Network | _Sum, bias: float) -> Network | _Sum:
+    """`x` with `bias` added to its output."""
+    layers = x.layers if isinstance(x, Network) else x.head
+    w, b = layers[-1]
+    layers = layers[:-1] + ((w, read_only(b + bias)),)
+    return Network(layers) if isinstance(x, Network) else replace(x, head=layers)
 
 
 def parallelize(nets: Sequence[Network]) -> Network:
@@ -134,10 +282,11 @@ def parallelize(nets: Sequence[Network]) -> Network:
     depths = {depth(net) for net in nets}
     if len(depths) != 1:
         raise ValueError(f"parallelize needs equal depths, got {sorted(depths)}")
+    widths = [sum(layer) for layer in zip(*(dims(net) for net in nets))]
     layers = []
     for k in range(depths.pop()):
-        w = _block_diag([net.layers[k][0] for net in nets])
-        b = np.concatenate([net.layers[k][1] for net in nets])
+        w, b = np.zeros((widths[k + 1], widths[k])), np.empty(widths[k + 1])
+        _stack([net.layers for net in nets], k, w, b, 0, 0, shared_input=False)
         layers.append((read_only(w), read_only(b)))
     return network(*layers)
 
@@ -165,8 +314,9 @@ def sum_same_depth(nets: Sequence[Network]) -> Network:
     stacked vertically, middle layers block-diagonal, last layers stacked
     horizontally with biases summed. This function builds that collapsed form
     directly (it is value-identical to composing the three factors, which a
-    unit test checks) to avoid materializing the quadratic-size intermediate.
-    The sum of one operand is that operand.
+    unit test checks) to avoid materializing the quadratic-size intermediate,
+    and writes each stacked layer once (`_write`). The sum of one operand is
+    that operand.
     """
     if len(nets) == 0:
         raise ValueError("sum needs at least one operand")
@@ -174,38 +324,17 @@ def sum_same_depth(nets: Sequence[Network]) -> Network:
         raise ValueError("sum operands must share one depth")
     if len({input_dim(net) for net in nets}) != 1 or len({output_dim(net) for net in nets}) != 1:
         raise ValueError("sum operands must share input and output widths")
-    if len(nets) == 1:
-        return nets[0]
-    n_layers = depth(nets[0])
-    if n_layers == 1:
-        w = nets[0].layers[0][0].copy()
-        b = nets[0].layers[0][1].copy()
-        for net in nets[1:]:
-            w = w + net.layers[0][0]
-            b = b + net.layers[0][1]
-        return network((read_only(w), read_only(b)))
-    first_w = np.vstack([net.layers[0][0] for net in nets])
-    first_b = np.concatenate([net.layers[0][1] for net in nets])
-    layers = [(first_w, first_b)]
-    for k in range(1, n_layers - 1):
-        layers.append(
-            (
-                _block_diag([net.layers[k][0] for net in nets]),
-                np.concatenate([net.layers[k][1] for net in nets]),
-            )
-        )
-    last_w = np.hstack([net.layers[-1][0] for net in nets])
-    last_b = nets[0].layers[-1][1].copy()
-    for net in nets[1:]:
-        last_b = last_b + net.layers[-1][1]
-    layers.append((last_w, last_b))
-    return network(*((read_only(w), read_only(b)) for w, b in layers))
+    return _write(_sum(nets))
 
 
 def scalar_mul(scale: float, net: Network) -> Network:
     """Network realizing x -> scale * net(x); composes a scaling layer on top."""
-    out = output_dim(net)
-    return compose(affine(read_only(float(scale) * np.eye(out)), read_only(np.zeros(out))), net)
+    return _scaled(scale, net)
+
+
+def _scaled(scale: float, x: Network | _Sum) -> Network | _Sum:
+    out = _dims(x)[-1]
+    return _compose(affine(read_only(float(scale) * np.eye(out)), read_only(np.zeros(out))), x)
 
 
 def linear_combination_same(
@@ -286,9 +415,15 @@ def sum_diff_depth(
     for net in nets:
         if output_dim(net) != input_dim(filler):
             raise ValueError("operand output width must match the filler interface")
+    return _write(_padded_sum(nets, filler, act))
+
+
+def _padded_sum(nets: Sequence[Network | _Sum], filler: Network, act: Activation | Callable) -> Network | _Sum:
+    """sum_diff_depth of operands already checked, in pieces."""
     _check_identity_filler(filler, act)
-    target = max(depth(net) for net in nets)
-    return sum_same_depth([extend(target, filler, net) for net in nets])
+    target = max(len(_dims(net)) - 1 for net in nets)
+    gaps = [target - (len(_dims(net)) - 1) for net in nets]
+    return _sum([_compose(power(filler, gap), net) if gap else net for gap, net in zip(gaps, nets)])
 
 
 def activation_wrapper(width: int) -> Network:

@@ -87,9 +87,11 @@ def test_shift_input_equals_composing_an_affine_shift(widths, zero_share, seed):
 
 @pytest.mark.parametrize("shapes", [[(1, 1)], [(2, 3), (1, 1), (4, 2)], [(3, 1), (1, 3), (2, 2), (1, 1)]])
 def test_block_diag_equals_scipy(shapes):
+    # the writer lays out pieces whose inputs are not shared block-diagonally
     blocks = [RNG.standard_normal(shape) for shape in shapes]
-    got = calculus_mod._block_diag(blocks)
     want = scipy.linalg.block_diag(*blocks)
+    got = np.zeros(want.shape)
+    calculus_mod._stack([((a, None),) for a in blocks], 0, got, None, 0, 0, shared_input=False)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import picardnets.compiler as compiler_mod
+from picardnets.engine import draw_tree
 from picardnets import (
     CompileInputs,
     Grid,
@@ -40,7 +43,11 @@ from picardnets import (
     relu,
     report_json,
     repu,
+    scalar_mul,
+    shift_input,
     size_report,
+    sum_diff_depth,
+    sum_same_depth,
     uniform_time,
     verify_equivalence,
 )
@@ -324,17 +331,90 @@ def test_estimator_equivalence_holds_at_the_horizon():
 
 
 def test_compile_holds_about_its_output_and_the_sum_it_builds():
-    # a compile holds its output plus the operands of the sum it is building:
-    # at most one extra copy of the net (the root sum's operands), not one per level
-    inputs = relu_datum_inputs(3, 3, affine([[0.1]], [0.0]), d=3)
-    tracemalloc.start()
-    try:
-        net = compile_mlp(inputs, (0,), 0.0, allow_large=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    output = sum(w.nbytes + b.nbytes for w, b in net.layers)
-    assert peak <= 2.2 * output, (peak, output)
+    # a compile holds its output plus the sums' first biases and heads, which the
+    # output adopts: not one extra copy of the stacked layers, nor one per level.
+    # A linear f keeps every term at the datum's depth; a relu f with hidden
+    # units makes the f terms deeper, so the datum block is padded with the filler.
+    padded_f = network(([[1.0], [-1.0]], [0.0, 0.5]), ([[0.3, -0.2]], [0.1]))
+    for f_net, n, M, want_depth in ((affine([[0.1]], [0.0]), 3, 3, 2), (padded_f, 3, 2, 4)):
+        inputs = relu_datum_inputs(n, M, f_net, d=3)
+        tracemalloc.start()
+        try:
+            net = compile_mlp(inputs, (0,), 0.0, allow_large=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = sum(w.nbytes + b.nbytes for w, b in net.layers)
+        assert depth(net) == want_depth
+        assert peak <= 1.2 * output, (want_depth, peak, output)
+
+
+def reference_compile(inputs, t):
+    """compile_mlp as the public calculus ops build it, one stacked network per sum."""
+    cfg = MlpConfig(n=inputs.n, M=inputs.M, horizon=inputs.horizon, t=t, d=inputs.d)
+    f_net, g_net = prune_zero_blocks(inputs.f_net), prune_zero_blocks(inputs.g_net)
+    act, filler = inputs.activation, inputs.j_net
+    f_zero = float(realize(f_net, act, np.zeros((1, 1)))[0, 0])
+    f_constant = not all(np.any(w) for w, _ in f_net.layers)
+
+    def build(tree):
+        shifts, tiers = tree
+        if not tiers:
+            return affine(np.zeros((1, inputs.d)), np.zeros(1))
+
+        def f_terms(pairs):
+            terms = [shift_input(compose(f_net, build(node)), shift[0]) for shift, node in pairs]
+            return sum_diff_depth(terms, filler, act)
+
+        blocks = [sum_same_depth([scalar_mul(1.0 / len(shifts), shift_input(g_net, s)) for s in shifts[:, 0, 0]])]
+        bias = tiers[0][0][0] * len(shifts) * f_zero
+        level_terms, below_terms = [], []
+        for i, (scale, branches) in enumerate(tiers[1:], start=1):
+            if scale[0] == 0.0 or f_constant:
+                continue
+            level_terms.append(scalar_mul(scale[0], f_terms((s, child) for s, child, _ in branches)))
+            if i == 1:
+                bias -= scale[0] * len(branches) * f_zero
+            else:
+                below_terms.append(scalar_mul(-scale[0], f_terms((s, below) for s, _, below in branches)))
+        blocks += [sum_diff_depth(terms, filler, act) for terms in (level_terms, below_terms) if terms]
+        net = sum_diff_depth(blocks, filler, act)
+        w, b = net.layers[-1]
+        return network(*net.layers[:-1], (w, b + bias))
+
+    return build(draw_tree(cfg, (0,), inputs.oracle))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 3),
+    M=st.integers(1, 3),
+    d=st.integers(1, 4),
+    act_tag=st.sampled_from(["relu", "leaky:0.1", "softplus", "repu:2"]),
+    f_kind=st.sampled_from(["zero", "linear", "relu-net"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_bytes_equal_the_stacked_calculus(n, M, d, act_tag, f_kind, seed):
+    # writing each stacked layer once, at the root, changes no bit of the network
+    rng = np.random.default_rng(seed)
+    act = parse_activation(act_tag)
+
+    def rand(widths):
+        return network(*((rng.standard_normal((b, a)), rng.standard_normal(b)) for a, b in zip(widths, widths[1:])))
+
+    f_net = {
+        "zero": lambda: affine([[0.0]], [0.0]),
+        "linear": lambda: affine([[0.1]], [0.0]),
+        "relu-net": lambda: rand((1, int(rng.integers(1, 4)), 1)),
+    }[f_kind]()
+    g_net = rand((d, *rng.integers(1, 5, int(rng.integers(1, 3))), 1))
+    inputs = CompileInputs(
+        n=n, M=M, horizon=1.0, d=d, g_net=g_net, f_net=f_net, j_net=default_identity(act),
+        activation=act, oracle=RandomOracle(seed, d),
+    )
+    t = float(rng.uniform(0.0, 0.9))
+    want = dumps_network(reference_compile(inputs, t), act)
+    assert dumps_network(compile_mlp(inputs, (0,), t, allow_large=True), act) == want
 
 
 # dumps_network sha256 of compiled nets, pinned when each level re-multiplied its
