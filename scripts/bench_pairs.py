@@ -20,7 +20,10 @@ per-layer counts sit next to their closed forms. A run that writes no result
 code and the tail of its stderr, and the summary covers only the pairs in
 which both runs wrote one. It also records, for each checkout, how many
 `uniform01` calls and hashed paths one (4,3), d = 5 sample tree takes, with
-the hashed paths also split into time and Gaussian draws, and (as
+the hashed paths also split into time and Gaussian draws, how many `g` and
+`f` calls one (4,3) estimate of 16 points by one seed makes, the
+`tracemalloc` peak of a (4,4), d = 16 estimate of 64 points by 4 seeds (as
+`mlp_eval_memory_4_4`), and (as
 `compile_memory_4_3` and `compile_memory_3_2_sin`) the `tracemalloc` peak
 of compiling compile-wide's and compile-deep's inputs next to the bytes of
 the net it builds: a count of what a compile holds that does not depend on
@@ -43,7 +46,8 @@ from statistics import median, quantiles
 
 
 # One (4,3), d = 5 sample tree drawn through an oracle that counts its calls and the
-# paths it hashes, in all and by kind (time and Gaussian).
+# paths it hashes, in all and by kind (time and Gaussian); then one (4,3) estimate of
+# 16 points by one seed through f and g that count their calls.
 WORK_COUNTS = """
 import json
 from collections import Counter
@@ -63,13 +67,44 @@ class Counting(pn.RandomOracle):
         return super().uniform01(theta, kind, count)
 
 oracle = Counting(1, 5)
-draw_tree(MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5), pn.ROOT_PATH, oracle)
+cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
+draw_tree(cfg, pn.ROOT_PATH, oracle)
+calls = Counter()
+
+def counted(name, fn):
+    def call(a):
+        calls[name] += 1
+        return fn(a)
+    return call
+
+fns = pn.ProblemFns(f=counted("f", lambda v: 0.1 * v), g=counted("g", lambda x: np.sum(x * x, axis=-1)))
+pn.mlp_estimate_batch(cfg, np.full((16, 5), 0.5), [1], fns)
 print(json.dumps({
     "uniform01_calls_per_tree": oracle.calls,
     "hashed_paths_per_tree": oracle.paths.total(),
     "hashed_time_paths_per_tree": oracle.paths[KIND_TIME],
     "hashed_gauss_paths_per_tree": oracle.paths[KIND_GAUSS],
+    "g_calls_per_estimate": calls["g"],
+    "f_calls_per_estimate": calls["f"],
 }))
+"""
+
+
+# The traced peak of one (4,4), d = 16 estimate block: 64 points by 4 oracle seeds, with
+# g(x) = |x|^2 and f(u) = 0.1 u.
+ESTIMATE_MEMORY = """
+import json
+import tracemalloc
+import numpy as np
+import picardnets as pn
+
+cfg = pn.MlpConfig(n=4, M=4, horizon=1.0, t=0.0, d=16)
+fns = pn.ProblemFns(f=lambda v: 0.1 * v, g=lambda x: np.sum(x * x, axis=-1))
+points = np.random.default_rng(2).uniform(-1.0, 1.0, size=(64, 16))
+oracles = [pn.RandomOracle(seed, 16) for seed in range(4)]
+tracemalloc.start()
+pn.mlp_eval(cfg, points, pn.ROOT_PATH, fns, oracles)
+print(json.dumps({"traced_peak_mb": tracemalloc.get_traced_memory()[1] / 1e6}))
 """
 
 
@@ -245,6 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     report["workloads"].setdefault(args.workload, {}).update(entry)
     report["work_counts_4_3"] = {side: run_snippet(checkout.resolve(), WORK_COUNTS) for side, checkout in sides}
+    report["mlp_eval_memory_4_4"] = {side: run_snippet(checkout.resolve(), ESTIMATE_MEMORY) for side, checkout in sides}
     for key, case in COMPILE_MEMORY_CASES.items():
         report[key] = {side: run_snippet(checkout.resolve(), COMPILE_MEMORY, *case) for side, checkout in sides}
     if args.workload.startswith("compile-"):

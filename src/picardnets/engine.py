@@ -10,24 +10,27 @@ the same drawn time and the same Brownian displacement; only the subtracted
 recursion descends along its own sign-flipped path.
 
 All randomness comes from the stateless oracle and none of it depends on x,
-so `draw_tree` makes every oracle call of one estimate up front, as two
-block calls per depth of the recursion, and returns the draws as a tree of
-plain tuples. The estimator here and the compiler in
-`compiler.py` only read that tree, so both see the same draws by
-construction. The tree holds only the draws they read: a summand of f on a
-level-0 recursion is f(0) whatever is drawn for it, so tier 0 and level-0
-recursions get no draws and no nodes, and a (4,3) tree hashes 1,032 paths
-where the definition's recursion hashes 2,544. The paths do not depend on
-the seed, so one tree holds the draws of S oracles side by side, and with
-the array-valued f and g of `ProblemFns` one read of it serves a whole block
-of S seeds by N points.
+so `_draw_depths` makes every oracle call of one estimate up front, as two
+block calls per depth of the recursion, and returns the draws of each depth
+as one `_Depth` record. `draw_tree` nests those records into a tree of plain
+tuples for the compiler in `compiler.py`; the estimator here reads the
+records directly, a depth at a time: top down for the node inputs and the
+datum averages, with `fns.g` on whole nodes of one level a call, then
+bottom up with `fns.f` once per depth. Both read the same draws, so both
+see the same draws by construction. The records hold only the draws they
+read: a summand of f on a level-0 recursion is f(0) whatever is drawn for
+it, so tier 0 and level-0 recursions get no draws and no nodes, and a (4,3)
+tree hashes 1,032 paths where the definition's recursion hashes 2,544. The
+paths do not depend on the seed, so one tree holds the draws of S oracles
+side by side, and with the array-valued f and g of `ProblemFns` one read of
+it serves a whole block of S seeds by N points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,12 +118,26 @@ def _oracle_list(oracle: RandomOracle | Sequence[RandomOracle], d: int) -> list[
     return oracles
 
 
-def draw_tree(
+class _Depth(NamedTuple):
+    """The draws of one depth of a sample tree, node after node.
+
+    Node j of the next depth is the child of branch j for j < len(branch_levels),
+    then the `below` tree of each branch with level >= 2, in branch order.
+    """
+
+    levels: list[int]  # each node's level m >= 1
+    scales: np.ndarray  # (tiers, S): tiers 0..m-1 of each node
+    datum_moves: np.ndarray  # (shifts, 1, S, d): the M**m datum shifts of each node
+    branch_moves: np.ndarray  # (branches, S, d): tiers 1..m-1 of each node, M**(m-i) a tier
+    branch_levels: list[int]  # each branch's tier i, the level of its child
+
+
+def _draw_depths(
     cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle | Sequence[RandomOracle]
-) -> Tree:
+) -> list[_Depth]:
     """Every oracle draw that the level-cfg.n estimate at (cfg.t, theta) reads,
-    as a tree (layout above), for one oracle or for each of a sequence of S
-    oracles (S = 1 for one).
+    one `_Depth` record per depth of its sample tree (none for n = 0), for one
+    oracle or for each of a sequence of S oracles (S = 1 for one).
 
     The draws are made breadth first. Every path drawn at one depth of the tree
     has the same length, and a node's time is its parent's branch time, so one
@@ -128,14 +145,12 @@ def draw_tree(
     branches, then `brownian_increment` for all its datum shifts and branch
     displacements. The paths do not depend on the seed, so each depth builds its
     block once for all oracles. Block rows equal per-path draws bit for bit, so
-    seed j of this tree holds the draws that the definition's recursion makes
-    path by path with oracle j, less those of tier 0 and of level-0 recursions,
-    which no reader reads: D(n) hashed paths in all (see above).
+    seed j holds the draws that the definition's recursion makes path by path
+    with oracle j, less those of tier 0 and of level-0 recursions, which no
+    reader reads: D(n) hashed paths in all (see above).
     """
     theta_bytes(theta)  # rejects entries that are not 64-bit integers
     oracles = _oracle_list(oracle, cfg.d)
-    if not cfg.n:
-        return _LEAF
     M, horizon = cfg.M, cfg.horizon
     # per level m: the path suffixes of a node's datum draws (0, -k) and of its
     # branches (i >= 1, k), and the divisors M**(m-i) of its tier weights, in layout order
@@ -149,7 +164,7 @@ def draw_tree(
     divisors = [np.array([M ** (m - i) for i in range(m)], dtype=np.int64) for m in levels_up]
 
     # one depth of nodes: their levels, their times (one row per seed) and their paths
-    levels = np.array([cfg.n])
+    levels = np.array([cfg.n] if cfg.n else [], dtype=np.int64)
     times = np.full((len(oracles), 1), cfg.t, dtype=np.float64)
     paths = np.array(theta, dtype=np.int64).reshape(1, len(theta))
     depths = []
@@ -169,7 +184,7 @@ def draw_tree(
         scales = (horizon - times[:, tier_owner]) / tier_divisors
         i, k = branch_rows[:, 0], branch_rows[:, 1]
         n_datum = len(datum_paths)
-        depths.append((at, scales.T, moves[:n_datum, None], moves[n_datum:], i.tolist()))
+        depths.append(_Depth(at, scales.T, moves[:n_datum, None], moves[n_datum:], i.tolist()))
         # the next depth: every branch's child along (theta, i, k), then the
         # level-(i-1) tree along (theta, -i, k) of every branch with i >= 2
         below = i >= 2
@@ -177,9 +192,20 @@ def draw_tree(
         levels = np.concatenate([i, i[below] - 1])
         times = np.concatenate([s, s[:, below]], axis=1)
         paths = np.vstack([branch_paths, below_paths])
+    return depths
 
+
+def draw_tree(
+    cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle | Sequence[RandomOracle]
+) -> Tree:
+    """Every oracle draw that the level-cfg.n estimate at (cfg.t, theta) reads,
+    as a tree (layout above), for one oracle or for each of a sequence of S
+    oracles (S = 1 for one): the `_draw_depths` records nested node by node.
+    """
+    M = cfg.M
     # assemble from the deepest depth up; `nodes` are the trees of the depth below
-    nodes: list[Tree] = []
+    nodes: list[Tree] = [_LEAF]
+    depths = _draw_depths(cfg, theta, oracle)
     for levels, scales, datum_moves, branch_moves, branch_levels in reversed(depths):
         belows = iter(nodes[len(branch_levels) :])
         branches = [
@@ -206,6 +232,57 @@ def _per_node(table: list[np.ndarray], levels: list[int]) -> tuple[np.ndarray, n
     return np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.concatenate(rows)
 
 
+class _Group(NamedTuple):
+    """The nodes of one level within a depth, and the rows of the depth's draws they own."""
+
+    level: int
+    nodes: list[int]
+    datum_rows: np.ndarray  # (nodes, M**m)
+    tier_rows: np.ndarray  # (nodes, m)
+    branch_rows: np.ndarray  # (nodes, sum_{i=1}^{m-1} M**(m-i))
+
+
+class _Layout(NamedTuple):
+    """The indices of one depth: its level groups, the node of each branch, and
+    the branches with a `below` tree (the next depth's nodes after its
+    children, in this order)."""
+
+    groups: list[_Group]
+    branch_owner: list[int]
+    below: list[int]
+
+
+def _layout(depth: _Depth, M: int) -> _Layout:
+    """The level groups and branch indices of one depth."""
+    levels = depth.levels
+    shifts = [M**m for m in range(max(levels) + 1)]
+    branches = [sum(shifts[m - i] for i in range(1, m)) for m in range(len(shifts))]
+    datum_at = list(accumulate((shifts[m] for m in levels), initial=0))
+    tier_at = list(accumulate(levels, initial=0))
+    branch_at = list(accumulate((branches[m] for m in levels), initial=0))
+    nodes_of: dict[int, list[int]] = {}
+    for j, m in enumerate(levels):
+        nodes_of.setdefault(m, []).append(j)
+    groups = [
+        _Group(
+            m,
+            nodes,
+            _rows(datum_at, nodes, shifts[m]),
+            _rows(tier_at, nodes, m),
+            _rows(branch_at, nodes, branches[m]),
+        )
+        for m, nodes in nodes_of.items()
+    ]
+    branch_owner = [j for j, m in enumerate(levels) for _ in range(branches[m])]
+    below = [b for b, i in enumerate(depth.branch_levels) if i >= 2]
+    return _Layout(groups, branch_owner, below)
+
+
+def _rows(start: list[int], nodes: list[int], count: int) -> np.ndarray:
+    """Row r of node nodes[k] at [k, r]: the `count` rows from start[j] on of each node j."""
+    return np.array([start[j] for j in nodes])[:, None] + np.arange(count)
+
+
 def mlp_eval(
     cfg: MlpConfig,
     x: object,
@@ -219,10 +296,12 @@ def mlp_eval(
     of shape (N, d), which gives an array of N estimates. A sequence of S
     oracles in place of one gives each oracle's estimates along a leading axis:
     shape (S,) for one point, (S, N) for a block. The sample tree is drawn once
-    for all S oracles and read once for the whole block: `fns.g` gets a node's
-    (M**n * N * S, d) shifted points, `fns.f` arrays of shape (N, S). Each
-    estimate equals the one its (oracle, point) pair gets alone if f and g give
-    an element the same bits in a block. Points must be finite.
+    for all S oracles and read once for the whole block, a depth at a time.
+    `fns.g` gets (rows, d) shifted points of whole nodes of one level, at most
+    M**n * N * S rows a call; `fns.f` gets each depth's node values at once,
+    an array of shape (nodes, N, S), and (N, S) zeros for f(0). Each estimate
+    equals the one its (oracle, point) pair gets alone if f and g give an
+    element the same bits in a block. Points must be finite.
     """
     points = np.asarray(x, dtype=np.float64)
     if points.shape[-1:] != (cfg.d,) or points.ndim not in (1, 2):
@@ -230,44 +309,88 @@ def mlp_eval(
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     oracles = _oracle_list(oracle, cfg.d)
-    tree = draw_tree(cfg, theta, oracles)
+    depths = _draw_depths(cfg, theta, oracles)
     # estimates are read as (N, S) blocks: one column of points shared by every seed
     block = points.reshape(-1, 1, cfg.d)
     shape = (len(block), len(oracles))
-    # every level-0 recursion is identically zero, so its f term is f(0), and
-    # the level-0 sum of a node with c branches is c copies of it added in order
-    f_zero = fns.f(np.zeros(shape))
-    counts = {cfg.M**m for m in range(1, cfg.n + 1)}
-    zero_sums = {
-        c: acc for c, acc in enumerate(accumulate([f_zero] * cfg.M**cfg.n, initial=0.0)) if c in counts
-    }
-
-    def read(node: Tree, x: np.ndarray) -> np.ndarray:
-        shifts, tiers = node
-        # g on every shift of every point at once, summed over shifts in
-        # drawing order (cumsum adds sequentially; sum may pair terms up)
-        g_vals = fns.g((x + shifts).reshape(-1, cfg.d)).reshape(len(shifts), *shape)
-        total = np.cumsum(g_vals, axis=0)[-1] / len(shifts)
-        for i, (scale, branches) in enumerate(tiers):
-            if i == 0:  # M**m summands f(0), one per datum shift, and no subtracted term
-                total = total + scale * zero_sums[len(shifts)]
-                continue
-            acc_i = 0.0
-            for shift, child, below in branches:
-                y = x + shift
-                f_below = fns.f(read(below, y)) if i >= 2 else f_zero
-                acc_i = acc_i + (fns.f(read(child, y)) - f_below)
-            total = total + scale * acc_i
-        return total
-
-    values = read(tree, block) if cfg.n else np.zeros(shape)
-    # `read` refers to itself through its closure; breaking that cycle frees
-    # f(0) and the level-0 sums now rather than at the next full collection
-    del read
+    if depths:
+        values = _read_depths(cfg, depths, block, fns, shape)
+    else:
+        values = np.zeros(shape)
     values = np.ascontiguousarray(values.T)
     if points.ndim == 1:
         values = values[:, 0]
     return values[0] if isinstance(oracle, RandomOracle) else values
+
+
+def _read_depths(
+    cfg: MlpConfig, depths: list[_Depth], block: np.ndarray, fns: ProblemFns, shape: tuple[int, int]
+) -> np.ndarray:
+    """The root's (N, S) estimates, read from the depth records in two passes.
+
+    Each node's value is the recursion's: the average of g over its datum
+    shifts, plus tier 0's scale times M**m copies of f(0), plus for each tier
+    i >= 1 its scale times the sum, in branch order from 0.0, of f(child) less
+    f(below) (f(0) for i = 1). Every element goes through the same float
+    operations in the same order as in that recursion.
+    """
+    M, d = cfg.M, cfg.d
+    # top down: each depth's node inputs x + the shifts of the branches above,
+    # and each node's datum average; inputs of at most two depths are alive
+    layouts = [_layout(depth, M) for depth in depths]
+    inputs = np.empty((1, *shape, d))
+    inputs[:] = block  # the root's input, one copy per seed
+    averages = []
+    for depth, (groups, branch_owner, below) in zip(depths, layouts):
+        average = np.empty((len(depth.levels), *shape))
+        for m, nodes, datum_rows, _, _ in groups:
+            # whole nodes a g call, as many as the root's M**n shifts
+            per = M ** (cfg.n - m)
+            for c in range(0, len(nodes), per):
+                part = nodes[c : c + per]
+                shifted = inputs[part][:, None] + depth.datum_moves[datum_rows[c : c + per]]
+                g_vals = fns.g(shifted.reshape(-1, d)).reshape(len(part), M**m, *shape)
+                del shifted
+                # summed over shifts in drawing order (cumsum adds sequentially; sum may pair terms up)
+                average[part] = np.cumsum(g_vals, axis=1)[:, -1] / M**m
+        averages.append(average)
+        if branch_owner:
+            children = inputs[branch_owner]
+            children += depth.branch_moves[:, None]
+            inputs = np.concatenate([children, children[below]]) if below else children
+            del children
+    del inputs
+
+    # bottom up: f once per depth on the values of the depth below
+    f_zero = fns.f(np.zeros(shape))
+    # every level-0 recursion is identically zero, so its f term is f(0), and
+    # the level-0 sum of a node with c datum shifts is c copies of it added in order
+    counts = {M**m for m in range(1, cfg.n + 1)}
+    zero_sums = {c: acc for c, acc in enumerate(accumulate([f_zero] * M**cfg.n, initial=0.0)) if c in counts}
+    values = None
+    for depth, layout, average in zip(reversed(depths), reversed(layouts), reversed(averages)):
+        n_branches = len(layout.branch_owner)
+        if n_branches:
+            f_vals = fns.f(values)
+            diffs = f_vals[:n_branches] - f_zero
+            if layout.below:
+                diffs[layout.below] = f_vals[layout.below] - f_vals[n_branches:]
+            del f_vals
+        values = np.empty((len(depth.levels), *shape))
+        for m, nodes, _, tier_rows, branch_rows in layout.groups:
+            scales = depth.scales[tier_rows][:, :, None]
+            total = average[nodes] + scales[:, 0] * zero_sums[M**m]
+            if m > 1:
+                terms = diffs[branch_rows]
+                first = 0
+                for i in range(1, m):
+                    # the tier's sum from 0.0: d_1 + 0.0 turns -0.0 to 0.0 as 0.0 + d_1 does
+                    terms[:, first] += 0.0
+                    acc = np.cumsum(terms[:, first : first + M ** (m - i)], axis=1)[:, -1]
+                    total = total + scales[:, i] * acc
+                    first += M ** (m - i)
+            values[nodes] = total
+    return values[0]
 
 
 # `mlp_estimate_batch` reads seeds in groups of at most this many (seed, point)

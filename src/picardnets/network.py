@@ -316,9 +316,9 @@ _PROBE_BYTES = 2048
 # The writer formats arrays in blocks of this many entries, so a save holds one
 # block's strings (about 2 MB of pointers) beside the network, not one per entry.
 _WRITE_ENTRIES = 1 << 18
-# A block of mostly distinct entries goes through `json.dumps` this many entries a
-# piece, so a save holds one piece's floats and text. Saving 600,000 distinct
-# floats peaked (tracemalloc) at 0.48 times their text; at 2^18 a piece, 1.25 times.
+# A block with no run of rows is formatted this many entries a piece, so a save
+# holds one piece's floats and text. Saving 600,000 distinct floats peaked
+# (tracemalloc) at 0.48 times their text; at 2^18 a piece, 1.25 times.
 _DUMPS_ENTRIES = 1 << 16
 # The reader decides how to parse a chunk from its first this many entries.
 _PROBE_TOKENS = 4096
@@ -358,9 +358,10 @@ def _json_floats(a: np.ndarray) -> Iterator[str]:
     run of rows that are identical bit for bit is formatted once: its text is
     repeated. A 1-D array, or a matrix with longer rows, is cut into blocks of
     `_WRITE_ENTRIES` entries across rows, with no run looked for. A block with
-    no run whose entries are mostly distinct is written by `json.dumps` in
-    pieces of `_DUMPS_ENTRIES`, which formats each float with `float.__repr__`
-    at C speed; every other block formats each distinct bit pattern once.
+    no run is written in pieces of `_DUMPS_ENTRIES`: by `json.dumps`, which
+    formats each float with `float.__repr__` at C speed, if its entries are
+    mostly distinct, else by formatting each distinct bit pattern of the piece
+    once. A block with a run formats each distinct bit pattern once.
     """
     if a.ndim == 1 or a.shape[1] > _WRITE_ENTRIES:
         flat = np.ravel(a)
@@ -376,12 +377,16 @@ def _json_floats(a: np.ndarray) -> Iterator[str]:
             distinct = _entry_texts(block[new]).reshape(-1, block.shape[1]).tolist()
             runs = np.array([", ".join(row) for row in distinct], dtype=object)
             yield ", ".join(runs[np.cumsum(new) - 1].tolist())
-        elif _mostly_distinct(block):
-            entries = np.ravel(block)
-            for s in range(0, entries.size, _DUMPS_ENTRIES):
-                yield (", " if s else "") + json.dumps(entries[s : s + _DUMPS_ENTRIES].tolist())[1:-1]
         else:
-            yield ", ".join(_entry_texts(block).tolist())
+            entries = np.ravel(block)
+            mostly_distinct = _mostly_distinct(block)
+            for s in range(0, entries.size, _DUMPS_ENTRIES):
+                piece = entries[s : s + _DUMPS_ENTRIES]
+                if mostly_distinct:
+                    text = json.dumps(piece.tolist())[1:-1]
+                else:
+                    text = ", ".join(_entry_texts(piece).tolist())
+                yield (", " if s else "") + text
 
 
 def _json_pieces(net: Network, act: Activation) -> Iterator[str]:

@@ -30,6 +30,9 @@ def zero_f(v):
     return np.zeros_like(v)
 
 
+THETAS = [(0, 5, -2), (), (2**63 - 1,), (-3, 0, 1, 4)]
+
+
 def reference_eval(n, t, x, theta, cfg, fns, oracle):
     """The estimator written out from its definition, drawing as it recurses."""
     if n == 0:
@@ -300,35 +303,112 @@ def test_point_shape_validation():
         mlp_estimate_batch(cfg, np.zeros((4, 3)), [0], fns)
 
 
-@pytest.mark.parametrize("n, M", [(3, 2), (2, 3), (4, 2)])
-def test_tree_readers_equal_the_reference_recursion(n, M):
+@pytest.mark.parametrize(
+    "n, M, d, t",
+    [
+        pytest.param(3, 2, 2, 0.2, id="3-2"),
+        pytest.param(2, 3, 2, 0.2, id="2-3"),
+        pytest.param(4, 2, 2, 0.2, id="4-2"),
+        # t = horizon: every scale is 0 and every shift a signed zero
+        pytest.param(3, 2, 2, 1.5, id="3-2-at-horizon"),
+        pytest.param(4, 1, 2, 0.2, id="4-1"),
+        pytest.param(3, 3, 1, 0.2, id="3-3-one-dimension"),
+    ],
+)
+def test_tree_readers_equal_the_reference_recursion(n, M, d, t):
     # the drawn tree must key every draw exactly as the definition does, so a
     # mis-keyed path shows here even though compiler and estimator agree
-    cfg = MlpConfig(n=n, M=M, horizon=1.5, t=0.2, d=2)
+    cfg = MlpConfig(n=n, M=M, horizon=1.5, t=t, d=d)
     fns = ProblemFns(
         f=lambda v: np.sin(v) + 0.5 * v, g=lambda x: np.cos(x).sum(axis=-1) + quad_g(x)
     )
-    pts = np.array([[0.3, -1.1], [2.0, 0.5], [-0.7, 0.0]])
-    seeds = [5, 8]
+    pts = np.array([[0.3, -1.1], [2.0, 0.5], [-0.7, 0.0]])[:, :d]
+    seeds = [5, 8, -13]
     want = np.array(
         [
-            [reference_eval(n, cfg.t, x, ROOT_PATH, cfg, fns, RandomOracle(seed, 2)) for x in pts]
+            [reference_eval(n, cfg.t, x, ROOT_PATH, cfg, fns, RandomOracle(seed, d)) for x in pts]
             for seed in seeds
         ]
     )
     for i, seed in enumerate(seeds):
         for j, x in enumerate(pts):
-            assert mlp_eval(cfg, x, ROOT_PATH, fns, RandomOracle(seed, 2)) == want[i, j]
-            one = mlp_eval(cfg, x[None, :], ROOT_PATH, fns, RandomOracle(seed, 2))
+            assert mlp_eval(cfg, x, ROOT_PATH, fns, RandomOracle(seed, d)) == want[i, j]
+            one = mlp_eval(cfg, x[None, :], ROOT_PATH, fns, RandomOracle(seed, d))
             assert one.shape == (1,) and one[0] == want[i, j]
-        block = mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(seed, 2))
+        block = mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(seed, d))
         assert block.shape == (3,)
         assert np.array_equal(block, want[i])
     assert np.array_equal(mlp_estimate_batch(cfg, pts, seeds, fns), want)
     theta = (0, 2, -3)
-    assert mlp_eval(cfg, pts[0], theta, fns, RandomOracle(5, 2)) == reference_eval(
-        n, cfg.t, pts[0], theta, cfg, fns, RandomOracle(5, 2)
+    assert mlp_eval(cfg, pts[0], theta, fns, RandomOracle(5, d)) == reference_eval(
+        n, cfg.t, pts[0], theta, cfg, fns, RandomOracle(5, d)
     )
+
+
+def signed_f(v):
+    # -0.0 for every v < 0, so a sum that starts from 0.0 must turn it to 0.0
+    return -0.25 * np.maximum(v, 0.0) + np.sin(v) * (v > 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 3),
+    M=st.integers(1, 3),
+    d=st.integers(1, 3),
+    N=st.integers(1, 3),
+    seeds=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=3),
+    theta=st.sampled_from(THETAS),
+    t=st.sampled_from([0.0, 0.7, 1.5]),
+    signed=st.booleans(),
+)
+def test_depth_reader_equals_the_definition(n, M, d, N, seeds, theta, t, signed):
+    cfg = MlpConfig(n=n, M=M, horizon=1.5, t=t, d=d)
+    f = signed_f if signed else (lambda v: np.sin(v) + 0.5 * v)
+    fns = ProblemFns(f=f, g=lambda x: np.cos(x).sum(axis=-1) - quad_g(x))
+    pts = np.random.default_rng(N * 5 + d).uniform(-2.0, 2.0, size=(N, d))
+    got = mlp_eval(cfg, pts, theta, fns, [RandomOracle(seed, d) for seed in seeds])
+    want = [
+        [reference_eval(n, t, x, theta, cfg, fns, RandomOracle(seed, d)) for x in pts] for seed in seeds
+    ]
+    assert np.asarray(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def test_the_tree_is_read_a_depth_at_a_time():
+    # (4,3) has 160 nodes; the reader calls g on whole nodes of one level, at most
+    # M**n of their shifts a call, and f once per depth below the root plus f(0)
+    shapes = {"f": [], "g": []}
+
+    def recorded(name, fn):
+        def call(a):
+            shapes[name].append(a.shape)
+            return fn(a)
+
+        return call
+
+    cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
+    pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(16, 5))
+    mlp_estimate_batch(cfg, pts, [7], ProblemFns(f=recorded("f", lambda v: 0.1 * v), g=recorded("g", quad_g)))
+    assert len(shapes["g"]) <= 12
+    assert max(rows for rows, _ in shapes["g"]) <= 81 * 16
+    # every datum shift once: 894 Gaussian paths less the 138 branch displacements
+    assert sum(rows for rows, _ in shapes["g"]) == 756 * 16
+    assert len(shapes["f"]) <= 5
+
+
+def test_reading_a_tree_bounds_peak_memory():
+    # the root's g call, (M**n * N * S, d) points, sets the peak; measured 25.7 MB,
+    # against 18.9 MB when the recursion held only one node's inputs a level
+    cfg = MlpConfig(n=4, M=4, horizon=1.0, t=0.0, d=16)
+    fns = ProblemFns(f=lambda v: 0.1 * v, g=quad_g)
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(64, 16))
+    oracles = [RandomOracle(seed, 16) for seed in range(4)]
+    tracemalloc.start()
+    try:
+        mlp_eval(cfg, pts, ROOT_PATH, fns, oracles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28e6, peak
 
 
 def test_non_finite_points_are_rejected():
@@ -377,9 +457,6 @@ def test_seeds_must_be_integers_that_fit_in_64_bits():
     seeds = [np.int64(5), 2**63 - 1, -(2**63), np.uint8(7)]
     want = [mlp_eval(cfg, pts, ROOT_PATH, fns, RandomOracle(int(seed), 2)) for seed in seeds]
     assert np.array_equal(mlp_estimate_batch(cfg, pts, seeds, fns), np.array(want))
-
-
-THETAS = [(0, 5, -2), (), (2**63 - 1,), (-3, 0, 1, 4)]
 
 
 @settings(max_examples=40, deadline=None)
