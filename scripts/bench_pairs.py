@@ -53,7 +53,7 @@ import json
 from collections import Counter
 import numpy as np
 import picardnets as pn
-from picardnets.engine import MlpConfig, draw_tree
+from picardnets.engine import MlpConfig, _draw_depths
 from picardnets.sampling import KIND_GAUSS, KIND_TIME
 
 class Counting(pn.RandomOracle):
@@ -68,7 +68,7 @@ class Counting(pn.RandomOracle):
 
 oracle = Counting(1, 5)
 cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
-draw_tree(cfg, pn.ROOT_PATH, oracle)
+_draw_depths(cfg, pn.ROOT_PATH, oracle)
 calls = Counter()
 
 def counted(name, fn):

@@ -3,12 +3,13 @@
 For fixed level, branching factor, path, and evaluation time, the estimator's
 value at x is an explicit finite expression in x: terminal-datum evaluations at
 shifted points, plus nonlinearity evaluations of recursively defined lower
-levels. The compiler reads the same sample tree the estimator reads
-(`engine.draw_tree`) and turns each piece into a network (datum net with a
-shifted input, nonlinearity net composed with a recursively compiled child),
-so the whole estimate compiles into a single network via parallel sums with
-depth padding. It makes no oracle draw of its own: the compiled network
-realizes exactly the estimator's value function for the same tree.
+levels. The compiler reads the same depth records of the sample tree the
+estimator reads (`engine._draw_depths`), from the deepest depth up, and turns
+each node into a network (datum net with a shifted input, nonlinearity net
+composed with the node's compiled children), so the whole estimate compiles
+into a single network via parallel sums with depth padding. It makes no
+oracle draw of its own: the compiled network realizes exactly the
+estimator's value function for the same draws.
 
 A compile holds little more than its output (1.01x on the benchmark's
 compile-wide inputs, 1.06x on compile-deep's). Every sum is kept in pieces
@@ -21,12 +22,12 @@ compiled network adopts.
 It builds neither dead units (outgoing weights all zero) nor f units fed by
 the zero network. The operands' dead units are pruned first; f of a level-0
 recursion (identically 0) is f(0), so tier 0 and tier 1's subtracted terms
-are one output bias per node, as in `mlp_eval`. The tree holds no draws for
-them: tier 0 is only its scale, with one f(0) per datum shift, and tier 1's
-`below` is None. A tier i >= 1 that is exactly 0 (scale 0 at t = horizon, or
-f constant) gets no units. The shape ignores path, seed and t < horizon and
-depends on the operands' live units; a constant f gives the same datum-only
-shape as t = horizon.
+are one output bias per node, as in `mlp_eval`. The records hold no draws
+for them: tier 0 is only its scale, with one f(0) per datum shift, and tier
+1's branches have no `below` tree. A tier i >= 1 that is exactly 0 (scale 0
+at t = horizon, or f constant) gets no units. The shape ignores path, seed
+and t < horizon and depends on the operands' live units; a constant f gives
+the same datum-only shape as t = horizon.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import count
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .calculus import (
     scalar_mul,
     shift_input,
 )
-from .engine import MlpConfig, ProblemFns, Tree, draw_tree, mlp_eval
+from .engine import MlpConfig, ProblemFns, _Depth, _draw_depths, _layout, mlp_eval
 from .network import (
     Network,
     depth,
@@ -159,43 +161,72 @@ def compile_mlp(
     inputs = replace(inputs, f_net=f_net, g_net=g_net)
     f_zero = float(realize(f_net, inputs.activation, np.zeros((1, 1)))[0, 0])
     f_constant = not all(np.any(w) for w, _ in f_net.layers)  # f(x) == f(0)
-    return _write(_compile(draw_tree(cfg, theta, inputs.oracle), inputs, f_zero, f_constant))
+    return _write(_compile(_draw_depths(cfg, theta, inputs.oracle), inputs, f_zero, f_constant))
 
 
-def _compile(tree: Tree, inputs: CompileInputs, f_zero: float, f_constant: bool) -> Network | _Sum:
-    # a tree drawn for one oracle: every seed axis has length 1
-    shifts, tiers = tree
-    if not tiers:  # only the root, for n = 0: no level-0 tree below it is compiled
+def _compile(depths: list[_Depth], inputs: CompileInputs, f_zero: float, f_constant: bool) -> Network | _Sum:
+    """The root's network, built from the depth records bottom up, node by node.
+
+    The records are drawn for one oracle, so every seed axis has length 1.
+    """
+    if not depths:  # n = 0: the estimate is identically 0
         return affine(np.zeros((1, inputs.d)), np.zeros(1))
-    act, filler = inputs.activation, inputs.j_net
+    if f_constant or not np.any(depths[0].scales[1:]):
+        depths = depths[:1]  # no tier of the root gets units, so nothing below it is read
+    M, act, filler = inputs.M, inputs.activation, inputs.j_net
 
-    def f_terms(shifted_nodes) -> Network | _Sum:
-        # the sum of f(node(x + shift)) over (shift, node) pairs
-        terms = [
-            _shift(_compose(inputs.f_net, _compile(node, inputs, f_zero, f_constant)), shift[0])
-            for shift, node in shifted_nodes
-        ]
+    def f_terms(pairs) -> Network | _Sum:
+        # the sum of f(node(x + shift)) over (branch of `depth`, node of the depth below)
+        # pairs; each node is taken out of `nodes` as it is used, so it is held only until
+        # its parent uses it
+        terms = []
+        for b, k in pairs:
+            node, nodes[k] = nodes[k], None
+            terms.append(_shift(_compose(inputs.f_net, node), depth.branch_moves[b, 0]))
         return _padded_sum(terms, filler, act)
 
-    blocks = [_sum([scalar_mul(1.0 / len(shifts), shift_input(inputs.g_net, shift)) for shift in shifts[:, 0, 0]])]
+    def compile_node(m: int, datum_at: np.ndarray, tier_at: np.ndarray, branch_at: np.ndarray) -> Network | _Sum:
+        # a level-m node of `depth` from its rows of the depth's draws; its terms
+        # are dropped on return, before the next node is built
+        shifts = depth.datum_moves[datum_at, 0, 0]
+        scales = depth.scales[tier_at, 0]
+        blocks = [_sum([scalar_mul(1.0 / len(shifts), shift_input(inputs.g_net, shift)) for shift in shifts])]
 
-    # f of a level-0 recursion, which is identically 0, is f(0) (as in mlp_eval):
-    # tier 0, which holds no branches, adds scale * len(shifts) * f(0), and tier 1,
-    # whose `below` is None, subtracts scale * len(branches) * f(0), both in the
-    # output bias. The rest are depth-padded sums of f terms; a tier i >= 1 is
-    # exactly 0, and gets no units, at scale 0 (t = horizon) or constant f.
-    bias = tiers[0][0][0] * len(shifts) * f_zero
-    level_terms, below_terms = [], []
-    for i, (scale, branches) in enumerate(tiers[1:], start=1):
-        if scale[0] == 0.0 or f_constant:
-            continue
-        level_terms.append(_scaled(scale[0], f_terms((shift, child) for shift, child, _ in branches)))
-        if i == 1:
-            bias -= scale[0] * len(branches) * f_zero
-        else:
-            below_terms.append(_scaled(-scale[0], f_terms((shift, below) for shift, _, below in branches)))
-    blocks += [_padded_sum(terms, filler, act) for terms in (level_terms, below_terms) if terms]
-    return _offset(_padded_sum(blocks, filler, act), bias)
+        # f of a level-0 recursion, which is identically 0, is f(0) (as in mlp_eval):
+        # tier 0, which holds no branches, adds scale * len(shifts) * f(0), and tier 1,
+        # which has no `below` trees, subtracts scale * len(branches) * f(0), both in the
+        # output bias. The rest are depth-padded sums of f terms; a tier i >= 1 is
+        # exactly 0, and gets no units, at scale 0 (t = horizon) or constant f.
+        bias = scales[0] * len(shifts) * f_zero
+        level_terms, below_terms = [], []
+        for i in range(1, m):
+            branches, branch_at = branch_at[: M ** (m - i)].tolist(), branch_at[M ** (m - i) :]
+            scale = scales[i]
+            if scale == 0.0 or f_constant:
+                continue
+            # branch b's child is node b of the depth below
+            level_terms.append(_scaled(scale, f_terms((b, b) for b in branches)))
+            if i == 1:
+                bias -= scale * len(branches) * f_zero
+            else:
+                below_terms.append(_scaled(-scale, f_terms((b, below_of[b]) for b in branches)))
+        blocks += [_padded_sum(terms, filler, act) for terms in (level_terms, below_terms) if terms]
+        return _offset(_padded_sum(blocks, filler, act), bias)
+
+    nodes: list[Network | _Sum | None] = []  # the compiled nodes of the depth below
+    for depth in reversed(depths):
+        layout = _layout(depth, M)
+        # the `below` tree of branch layout.below[q] is node len(branch_owner) + q
+        below_of = dict(zip(layout.below, count(len(layout.branch_owner))))
+        built: list[Network | _Sum | None] = [None] * len(depth.levels)
+        # last node first: the parents take a depth's nodes about first to last, so their
+        # small arrays are freed from the top of the heap down; built first to last, they
+        # could leave some 2 MB of free heap under live blocks, which the process kept
+        for m, group, *arrays in reversed(layout.groups):
+            for j, *rows in reversed(list(zip(group, *arrays))):
+                built[j] = compile_node(m, *rows)
+        nodes = built
+    return nodes[0]
 
 
 @dataclass(frozen=True)
@@ -258,14 +289,15 @@ def verify_equivalence(
     """Compare the compiled network against the estimator on oracle-drawn probes.
 
     Both sides read one drawn sample tree: the compiler builds its network
-    from `draw_tree`, and the estimator evaluates the same tree at all probes
-    in one `mlp_eval` call, with batched realize() closures of the datum and
-    nonlinearity networks the compiler assembles. The probe points come from a
-    stream whose kind tag never collides with the estimator's draws. The
-    residual is |compiled(x) - estimate| / (1 + |estimate|). At least one
-    probe is required: comparing nothing proves nothing. A network already
-    compiled from `inputs`, `theta` and `t` may be passed as `compiled`; it is
-    then checked instead of a fresh compile, and `allow_large` plays no part.
+    from its depth records, and the estimator evaluates the same records at
+    all probes in one `mlp_eval` call, with batched realize() closures of the
+    datum and nonlinearity networks the compiler assembles. The probe points
+    come from a stream whose kind tag never collides with the estimator's
+    draws. The residual is |compiled(x) - estimate| / (1 + |estimate|). At
+    least one probe is required: comparing nothing proves nothing. A network
+    already compiled from `inputs`, `theta` and `t` may be passed as
+    `compiled`; it is then checked instead of a fresh compile, and
+    `allow_large` plays no part.
     """
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")

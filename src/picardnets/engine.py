@@ -12,18 +12,17 @@ recursion descends along its own sign-flipped path.
 All randomness comes from the stateless oracle and none of it depends on x,
 so `_draw_depths` makes every oracle call of one estimate up front, as two
 block calls per depth of the recursion, and returns the draws of each depth
-as one `_Depth` record. `draw_tree` nests those records into a tree of plain
-tuples for the compiler in `compiler.py`; the estimator here reads the
-records directly, a depth at a time: top down for the node inputs and the
-datum averages, with `fns.g` on whole nodes of one level a call, then
-bottom up with `fns.f` once per depth. Both read the same draws, so both
-see the same draws by construction. The records hold only the draws they
-read: a summand of f on a level-0 recursion is f(0) whatever is drawn for
-it, so tier 0 and level-0 recursions get no draws and no nodes, and a (4,3)
-tree hashes 1,032 paths where the definition's recursion hashes 2,544. The
-paths do not depend on the seed, so one tree holds the draws of S oracles
-side by side, and with the array-valued f and g of `ProblemFns` one read of
-it serves a whole block of S seeds by N points.
+as one `_Depth` record. The estimator here reads the records a depth at a
+time: top down for the node inputs and the datum averages, with `fns.g` on
+whole nodes of one level a call, then bottom up with `fns.f` once per depth.
+The compiler in `compiler.py` reads the same records bottom up, node by
+node, so both see the same draws by construction. The records hold only the
+draws they read: a summand of f on a level-0 recursion is f(0) whatever is
+drawn for it, so tier 0 and level-0 recursions get no draws and no nodes, and
+a (4,3) tree hashes 1,032 paths where the definition's recursion hashes
+2,544. The paths do not depend on the seed, so one tree holds the draws of S
+oracles side by side, and with the array-valued f and g of `ProblemFns` one
+read of it serves a whole block of S seeds by N points.
 """
 
 from __future__ import annotations
@@ -82,32 +81,6 @@ class ProblemFns:
     f_lipschitz: float | None = None
 
 
-# A level-n tree is (shifts, tiers), drawn for S oracles at once: every draw
-# carries a seed axis of length S. `shifts` holds the M**n datum shifts drawn
-# along (theta, 0, -k), shape (M**n, 1, S, d); the singleton axis broadcasts them
-# over a block of points. Tier i < n is (scale, branches): `scale` is the
-# quadrature weight (horizon - t) / M**(n-i) at the node's time t, shape (S,).
-# Tier 0 is (scale, ()): each of its M**n summands is f of a level-0 recursion,
-# which is identically 0, so it is f(0) whatever time and displacement it would
-# get, and none is drawn. The branches of a tier i >= 1, drawn along (theta, i, k),
-# are each (shift, child, below) with `shift` of shape (S, d). `child` is the
-# level-i tree at the branch's drawn time along the branch path; `below` is the
-# level-(i-1) tree at the same time along (theta, -i, k) when i >= 2, and None
-# for i = 1, whose subtracted term is f(0) again. So every node of a tree of
-# level n >= 1 has level >= 1, and the level-0 tree ((), ()) is only the whole
-# tree for n = 0. The drawn times enter the tree only through the scales and
-# shifts, the two things read.
-#
-# A level-n tree hashes D(n) paths: D(0) = 0 and
-#     D(n) = M**n + sum_{i=1}^{n-1} M**(n-i) * (2 + D(i) + D(i-1)),
-# a Gaussian vector per datum shift, and a time and a Gaussian vector per
-# branch. At (4,3) that is 1,032 paths: 138 times and 894 Gaussian vectors.
-Tree = tuple
-
-
-_LEAF: Tree = ((), ())
-
-
 def _oracle_list(oracle: RandomOracle | Sequence[RandomOracle], d: int) -> list[RandomOracle]:
     oracles = [oracle] if isinstance(oracle, RandomOracle) else list(oracle)
     if not oracles:
@@ -121,8 +94,23 @@ def _oracle_list(oracle: RandomOracle | Sequence[RandomOracle], d: int) -> list[
 class _Depth(NamedTuple):
     """The draws of one depth of a sample tree, node after node.
 
-    Node j of the next depth is the child of branch j for j < len(branch_levels),
-    then the `below` tree of each branch with level >= 2, in branch order.
+    A node of level m has m tiers. Tier 0 is only its scale (horizon - t) /
+    M**m at the node's time t: each of its M**m summands is f of a level-0
+    recursion, which is identically 0, so it is f(0) whatever would be drawn
+    for it, and nothing is. Tier i >= 1 has scale (horizon - t) / M**(m-i) and
+    M**(m-i) branches, drawn along (theta, i, k), each a time and a shift. Node
+    b of the next depth is the child of branch b: the level-i tree at the
+    branch's time along its path. After the children come the `below` trees of
+    the branches with i >= 2, in branch order: the level-(i-1) tree at the
+    same time along (theta, -i, k). A tier-1 branch's subtracted term is f(0)
+    again, so it has no `below` tree, every node has level m >= 1, and a
+    level-0 estimate has no depths. The drawn times enter the records only
+    through the scales and shifts, the two things read.
+
+    A level-n tree hashes D(n) paths: D(0) = 0 and
+        D(n) = M**n + sum_{i=1}^{n-1} M**(n-i) * (2 + D(i) + D(i-1)),
+    a Gaussian vector per datum shift, and a time and a Gaussian vector per
+    branch. At (4,3) that is 1,032 paths: 138 times and 894 Gaussian vectors.
     """
 
     levels: list[int]  # each node's level m >= 1
@@ -147,7 +135,7 @@ def _draw_depths(
     block once for all oracles. Block rows equal per-path draws bit for bit, so
     seed j holds the draws that the definition's recursion makes path by path
     with oracle j, less those of tier 0 and of level-0 recursions, which no
-    reader reads: D(n) hashed paths in all (see above).
+    reader reads: D(n) hashed paths in all (see `_Depth`).
     """
     theta_bytes(theta)  # rejects entries that are not 64-bit integers
     oracles = _oracle_list(oracle, cfg.d)
@@ -193,37 +181,6 @@ def _draw_depths(
         times = np.concatenate([s, s[:, below]], axis=1)
         paths = np.vstack([branch_paths, below_paths])
     return depths
-
-
-def draw_tree(
-    cfg: MlpConfig, theta: ThetaPath, oracle: RandomOracle | Sequence[RandomOracle]
-) -> Tree:
-    """Every oracle draw that the level-cfg.n estimate at (cfg.t, theta) reads,
-    as a tree (layout above), for one oracle or for each of a sequence of S
-    oracles (S = 1 for one): the `_draw_depths` records nested node by node.
-    """
-    M = cfg.M
-    # assemble from the deepest depth up; `nodes` are the trees of the depth below
-    nodes: list[Tree] = [_LEAF]
-    depths = _draw_depths(cfg, theta, oracle)
-    for levels, scales, datum_moves, branch_moves, branch_levels in reversed(depths):
-        belows = iter(nodes[len(branch_levels) :])
-        branches = [
-            (move, child, next(belows) if i >= 2 else None)
-            for move, child, i in zip(branch_moves, nodes, branch_levels)
-        ]
-        scales = iter(scales)
-        parents = []
-        datum_at = branch_at = 0
-        for m in levels:
-            tiers = [(next(scales), ())]
-            for i in range(1, m):
-                tiers.append((next(scales), tuple(branches[branch_at : branch_at + M ** (m - i)])))
-                branch_at += M ** (m - i)
-            parents.append((datum_moves[datum_at : datum_at + M**m], tuple(tiers)))
-            datum_at += M**m
-        nodes = parents
-    return nodes[0]
 
 
 def _per_node(table: list[np.ndarray], levels: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -329,9 +286,9 @@ def _read_depths(
     """The root's (N, S) estimates, read from the depth records in two passes.
 
     Each node's value is the recursion's: the average of g over its datum
-    shifts, plus tier 0's scale times M**m copies of f(0), plus for each tier
-    i >= 1 its scale times the sum, in branch order from 0.0, of f(child) less
-    f(below) (f(0) for i = 1). Every element goes through the same float
+    shifts, summed from 0.0, plus tier 0's scale times M**m copies of f(0),
+    plus for each tier i >= 1 its scale times the sum, in branch order from
+    0.0, of f(child) less f(below) (f(0) for i = 1). Every element goes through the same float
     operations in the same order as in that recursion.
     """
     M, d = cfg.M, cfg.d
@@ -351,8 +308,10 @@ def _read_depths(
                 shifted = inputs[part][:, None] + depth.datum_moves[datum_rows[c : c + per]]
                 g_vals = fns.g(shifted.reshape(-1, d)).reshape(len(part), M**m, *shape)
                 del shifted
-                # summed over shifts in drawing order (cumsum adds sequentially; sum may pair terms up)
-                average[part] = np.cumsum(g_vals, axis=1)[:, -1] / M**m
+                # summed over shifts in drawing order (cumsum adds sequentially; sum may pair
+                # terms up) from 0.0: a sum from the first term differs from it only when every
+                # term is -0.0, and then only in the sign, so adding 0.0 last is adding it first
+                average[part] = (np.cumsum(g_vals, axis=1)[:, -1] + 0.0) / M**m
         averages.append(average)
         if branch_owner:
             children = inputs[branch_owner]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import picardnets.compiler as compiler_mod
-from picardnets.engine import draw_tree
 from picardnets import (
     CompileInputs,
     Grid,
@@ -51,6 +50,7 @@ from picardnets import (
     uniform_time,
     verify_equivalence,
 )
+from references import reference_tree
 
 RNG = np.random.default_rng(555)
 
@@ -350,7 +350,8 @@ def test_compile_holds_about_its_output_and_the_sum_it_builds():
 
 
 def reference_compile(inputs, t):
-    """compile_mlp as the public calculus ops build it, one stacked network per sum."""
+    """compile_mlp as the public calculus ops build it, one stacked network per sum,
+    from the sample tree drawn path by path."""
     cfg = MlpConfig(n=inputs.n, M=inputs.M, horizon=inputs.horizon, t=t, d=inputs.d)
     f_net, g_net = prune_zero_blocks(inputs.f_net), prune_zero_blocks(inputs.g_net)
     act, filler = inputs.activation, inputs.j_net
@@ -363,26 +364,26 @@ def reference_compile(inputs, t):
             return affine(np.zeros((1, inputs.d)), np.zeros(1))
 
         def f_terms(pairs):
-            terms = [shift_input(compose(f_net, build(node)), shift[0]) for shift, node in pairs]
+            terms = [shift_input(compose(f_net, build(node)), shift) for shift, node in pairs]
             return sum_diff_depth(terms, filler, act)
 
-        blocks = [sum_same_depth([scalar_mul(1.0 / len(shifts), shift_input(g_net, s)) for s in shifts[:, 0, 0]])]
-        bias = tiers[0][0][0] * len(shifts) * f_zero
+        blocks = [sum_same_depth([scalar_mul(1.0 / len(shifts), shift_input(g_net, s)) for s in shifts])]
+        bias = tiers[0][0] * len(shifts) * f_zero
         level_terms, below_terms = [], []
         for i, (scale, branches) in enumerate(tiers[1:], start=1):
-            if scale[0] == 0.0 or f_constant:
+            if scale == 0.0 or f_constant:
                 continue
-            level_terms.append(scalar_mul(scale[0], f_terms((s, child) for s, child, _ in branches)))
+            level_terms.append(scalar_mul(scale, f_terms((s, child) for s, child, _ in branches)))
             if i == 1:
-                bias -= scale[0] * len(branches) * f_zero
+                bias -= scale * len(branches) * f_zero
             else:
-                below_terms.append(scalar_mul(-scale[0], f_terms((s, below) for s, _, below in branches)))
+                below_terms.append(scalar_mul(-scale, f_terms((s, below) for s, _, below in branches)))
         blocks += [sum_diff_depth(terms, filler, act) for terms in (level_terms, below_terms) if terms]
         net = sum_diff_depth(blocks, filler, act)
         w, b = net.layers[-1]
         return network(*net.layers[:-1], (w, b + bias))
 
-    return build(draw_tree(cfg, (0,), inputs.oracle))
+    return build(reference_tree(inputs.n, t, (0,), cfg, inputs.oracle, {}))
 
 
 @settings(max_examples=40, deadline=None)

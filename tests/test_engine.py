@@ -7,18 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from picardnets import (
+    CompileInputs,
     MlpConfig,
     ProblemFns,
     ROOT_PATH,
     RandomOracle,
+    affine,
     brownian_increment,
+    compile_mlp,
+    default_identity,
+    engine,
     mlp_estimate_batch,
     mlp_eval,
+    relu,
     uniform_time,
 )
-from picardnets import engine
-from picardnets.engine import draw_tree
 from picardnets.sampling import KIND_GAUSS, KIND_TIME
+from references import LoggingOracle, reference_tree, reference_eval
 
 
 def quad_g(x):
@@ -33,79 +38,25 @@ def zero_f(v):
 THETAS = [(0, 5, -2), (), (2**63 - 1,), (-3, 0, 1, 4)]
 
 
-def reference_eval(n, t, x, theta, cfg, fns, oracle):
-    """The estimator written out from its definition, drawing as it recurses."""
-    if n == 0:
-        return 0.0
-    horizon = cfg.horizon
-    M = cfg.M
-
-    acc_g = 0.0
-    for k in range(1, M**n + 1):
-        shift = brownian_increment(oracle, theta + (0, -k), horizon - t)
-        acc_g += fns.g(x + shift)
-    total = acc_g / M**n
-
-    for i in range(n):
-        acc_i = 0.0
-        for k in range(1, M ** (n - i) + 1):
-            branch = theta + (i, k)
-            s = uniform_time(oracle, branch, t, horizon)
-            shift = brownian_increment(oracle, branch, s - t)
-            y = x + shift
-            term = fns.f(reference_eval(i, s, y, branch, cfg, fns, oracle))
-            if i >= 1:
-                term -= fns.f(reference_eval(i - 1, s, y, theta + (-i, k), cfg, fns, oracle))
-            acc_i += term
-        total += (horizon - t) / M ** (n - i) * acc_i
-    return total
-
-
-def reference_draw_tree(n, t, theta, cfg, oracle, times):
-    """The sample tree of one oracle drawn path by path, as the definition
-    recurses, with the seed axis left out and only the draws its readers read:
-    tier 0 is (scale, ()), and the tier-1 `below` is None, so no level-0
-    subtree is drawn. `times` collects each drawn branch path's time."""
-    if n == 0:
-        return (), ()
-    horizon = cfg.horizon
-    M = cfg.M
-    shifts = np.array(
-        [brownian_increment(oracle, theta + (0, -k), horizon - t) for k in range(1, M**n + 1)]
-    )
-    tiers = [((horizon - t) / M**n, ())]
-    for i in range(1, n):
-        branches = []
-        for k in range(1, M ** (n - i) + 1):
-            branch = theta + (i, k)
-            s = times[branch] = uniform_time(oracle, branch, t, horizon)
-            shift = brownian_increment(oracle, branch, s - t)
-            child = reference_draw_tree(i, s, branch, cfg, oracle, times)
-            below = reference_draw_tree(i - 1, s, theta + (-i, k), cfg, oracle, times) if i >= 2 else None
-            branches.append((shift, child, below))
-        tiers.append(((horizon - t) / M ** (n - i), tuple(branches)))
-    return shifts, tuple(tiers)
-
-
-def assert_same_tree(got, want, j):
-    """Seed j of a drawn tree has the reference's layout, floats and arrays equal by bytes."""
-    (shifts, tiers), (want_shifts, want_tiers) = got, want
-    if not want_tiers:
-        assert got == ((), ())
-        return
-    assert shifts.shape[:2] == (len(want_shifts), 1) and shifts.shape[3] == want_shifts.shape[1]
-    assert shifts[:, 0, j].tobytes() == want_shifts.tobytes()
-    assert len(tiers) == len(want_tiers)
-    for (scale, branches), (want_scale, want_branches) in zip(tiers, want_tiers):
-        assert scale[j].tobytes() == np.float64(want_scale).tobytes()
-        assert len(branches) == len(want_branches)
-        for (shift, child, below), (wshift, wchild, wbelow) in zip(branches, want_branches):
-            assert shift[j].tobytes() == wshift.tobytes()
-            assert_same_tree(child, wchild, j)
-            if wbelow is None:
-                assert below is None
-            else:
-                assert_same_tree(below, wbelow, j)
+def assert_same_records(depths, tree, n, d, j):
+    """Seed j of the depth records holds the reference tree's draws, by bytes: node b
+    of the depth below is the child of branch b, then come the `below` trees in
+    branch order."""
+    nodes = [(n, tree)] if n else []
+    for depth in depths:
+        branches = [(i, branch) for _, (_, tiers) in nodes for i, (_, bs) in enumerate(tiers) for branch in bs]
+        assert depth.levels == [m for m, _ in nodes]
+        scales = [scale for _, (_, tiers) in nodes for scale, _ in tiers]
+        assert depth.scales[:, j].tobytes() == np.array(scales).tobytes()
+        shifts = np.concatenate([shifts for _, (shifts, _) in nodes])
+        assert depth.datum_moves.shape[1:] == (1, depth.scales.shape[1], d)
+        assert depth.datum_moves[:, 0, j].tobytes() == shifts.tobytes()
+        moves = np.array([shift for _, (shift, _, _) in branches]).reshape(-1, d)
+        assert depth.branch_moves[:, j].tobytes() == moves.tobytes()
+        assert depth.branch_levels == [i for i, _ in branches]
+        nodes = [(i, child) for i, (_, child, _) in branches]
+        nodes += [(i - 1, below) for i, (_, _, below) in branches if below is not None]
+    assert not nodes
 
 
 @pytest.mark.parametrize(
@@ -121,8 +72,8 @@ def assert_same_tree(got, want, j):
         (2, 2, 4, (), 0.5),
     ],
 )
-def test_draw_tree_equals_the_per_path_recursion(monkeypatch, n, M, d, theta, t):
-    # every drawn time, by seed and branch path, as the tree's block calls return it
+def test_depth_records_equal_the_per_path_recursion(monkeypatch, n, M, d, theta, t):
+    # every drawn time, by seed and branch path, as the records' block calls return it
     times = {}
 
     def recording_uniform_time(oracle, paths, start, horizon):
@@ -133,24 +84,24 @@ def test_draw_tree_equals_the_per_path_recursion(monkeypatch, n, M, d, theta, t)
     monkeypatch.setattr(engine, "uniform_time", recording_uniform_time)
     cfg = MlpConfig(n=n, M=M, horizon=1.0, t=t, d=d)
     seeds = (3, -17, 2**63 - 1)
-    group = draw_tree(cfg, theta, [RandomOracle(seed, d) for seed in seeds])
+    group = engine._draw_depths(cfg, theta, [RandomOracle(seed, d) for seed in seeds])
     want_times = {}
     for j, seed in enumerate(seeds):
         per_seed = {}
-        want = reference_draw_tree(n, t, theta, cfg, RandomOracle(seed, d), per_seed)
+        want = reference_tree(n, t, theta, cfg, RandomOracle(seed, d), per_seed)
         want_times.update(((seed, path), s) for path, s in per_seed.items())
-        assert_same_tree(group, want, j)
-        assert_same_tree(draw_tree(cfg, theta, RandomOracle(seed, d)), want, 0)
+        assert_same_records(group, want, n, d, j)
+        assert_same_records(engine._draw_depths(cfg, theta, RandomOracle(seed, d)), want, n, d, 0)
     assert {k: np.float64(v).tobytes() for k, v in times.items()} == {
         k: np.float64(v).tobytes() for k, v in want_times.items()
     }
 
 
-def test_draw_tree_rejects_bad_paths():
+def test_depth_draws_reject_bad_paths():
     cfg = MlpConfig(n=1, M=1, horizon=1.0, t=0.0, d=1)
     for theta in [(2**63,), (-(2**63) - 1,), (1.5,)]:
         with pytest.raises(ValueError):
-            draw_tree(cfg, theta, RandomOracle(0, 1))
+            engine._draw_depths(cfg, theta, RandomOracle(0, 1))
 
 
 def test_level_zero_is_identically_zero():
@@ -194,18 +145,6 @@ def test_constant_nonlinearity_with_zero_datum():
     assert got == pytest.approx(0.5 * 0.25, rel=1e-13)
 
 
-class LoggingOracle(RandomOracle):
-    def __init__(self, seed, d):
-        super().__init__(seed, d)
-        self.calls = []
-
-    def uniform01(self, theta, kind, count):
-        # a block of paths logs one (path, kind) per row
-        rows = [tuple(row.tolist()) for row in theta] if isinstance(theta, np.ndarray) else [theta]
-        self.calls.extend((row, kind) for row in rows)
-        return super().uniform01(theta, kind, count)
-
-
 def test_each_branch_draw_happens_exactly_once():
     # the time and displacement of branch (i, k) are shared by both nested
     # recursions, so no (path, kind) pair may ever be hashed twice, and the
@@ -241,11 +180,20 @@ def drawn_paths(n, M):
     [(0, 3, 0, 0), (1, 4, 4, 0), (2, 3, 24, 3), (3, 2, 56, 10), (4, 3, 1032, 138), (5, 2, 1124, 206)],
 )
 def test_tree_hashes_the_closed_form_count_of_paths(n, M, paths, times):
+    # the draw alone, and a compile, which draws the same records and nothing else
     assert drawn_paths(n, M) == (paths, times)
-    oracle = LoggingOracle(4, 2)
-    draw_tree(MlpConfig(n=n, M=M, horizon=1.0, t=0.0, d=2), ROOT_PATH, oracle)
-    kinds = Counter(kind for _, kind in oracle.calls)
-    assert kinds == +Counter({KIND_TIME: times, KIND_GAUSS: paths - times})  # + drops zero counts
+    cfg = MlpConfig(n=n, M=M, horizon=1.0, t=0.0, d=2)
+
+    def compile_with(oracle):
+        g_net, f_net = affine([[1.0, -0.5]], [0.25]), affine([[0.1]], [0.0])
+        inputs = CompileInputs(n, M, 1.0, 2, g_net, f_net, default_identity(relu()), relu(), oracle)
+        compile_mlp(inputs, ROOT_PATH, 0.0, allow_large=True)
+
+    for read in (lambda oracle: engine._draw_depths(cfg, ROOT_PATH, oracle), compile_with):
+        oracle = LoggingOracle(4, 2)
+        read(oracle)
+        kinds = Counter(kind for _, kind in oracle.calls)
+        assert kinds == +Counter({KIND_TIME: times, KIND_GAUSS: paths - times})  # + drops zero counts
 
 
 def test_heat_kernel_mean_for_zero_nonlinearity():
@@ -350,6 +298,11 @@ def signed_f(v):
     return -0.25 * np.maximum(v, 0.0) + np.sin(v) * (v > 0.5)
 
 
+READER_FS = {"sin": lambda v: np.sin(v) + 0.5 * v, "signed": signed_f, "minus-one": lambda v: np.full_like(v, -1.0)}
+# a g of -0.0 everywhere: the definition's datum sum from 0.0 makes it 0.0
+READER_GS = {"cos": lambda x: np.cos(x).sum(axis=-1) - quad_g(x), "minus-zero": lambda x: np.full(x.shape[:-1], -0.0)}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(0, 3),
@@ -359,12 +312,13 @@ def signed_f(v):
     seeds=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=3),
     theta=st.sampled_from(THETAS),
     t=st.sampled_from([0.0, 0.7, 1.5]),
-    signed=st.booleans(),
+    f=st.sampled_from(list(READER_FS)),
+    g=st.sampled_from(list(READER_GS)),
 )
-def test_depth_reader_equals_the_definition(n, M, d, N, seeds, theta, t, signed):
+@example(n=1, M=1, d=1, N=1, seeds=[0], theta=(), t=1.5, f="minus-one", g="minus-zero")
+def test_depth_reader_equals_the_definition(n, M, d, N, seeds, theta, t, f, g):
     cfg = MlpConfig(n=n, M=M, horizon=1.5, t=t, d=d)
-    f = signed_f if signed else (lambda v: np.sin(v) + 0.5 * v)
-    fns = ProblemFns(f=f, g=lambda x: np.cos(x).sum(axis=-1) - quad_g(x))
+    fns = ProblemFns(f=READER_FS[f], g=READER_GS[g])
     pts = np.random.default_rng(N * 5 + d).uniform(-2.0, 2.0, size=(N, d))
     got = mlp_eval(cfg, pts, theta, fns, [RandomOracle(seed, d) for seed in seeds])
     want = [
@@ -443,7 +397,7 @@ def test_oracle_dimension_must_match_the_problem():
         with pytest.raises(ValueError, match="dimension"):
             mlp_eval(cfg, x, ROOT_PATH, fns, oracle)
         with pytest.raises(ValueError, match="dimension"):
-            draw_tree(cfg, ROOT_PATH, oracle)
+            engine._draw_depths(cfg, ROOT_PATH, oracle)
 
 
 def test_seeds_must_be_integers_that_fit_in_64_bits():
