@@ -30,8 +30,10 @@ the net it builds: a count of what a compile holds that does not depend on
 timing. For a compile workload it also records, per checkout and as
 `peak_phases_W`, the resident high-water mark after each phase of one
 request made as `bench/run.py --peak-only` makes it, so a pair file shows
-which phase sets `peak_mb`. An existing output file is updated in place, so
-workloads can be measured in separate invocations.
+which phase sets `peak_mb`, and as `compile_rss_W` how far a compile alone
+of W's inputs raises that mark over the set-up, at oracle seeds 1-10. An
+existing output file is updated in place, so workloads can be measured in
+separate invocations.
 """
 
 from __future__ import annotations
@@ -108,26 +110,28 @@ print(json.dumps({"traced_peak_mb": tracemalloc.get_traced_memory()[1] / 1e6}))
 """
 
 
-# The traced peak of one compile of a compile workload's inputs (d = 5, the CLI's relu
-# datum; compile-wide: (4,3) with f = 0.1 u, compile-deep: (3,2) with the 17-unit sin net)
-# and the bytes of the net it returns.
-COMPILE_MEMORY = """
+# The inputs of a compile workload (d = 5, the CLI's relu datum; compile-wide: (4,3) with
+# f = 0.1 u, compile-deep: (3,2) with the 17-unit sin net), with the oracle seed given.
+COMPILE_INPUTS = """
 import json
 import sys
-import tracemalloc
 import numpy as np
 import picardnets as pn
 from picardnets.cli import QUADRATIC_DATUM_CELLS, QUADRATIC_DATUM_RANGE
 
-n, M, sin = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "sin"
+n, M, sin, seed = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3] == "sin", int(sys.argv[4])
 d, act = 5, pn.relu()
 knots = np.linspace(-QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_CELLS + 1)
 square = pn.interp_net_relu(pn.Grid(knots), knots**2)
 f_net = pn.approx_net_relu(pn.LipschitzFn(np.sin, 1.0), 2.0, 0.5)[0] if sin else pn.affine([[0.1]], [0.0])
 inputs = pn.CompileInputs(
     n=n, M=M, horizon=1.0, d=d, g_net=pn.compose(pn.fan_in(1, d), pn.parallelize([square] * d)),
-    f_net=f_net, j_net=pn.default_identity(act), activation=act, oracle=pn.RandomOracle(1, d),
+    f_net=f_net, j_net=pn.default_identity(act), activation=act, oracle=pn.RandomOracle(seed, d),
 )
+"""
+# The traced peak of one compile of those inputs at oracle seed 1 and the bytes of the net it returns.
+COMPILE_MEMORY = COMPILE_INPUTS + """
+import tracemalloc
 tracemalloc.start()
 net = pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True)
 peak = tracemalloc.get_traced_memory()[1]
@@ -135,7 +139,23 @@ tracemalloc.stop()
 output = sum(w.nbytes + b.nbytes for w, b in net.layers)
 print(json.dumps({"traced_peak_mb": peak / 1e6, "output_mb": output / 1e6, "peak_over_output": peak / output}))
 """
-COMPILE_MEMORY_CASES = {"compile_memory_4_3": ("4", "3", "linear"), "compile_memory_3_2_sin": ("3", "2", "sin")}
+# How far one compile of those inputs raises the resident high-water mark (VmHWM, MB) over
+# the set-up (imports and inputs), untraced; run under PEAK_ENV, as `bench/run.py --peak-only` runs.
+COMPILE_RSS = COMPILE_INPUTS + """
+from pathlib import Path
+
+def hwm_mb():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0
+
+setup = hwm_mb()
+pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True)
+print(json.dumps({"seed": seed, "setup_mb": setup, "growth_mb": hwm_mb() - setup}))
+"""
+COMPILE_CASES = {"compile-wide": ("4", "3", "linear"), "compile-deep": ("3", "2", "sin")}
+COMPILE_MEMORY_KEYS = {"compile_memory_4_3": "compile-wide", "compile_memory_3_2_sin": "compile-deep"}
+COMPILE_RSS_SEEDS = range(1, 11)
 
 
 # The resident high-water mark (VmHWM, MB) after set-up and after each phase of one request,
@@ -191,6 +211,15 @@ def run_snippet(checkout: Path, code: str, *args: str, env: dict | None = None) 
     if proc.returncode:
         return {"exit": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
     return json.loads(proc.stdout)
+
+
+def compile_rss(sides: list[tuple[str, Path]], case: tuple[str, ...]) -> dict:
+    """Per side, COMPILE_RSS at each seed of COMPILE_RSS_SEEDS, the sides alternating which runs first."""
+    report: dict = {side: [] for side, _ in sides}
+    for seed in COMPILE_RSS_SEEDS:
+        for side, checkout in sides if seed % 2 else sides[::-1]:
+            report[side].append(run_snippet(checkout.resolve(), COMPILE_RSS, *case, str(seed), env=PEAK_ENV))
+    return report
 
 
 # Untimed counts of a compile workload's network, kept for every untraced run.
@@ -281,12 +310,14 @@ def main(argv: list[str] | None = None) -> int:
     report["workloads"].setdefault(args.workload, {}).update(entry)
     report["work_counts_4_3"] = {side: run_snippet(checkout.resolve(), WORK_COUNTS) for side, checkout in sides}
     report["mlp_eval_memory_4_4"] = {side: run_snippet(checkout.resolve(), ESTIMATE_MEMORY) for side, checkout in sides}
-    for key, case in COMPILE_MEMORY_CASES.items():
+    for key, workload in COMPILE_MEMORY_KEYS.items():
+        case = (*COMPILE_CASES[workload], "1")
         report[key] = {side: run_snippet(checkout.resolve(), COMPILE_MEMORY, *case) for side, checkout in sides}
     if args.workload.startswith("compile-"):
         report[f"peak_phases_{args.workload}"] = {
             side: run_snippet(checkout.resolve(), PEAK_PHASES, args.workload, env=PEAK_ENV) for side, checkout in sides
         }
+        report[f"compile_rss_{args.workload}"] = compile_rss(sides, COMPILE_CASES[args.workload])
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 

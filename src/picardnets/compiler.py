@@ -4,12 +4,13 @@ For fixed level, branching factor, path, and evaluation time, the estimator's
 value at x is an explicit finite expression in x: terminal-datum evaluations at
 shifted points, plus nonlinearity evaluations of recursively defined lower
 levels. The compiler reads the same depth records of the sample tree the
-estimator reads (`engine._draw_depths`), from the deepest depth up, and turns
-each node into a network (datum net with a shifted input, nonlinearity net
-composed with the node's compiled children), so the whole estimate compiles
-into a single network via parallel sums with depth padding. It makes no
-oracle draw of its own: the compiled network realizes exactly the
-estimator's value function for the same draws.
+estimator reads (`engine._draw_depths`), from the deepest depth up, one level
+group of a depth's nodes at a time, and turns each node into a network (datum
+net with a shifted input, nonlinearity net composed with the compiled nodes
+that each branch's `child` and `below` fields name in the depth below), so the
+whole estimate compiles into a single network via parallel sums with depth
+padding. It makes no oracle draw of its own: the compiled network realizes
+exactly the estimator's value function for the same draws.
 
 A compile holds little more than its output (1.01x on the benchmark's
 compile-wide inputs, 1.06x on compile-deep's). Every sum is kept in pieces
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import count
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .calculus import (
     scalar_mul,
     shift_input,
 )
-from .engine import MlpConfig, ProblemFns, _Depth, _draw_depths, _layout, mlp_eval
+from .engine import MlpConfig, ProblemFns, _Depth, _draw_depths, _groups, mlp_eval
 from .network import (
     Network,
     depth,
@@ -165,7 +165,7 @@ def compile_mlp(
 
 
 def _compile(depths: list[_Depth], inputs: CompileInputs, f_zero: float, f_constant: bool) -> Network | _Sum:
-    """The root's network, built from the depth records bottom up, node by node.
+    """The root's network, built from the depth records bottom up, one node at a time.
 
     The records are drawn for one oracle, so every seed axis has length 1.
     """
@@ -185,11 +185,9 @@ def _compile(depths: list[_Depth], inputs: CompileInputs, f_zero: float, f_const
             terms.append(_shift(_compose(inputs.f_net, node), depth.branch_moves[b, 0]))
         return _padded_sum(terms, filler, act)
 
-    def compile_node(m: int, datum_at: np.ndarray, tier_at: np.ndarray, branch_at: np.ndarray) -> Network | _Sum:
-        # a level-m node of `depth` from its rows of the depth's draws; its terms
-        # are dropped on return, before the next node is built
-        shifts = depth.datum_moves[datum_at, 0, 0]
-        scales = depth.scales[tier_at, 0]
+    def compile_node(m: int, shifts: np.ndarray, scales: np.ndarray, branches: np.ndarray) -> Network | _Sum:
+        # a level-m node of `depth` from its datum shifts, tier scales and branches;
+        # its terms are dropped on return, before the next node is built
         blocks = [_sum([scalar_mul(1.0 / len(shifts), shift_input(inputs.g_net, shift)) for shift in shifts])]
 
         # f of a level-0 recursion, which is identically 0, is f(0) (as in mlp_eval):
@@ -200,31 +198,26 @@ def _compile(depths: list[_Depth], inputs: CompileInputs, f_zero: float, f_const
         bias = scales[0] * len(shifts) * f_zero
         level_terms, below_terms = [], []
         for i in range(1, m):
-            branches, branch_at = branch_at[: M ** (m - i)].tolist(), branch_at[M ** (m - i) :]
+            tier, branches = branches[: M ** (m - i)].tolist(), branches[M ** (m - i) :]
             scale = scales[i]
             if scale == 0.0 or f_constant:
                 continue
-            # branch b's child is node b of the depth below
-            level_terms.append(_scaled(scale, f_terms((b, b) for b in branches)))
+            level_terms.append(_scaled(scale, f_terms((b, depth.child[b]) for b in tier)))
             if i == 1:
-                bias -= scale * len(branches) * f_zero
+                bias -= scale * len(tier) * f_zero
             else:
-                below_terms.append(_scaled(-scale, f_terms((b, below_of[b]) for b in branches)))
+                below_terms.append(_scaled(-scale, f_terms((b, depth.below[b]) for b in tier)))
         blocks += [_padded_sum(terms, filler, act) for terms in (level_terms, below_terms) if terms]
         return _offset(_padded_sum(blocks, filler, act), bias)
 
     nodes: list[Network | _Sum | None] = []  # the compiled nodes of the depth below
     for depth in reversed(depths):
-        layout = _layout(depth, M)
-        # the `below` tree of branch layout.below[q] is node len(branch_owner) + q
-        below_of = dict(zip(layout.below, count(len(layout.branch_owner))))
-        built: list[Network | _Sum | None] = [None] * len(depth.levels)
-        # last node first: the parents take a depth's nodes about first to last, so their
-        # small arrays are freed from the top of the heap down; built first to last, they
-        # could leave some 2 MB of free heap under live blocks, which the process kept
-        for m, group, *arrays in reversed(layout.groups):
-            for j, *rows in reversed(list(zip(group, *arrays))):
-                built[j] = compile_node(m, *rows)
+        built: list[Network | _Sum | None] = []
+        for m, _, datum, tiers, branch in _groups(depth.levels, M):
+            shifts = depth.datum_moves[datum, 0, 0].reshape(-1, M**m, inputs.d)
+            scales = depth.scales[tiers, 0].reshape(-1, m)
+            branches = np.arange(branch.start, branch.stop).reshape(len(scales), -1)
+            built += [compile_node(m, *rows) for rows in zip(shifts, scales, branches)]
         nodes = built
     return nodes[0]
 

@@ -15,8 +15,8 @@ block calls per depth of the recursion, and returns the draws of each depth
 as one `_Depth` record. The estimator here reads the records a depth at a
 time: top down for the node inputs and the datum averages, with `fns.g` on
 whole nodes of one level a call, then bottom up with `fns.f` once per depth.
-The compiler in `compiler.py` reads the same records bottom up, node by
-node, so both see the same draws by construction. The records hold only the
+The compiler in `compiler.py` reads the same records bottom up, one node at
+a time, so both see the same draws by construction. The records hold only the
 draws they read: a summand of f on a level-0 recursion is f(0) whatever is
 drawn for it, so tier 0 and level-0 recursions get no draws and no nodes, and
 a (4,3) tree hashes 1,032 paths where the definition's recursion hashes
@@ -28,8 +28,8 @@ read of it serves a whole block of S seeds by N points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from itertools import accumulate, groupby
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,14 +98,17 @@ class _Depth(NamedTuple):
     M**m at the node's time t: each of its M**m summands is f of a level-0
     recursion, which is identically 0, so it is f(0) whatever would be drawn
     for it, and nothing is. Tier i >= 1 has scale (horizon - t) / M**(m-i) and
-    M**(m-i) branches, drawn along (theta, i, k), each a time and a shift. Node
-    b of the next depth is the child of branch b: the level-i tree at the
-    branch's time along its path. After the children come the `below` trees of
-    the branches with i >= 2, in branch order: the level-(i-1) tree at the
-    same time along (theta, -i, k). A tier-1 branch's subtracted term is f(0)
-    again, so it has no `below` tree, every node has level m >= 1, and a
-    level-0 estimate has no depths. The drawn times enter the records only
-    through the scales and shifts, the two things read.
+    M**(m-i) branches, drawn along (theta, i, k), each a time and a shift. The
+    next depth holds each branch's `child`, the level-i tree at the branch's
+    time along its path, and for i >= 2 its `below` tree, the level-(i-1) tree
+    at the same time along (theta, -i, k). A tier-1 branch's subtracted term is
+    f(0) again, so it has no `below` tree (-1), every node has level m >= 1, and
+    a level-0 estimate has no depths. The nodes of a depth are sorted by level,
+    highest first, and otherwise keep the order in which the branches above
+    make them: all children in branch order, then all `below` trees. So each
+    level's nodes, and their rows of every field, are contiguous (`_groups`).
+    The drawn times enter the records only through the scales and shifts, the
+    two things read.
 
     A level-n tree hashes D(n) paths: D(0) = 0 and
         D(n) = M**n + sum_{i=1}^{n-1} M**(n-i) * (2 + D(i) + D(i-1)),
@@ -113,11 +116,13 @@ class _Depth(NamedTuple):
     branch. At (4,3) that is 1,032 paths: 138 times and 894 Gaussian vectors.
     """
 
-    levels: list[int]  # each node's level m >= 1
+    levels: list[int]  # each node's level m >= 1, non-increasing
     scales: np.ndarray  # (tiers, S): tiers 0..m-1 of each node
     datum_moves: np.ndarray  # (shifts, 1, S, d): the M**m datum shifts of each node
     branch_moves: np.ndarray  # (branches, S, d): tiers 1..m-1 of each node, M**(m-i) a tier
-    branch_levels: list[int]  # each branch's tier i, the level of its child
+    branch_owner: np.ndarray  # (branches,): the node each branch belongs to
+    child: np.ndarray  # (branches,): each branch's child, a node of the next depth
+    below: np.ndarray  # (branches,): each branch's `below` tree in the next depth, or -1
 
 
 def _draw_depths(
@@ -141,7 +146,7 @@ def _draw_depths(
     oracles = _oracle_list(oracle, cfg.d)
     M, horizon = cfg.M, cfg.horizon
     # per level m: the path suffixes of a node's datum draws (0, -k) and of its
-    # branches (i >= 1, k), and the divisors M**(m-i) of its tier weights, in layout order
+    # branches (i >= 1, k), and the divisors M**(m-i) of its tier weights, in record order
     levels_up = range(cfg.n + 1)
     datum_sfx = [np.array([(0, -k) for k in range(1, M**m + 1)], dtype=np.int64) for m in levels_up]
     branch_sfx = [
@@ -167,19 +172,26 @@ def _draw_depths(
         s = np.array([uniform_time(o, branch_paths, t, horizon) for o, t in zip(oracles, start)])
         elapsed = np.concatenate([horizon - times[:, datum_owner], s - start], axis=1)
         move_paths = np.vstack([datum_paths, branch_paths])
-        moves = np.array([brownian_increment(o, move_paths, e) for o, e in zip(oracles, elapsed)])
-        moves = moves.transpose(1, 0, 2)
+        moves = np.stack([brownian_increment(o, move_paths, e) for o, e in zip(oracles, elapsed)], axis=1)
         scales = (horizon - times[:, tier_owner]) / tier_divisors
-        i, k = branch_rows[:, 0], branch_rows[:, 1]
-        n_datum = len(datum_paths)
-        depths.append(_Depth(at, scales.T, moves[:n_datum, None], moves[n_datum:], i.tolist()))
         # the next depth: every branch's child along (theta, i, k), then the
-        # level-(i-1) tree along (theta, -i, k) of every branch with i >= 2
-        below = i >= 2
+        # level-(i-1) tree along (theta, -i, k) of every branch with i >= 2,
+        # sorted by level, highest first
+        i, k = branch_rows[:, 0], branch_rows[:, 1]
+        below = np.flatnonzero(i >= 2)
         below_paths = np.hstack([paths[branch_owner[below]], np.stack([-i[below], k[below]], axis=1)])
         levels = np.concatenate([i, i[below] - 1])
-        times = np.concatenate([s, s[:, below]], axis=1)
-        paths = np.vstack([branch_paths, below_paths])
+        order = np.argsort(-levels, kind="stable")
+        node_of = np.empty_like(order)
+        node_of[order] = np.arange(len(order))
+        below_node = np.full(len(i), -1)
+        below_node[below] = node_of[len(i) :]
+        n_datum = len(datum_paths)
+        draws = (scales.T, moves[:n_datum, None], moves[n_datum:])
+        depths.append(_Depth(at, *draws, branch_owner, node_of[: len(i)], below_node))
+        levels = levels[order]
+        times = np.concatenate([s, s[:, below]], axis=1)[:, order]
+        paths = np.vstack([branch_paths, below_paths])[order]
     return depths
 
 
@@ -189,55 +201,15 @@ def _per_node(table: list[np.ndarray], levels: list[int]) -> tuple[np.ndarray, n
     return np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.concatenate(rows)
 
 
-class _Group(NamedTuple):
-    """The nodes of one level within a depth, and the rows of the depth's draws they own."""
-
-    level: int
-    nodes: list[int]
-    datum_rows: np.ndarray  # (nodes, M**m)
-    tier_rows: np.ndarray  # (nodes, m)
-    branch_rows: np.ndarray  # (nodes, sum_{i=1}^{m-1} M**(m-i))
-
-
-class _Layout(NamedTuple):
-    """The indices of one depth: its level groups, the node of each branch, and
-    the branches with a `below` tree (the next depth's nodes after its
-    children, in this order)."""
-
-    groups: list[_Group]
-    branch_owner: list[int]
-    below: list[int]
-
-
-def _layout(depth: _Depth, M: int) -> _Layout:
-    """The level groups and branch indices of one depth."""
-    levels = depth.levels
-    shifts = [M**m for m in range(max(levels) + 1)]
-    branches = [sum(shifts[m - i] for i in range(1, m)) for m in range(len(shifts))]
-    datum_at = list(accumulate((shifts[m] for m in levels), initial=0))
-    tier_at = list(accumulate(levels, initial=0))
-    branch_at = list(accumulate((branches[m] for m in levels), initial=0))
-    nodes_of: dict[int, list[int]] = {}
-    for j, m in enumerate(levels):
-        nodes_of.setdefault(m, []).append(j)
-    groups = [
-        _Group(
-            m,
-            nodes,
-            _rows(datum_at, nodes, shifts[m]),
-            _rows(tier_at, nodes, m),
-            _rows(branch_at, nodes, branches[m]),
-        )
-        for m, nodes in nodes_of.items()
-    ]
-    branch_owner = [j for j, m in enumerate(levels) for _ in range(branches[m])]
-    below = [b for b, i in enumerate(depth.branch_levels) if i >= 2]
-    return _Layout(groups, branch_owner, below)
-
-
-def _rows(start: list[int], nodes: list[int], count: int) -> np.ndarray:
-    """Row r of node nodes[k] at [k, r]: the `count` rows from start[j] on of each node j."""
-    return np.array([start[j] for j in nodes])[:, None] + np.arange(count)
+def _groups(levels: list[int], M: int) -> Iterator[tuple[int, slice, slice, slice, slice]]:
+    """Each level m of a depth's sorted nodes, with the slices of its nodes and of
+    their datum rows, tier rows and branch rows in the depth's fields."""
+    starts = (0, 0, 0, 0)
+    for m, run in groupby(levels):
+        nodes = len(list(run))
+        sizes = (nodes, nodes * M**m, nodes * m, nodes * sum(M ** (m - i) for i in range(1, m)))
+        yield m, *(slice(a, a + size) for a, size in zip(starts, sizes))
+        starts = tuple(a + size for a, size in zip(starts, sizes))
 
 
 def mlp_eval(
@@ -294,29 +266,32 @@ def _read_depths(
     M, d = cfg.M, cfg.d
     # top down: each depth's node inputs x + the shifts of the branches above,
     # and each node's datum average; inputs of at most two depths are alive
-    layouts = [_layout(depth, M) for depth in depths]
     inputs = np.empty((1, *shape, d))
     inputs[:] = block  # the root's input, one copy per seed
     averages = []
-    for depth, (groups, branch_owner, below) in zip(depths, layouts):
+    for depth in depths:
         average = np.empty((len(depth.levels), *shape))
-        for m, nodes, datum_rows, _, _ in groups:
+        for m, nodes, datum, _, _ in _groups(depth.levels, M):
+            node_inputs, node_average = inputs[nodes, None], average[nodes]
+            moves = depth.datum_moves[datum].reshape(-1, M**m, *depth.datum_moves.shape[1:])
             # whole nodes a g call, as many as the root's M**n shifts
             per = M ** (cfg.n - m)
-            for c in range(0, len(nodes), per):
-                part = nodes[c : c + per]
-                shifted = inputs[part][:, None] + depth.datum_moves[datum_rows[c : c + per]]
-                g_vals = fns.g(shifted.reshape(-1, d)).reshape(len(part), M**m, *shape)
+            for c in range(0, len(moves), per):
+                shifted = node_inputs[c : c + per] + moves[c : c + per]
+                g_vals = fns.g(shifted.reshape(-1, d)).reshape(len(shifted), M**m, *shape)
                 del shifted
                 # summed over shifts in drawing order (cumsum adds sequentially; sum may pair
                 # terms up) from 0.0: a sum from the first term differs from it only when every
                 # term is -0.0, and then only in the sign, so adding 0.0 last is adding it first
-                average[part] = (np.cumsum(g_vals, axis=1)[:, -1] + 0.0) / M**m
+                node_average[c : c + per] = (np.cumsum(g_vals, axis=1)[:, -1] + 0.0) / M**m
         averages.append(average)
-        if branch_owner:
-            children = inputs[branch_owner]
+        if len(depth.child):
+            children = inputs[depth.branch_owner]
             children += depth.branch_moves[:, None]
-            inputs = np.concatenate([children, children[below]]) if below else children
+            has_below = depth.below >= 0
+            inputs = np.empty((len(children) + np.count_nonzero(has_below), *children.shape[1:]))
+            inputs[depth.child] = children
+            inputs[depth.below[has_below]] = children[has_below]
             del children
     del inputs
 
@@ -327,20 +302,19 @@ def _read_depths(
     counts = {M**m for m in range(1, cfg.n + 1)}
     zero_sums = {c: acc for c, acc in enumerate(accumulate([f_zero] * M**cfg.n, initial=0.0)) if c in counts}
     values = None
-    for depth, layout, average in zip(reversed(depths), reversed(layouts), reversed(averages)):
-        n_branches = len(layout.branch_owner)
-        if n_branches:
+    for depth, average in zip(reversed(depths), reversed(averages)):
+        if len(depth.child):
             f_vals = fns.f(values)
-            diffs = f_vals[:n_branches] - f_zero
-            if layout.below:
-                diffs[layout.below] = f_vals[layout.below] - f_vals[n_branches:]
+            diffs = f_vals[depth.child] - f_zero
+            has_below = depth.below >= 0
+            diffs[has_below] = f_vals[depth.child[has_below]] - f_vals[depth.below[has_below]]
             del f_vals
         values = np.empty((len(depth.levels), *shape))
-        for m, nodes, _, tier_rows, branch_rows in layout.groups:
-            scales = depth.scales[tier_rows][:, :, None]
+        for m, nodes, _, tiers, branches in _groups(depth.levels, M):
+            scales = depth.scales[tiers].reshape(-1, m, 1, shape[1])
             total = average[nodes] + scales[:, 0] * zero_sums[M**m]
             if m > 1:
-                terms = diffs[branch_rows]
+                terms = diffs[branches].reshape(len(scales), -1, *shape)
                 first = 0
                 for i in range(1, m):
                     # the tier's sum from 0.0: d_1 + 0.0 turns -0.0 to 0.0 as 0.0 + d_1 does

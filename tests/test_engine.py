@@ -39,23 +39,36 @@ THETAS = [(0, 5, -2), (), (2**63 - 1,), (-3, 0, 1, 4)]
 
 
 def assert_same_records(depths, tree, n, d, j):
-    """Seed j of the depth records holds the reference tree's draws, by bytes: node b
-    of the depth below is the child of branch b, then come the `below` trees in
-    branch order."""
+    """Seed j of the depth records holds the reference tree's draws, by bytes: each
+    branch's `child` and `below` name the nodes of the depth below that hold its
+    reference subtrees, and each depth's levels do not increase."""
     nodes = [(n, tree)] if n else []
     for depth in depths:
-        branches = [(i, branch) for _, (_, tiers) in nodes for i, (_, bs) in enumerate(tiers) for branch in bs]
+        branches = [
+            (p, i, branch)
+            for p, (_, (_, tiers)) in enumerate(nodes)
+            for i, (_, bs) in enumerate(tiers)
+            for branch in bs
+        ]
         assert depth.levels == [m for m, _ in nodes]
+        assert all(a >= b for a, b in zip(depth.levels, depth.levels[1:]))
         scales = [scale for _, (_, tiers) in nodes for scale, _ in tiers]
         assert depth.scales[:, j].tobytes() == np.array(scales).tobytes()
         shifts = np.concatenate([shifts for _, (shifts, _) in nodes])
         assert depth.datum_moves.shape[1:] == (1, depth.scales.shape[1], d)
         assert depth.datum_moves[:, 0, j].tobytes() == shifts.tobytes()
-        moves = np.array([shift for _, (shift, _, _) in branches]).reshape(-1, d)
+        moves = np.array([shift for _, _, (shift, _, _) in branches]).reshape(-1, d)
         assert depth.branch_moves[:, j].tobytes() == moves.tobytes()
-        assert depth.branch_levels == [i for i, _ in branches]
-        nodes = [(i, child) for i, (_, child, _) in branches]
-        nodes += [(i - 1, below) for i, (_, _, below) in branches if below is not None]
+        assert depth.branch_owner.tolist() == [p for p, _, _ in branches]
+        placed = {}
+        for b, (_, i, (_, child, below)) in enumerate(branches):
+            for node, subtree in [(depth.child[b], (i, child)), (depth.below[b], (i - 1, below))]:
+                if subtree[1] is None:
+                    assert node == -1
+                else:
+                    assert node >= 0 and node not in placed
+                    placed[node] = subtree
+        nodes = [placed[node] for node in range(len(placed))]
     assert not nodes
 
 
@@ -102,6 +115,35 @@ def test_depth_draws_reject_bad_paths():
     for theta in [(2**63,), (-(2**63) - 1,), (1.5,)]:
         with pytest.raises(ValueError):
             engine._draw_depths(cfg, theta, RandomOracle(0, 1))
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("n, M", [(n, M) for n in range(1, 6) for M in (1, 2)])
+def test_depth_records_place_every_tree_once_by_level(n, M, S):
+    cfg = MlpConfig(n=n, M=M, horizon=1.0, t=0.2, d=2)
+    depths = engine._draw_depths(cfg, ROOT_PATH, [RandomOracle(seed, 2) for seed in range(S)])
+    for depth, below_it in zip(depths, depths[1:] + [None]):
+        levels = depth.levels
+        next_levels = below_it.levels if below_it else []
+        # the children and the `below` trees are the next depth's nodes, each once
+        placed = np.concatenate([depth.child, depth.below[depth.below >= 0]])
+        assert sorted(placed.tolist()) == list(range(len(next_levels)))
+        # a child has its branch's tier as its level, a `below` tree that tier less one
+        branches = [(j, i) for j, m in enumerate(levels) for i in range(1, m) for _ in range(M ** (m - i))]
+        tiers = [i for _, i in branches]
+        assert depth.branch_owner.tolist() == [j for j, _ in branches]
+        assert [next_levels[c] for c in depth.child] == tiers
+        assert [next_levels[c] if c >= 0 else 0 for c in depth.below] == [i - 1 for i in tiers]
+        # the level groups tile the nodes and their datum, tier and branch rows once, in order
+        ends = [0, 0, 0, 0]
+        for m, *slices in engine._groups(levels, M):
+            assert [s.start for s in slices] == ends
+            count = slices[0].stop - slices[0].start
+            assert count > 0 and levels[slices[0]] == [m] * count
+            per_node = [1, M**m, m, sum(M ** (m - i) for i in range(1, m))]
+            assert [s.stop - s.start for s in slices] == [count * k for k in per_node]
+            ends = [s.stop for s in slices]
+        assert ends == [len(levels), len(depth.datum_moves), len(depth.scales), len(depth.branch_moves)]
 
 
 def test_level_zero_is_identically_zero():
