@@ -38,7 +38,7 @@ from .interp import (
     interp_net_softplus,
     _softplus_sharpness,
 )
-from .network import Network, load_network, param_count, realize, save_network
+from .network import Network, NetworkFn, load_network, param_count, realize, save_network
 from .pde import (
     PdeProblem,
     brownian_moment_check,
@@ -90,20 +90,6 @@ def _quadratic_datum_net(d: int, act: Activation) -> Network:
     return compose(fan_in(1, d), parallelize([per_coord] * d))
 
 
-class _NetFn:
-    """A loaded network as array-form g, (..., d) -> (...), or if `pointwise` as f."""
-
-    def __init__(self, path: str, pointwise: bool) -> None:
-        self.net, self.act = load_network(path)
-        self.pointwise = pointwise
-
-    def __call__(self, x: object) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.pointwise:
-            x = x[..., None]
-        return realize(self.net, self.act, x.reshape(-1, x.shape[-1]))[:, 0].reshape(x.shape[:-1])
-
-
 def _parse_f(tag: str) -> dict:
     """PdeProblem fields for `--f zero | linear:LAMBDA | interp:PATH`."""
     kind, _, arg = tag.partition(":")
@@ -112,7 +98,7 @@ def _parse_f(tag: str) -> dict:
     if kind == "linear" and arg:
         return {"f_kind": "linear", "lam": float(arg)}
     if kind == "interp" and arg:
-        return {"f_kind": "custom", "f_custom": _NetFn(arg, pointwise=True)}
+        return {"f_kind": "custom", "f_custom": NetworkFn(*load_network(arg), pointwise=True)}
     raise ValueError(f"--f must be 'zero', 'linear:LAMBDA', or 'interp:PATH', got {tag!r}")
 
 
@@ -122,7 +108,7 @@ def _parse_g(tag: str) -> dict:
     if tag in ("quadratic", "gaussian-bump"):
         return {"g_kind": tag}
     if kind == "file" and arg:
-        return {"g_kind": "custom", "g_custom": _NetFn(arg, pointwise=False)}
+        return {"g_kind": "custom", "g_custom": NetworkFn(*load_network(arg))}
     raise ValueError(f"--g must be 'quadratic', 'gaussian-bump', or 'file:PATH', got {tag!r}")
 
 

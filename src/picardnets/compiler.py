@@ -56,6 +56,7 @@ from .calculus import (
 from .engine import MlpConfig, ProblemFns, _Depth, _draw_depths, _groups, mlp_eval
 from .network import (
     Network,
+    NetworkFn,
     depth,
     dims,
     hidden_count,
@@ -301,10 +302,7 @@ def verify_equivalence(
     elif input_dim(compiled) != inputs.d or output_dim(compiled) != 1:
         raise ValueError(f"compiled network must map R^{inputs.d} to R, has dims {dims(compiled)}")
     act = inputs.activation
-    fns = ProblemFns(
-        f=lambda v: realize(inputs.f_net, act, v.reshape(-1, 1)).reshape(v.shape),
-        g=lambda pts: realize(inputs.g_net, act, pts)[:, 0],
-    )
+    fns = ProblemFns(f=NetworkFn(inputs.f_net, act, pointwise=True), g=NetworkFn(inputs.g_net, act))
     cfg = MlpConfig(n=inputs.n, M=inputs.M, horizon=inputs.horizon, t=t, d=inputs.d)
     xs = np.array([probe_point(inputs.oracle, idx, *PROBE_BOX) for idx in range(probes)])
     xs = xs.reshape(-1, inputs.d)

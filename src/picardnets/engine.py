@@ -230,7 +230,12 @@ def mlp_eval(
     M**n * N * S rows a call; `fns.f` gets each depth's node values at once,
     an array of shape (nodes, N, S), and (N, S) zeros for f(0). Each estimate
     equals the one its (oracle, point) pair gets alone if f and g give an
-    element the same bits in a block. Points must be finite.
+    element the same bits in a block. The built-in f and g do. A network's
+    `realize` does not quite: a row gets the same bits anywhere in a full
+    64-row tile, but can move by a few ulps in a shorter last tile, so with
+    f and g as networks (`NetworkFn`) the (3,3) estimates of 7 points read
+    as one block differed from each read alone by up to 5e-15 relative, at
+    d = 5 and 16. Points must be finite.
     """
     points = np.asarray(x, dtype=np.float64)
     if points.shape[-1:] != (cfg.d,) or points.ndim not in (1, 2):

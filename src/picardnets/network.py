@@ -18,13 +18,10 @@ writer hands a block of mostly distinct numbers to `json.dumps`, which formats
 each at C speed, and the reader parses each distinct number of a chunk that
 repeats a few values once.
 
-`realize` never builds the activation matrix of a wide dense hidden layer (more
-than 2,048 units) whose next layer is dense and at most 32 wide. It forms that
-layer in tiles of 64 points by 2,048 units and adds each tile's product with
-the next layer's columns into an (N, l_{k+1}) sum, so its temporaries take one
-1 MiB tile, not N * l_k * 8 bytes. Both rules depend only on the layers' shapes
-and values, never on the number of points, so `realize` stays a pure function
-of the network and the input.
+`realize` runs the points through every layer 64 at a time by one rule (see
+its docstring), so a call's temporaries are bounded by the tile, not by the
+number of points. The rule reads only the layers' shapes and values, so
+`realize` stays a pure function of the network and the input.
 """
 
 from __future__ import annotations
@@ -95,28 +92,14 @@ class Network:
         """Per layer, what `_sparse_copy` gives: the CSR copy of W's runs and its row index, or None for the dense W."""
         return tuple(_sparse_copy(w) for w, _ in self.layers)
 
-    @cached_property
-    def _streamed(self) -> tuple[bool, ...]:
-        """Per layer, whether `realize` computes it a tile at a time straight into the next layer's product.
-
-        The next layer of a streamed one is at most _STREAM_NEXT_WIDTH wide, so it never streams itself.
-        """
-        return tuple(
-            k + 1 < len(self.layers)
-            and w.shape[0] > _TILE_UNITS
-            and self.layers[k + 1][0].shape[0] <= _STREAM_NEXT_WIDTH
-            and self._products[k] is None
-            and self._products[k + 1] is None
-            for k, (w, _) in enumerate(self.layers)
-        )
-
 
 # A layer with at most 1/_SPARSE_RATIO of its entries nonzero is multiplied through CSR.
 _SPARSE_RATIO = 10
-# A dense hidden layer wider than _TILE_UNITS whose next layer is dense and at
-# most _STREAM_NEXT_WIDTH wide is realized in tiles of _TILE_ROWS points by
-# _TILE_UNITS units (1 MiB). Into a wider next layer the tiles' small products
-# ran up to 1.5x slower than one block at 1,000 points.
+# `realize` takes _TILE_ROWS points at a time, and a hidden layer before a dense
+# one at most _STREAM_NEXT_WIDTH wide _TILE_UNITS units at a time (1 MiB). Products
+# of at most 2,048 terms rounded alike under one and two OpenBLAS threads, where
+# one of 10,304 terms did not. Into a wider next layer the pieces' small products
+# ran up to 1.5x slower than one product at 1,000 points.
 _TILE_ROWS = 64
 _TILE_UNITS = 2048
 _STREAM_NEXT_WIDTH = 32
@@ -211,25 +194,27 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
     is accepted in place of an Activation. The bias and an Activation are
     applied in place on each layer's product; `x` itself is never written.
 
-    A dense hidden layer wider than 2,048 units whose next layer is dense and
-    at most 32 wide is streamed: it is formed, biased and activated in tiles of
-    64 points by 2,048 units, and each tile's product with the next layer's
-    matching columns is added into that layer's (N, l_{k+1}) sum. Its (N, l_k)
-    matrix is never built, so the temporaries of that layer, the leaky relu
-    and softplus ones included, take one 1 MiB tile. Every other layer holds
-    one (N, l_k) matrix. The next layer's sums are taken 2,048 terms at a time,
-    so they can differ from a one-block product by a few ulps.
+    The points go through the network in tiles of 64 rows, the last tile
+    holding the rest, and each tile meets every layer by one rule. A hidden
+    layer whose next layer is dense and at most 32 wide is biased and
+    activated 2,048 units at a time, and each piece's product with the next
+    layer's matching columns is added into that layer's sum; a dense one is
+    formed a piece at a time, so it takes 1 MiB whatever its width. Every
+    other layer is one product for the tile. So `realize(x)` is `realize` of
+    each 64-row slice of `x`, concatenated, bit for bit, and a call's
+    temporaries are bounded by the tile, not by N. Sums over more than 2,048
+    units can differ from one product by a few ulps, and a row in a shorter
+    tile can differ from the same row in a full one (README, Determinism).
 
     Weights are stored dense, but a layer with at most a tenth of its entries
     nonzero, of any size, is multiplied through a CSR copy, built on the
     network's first `realize` and cached on it. Its sums run over the
     nonzeros in column order, one row at a time, so they can differ from the
-    dense product by a few ulps, and a row's bits do not depend on the other
-    rows of the block. The copy holds one row per run of identical rows, and
-    each run's product is copied to every row of the run, so the values are
-    those of a CSR copy of every row, bit for bit. A non-finite input meets
-    only the nonzero weights there, so a zero weight times inf adds nothing
-    instead of NaN.
+    dense product by a few ulps. The copy holds one row per run of identical
+    rows, and each run's product is copied to every row of the run, so the
+    values are those of a CSR copy of every row, bit for bit. A non-finite
+    input meets only the nonzero weights there, so a zero weight times inf
+    adds nothing instead of NaN.
     """
     z = np.asarray(x, dtype=np.float64)
     squeeze = z.ndim == 1
@@ -237,37 +222,52 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
         z = z[None, :]
     if z.ndim != 2 or z.shape[1] != input_dim(net):
         raise ValueError(f"input has shape {np.shape(x)}, expected last axis {input_dim(net)}")
+    out = np.empty((z.shape[0], output_dim(net)))
+    for r in range(0, z.shape[0], _TILE_ROWS):
+        out[r : r + _TILE_ROWS] = _realize_tile(net, act, z[r : r + _TILE_ROWS])
+    return out[0] if squeeze else out
+
+
+def _realize_tile(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
+    """`realize` of at most _TILE_ROWS points."""
     last = len(net.layers) - 1
-    layers = enumerate(zip(net.layers, net._products, net._streamed))
-    for k, ((w, b), product, streamed) in layers:
-        if streamed:  # the next layer's product is formed here, so the loop skips it
-            k, ((w_next, b_next), _, _) = next(layers)
-            z, b = _stream(z, w, b, w_next, act), b_next
-        elif product is None:
-            z = z @ w.T
-        else:  # one product row per run of identical rows, copied to each row of the run
+    layers = enumerate(zip(net.layers, net._products))
+    for k, ((w, b), product) in layers:
+        if product is not None:  # one product row per run of identical rows, copied to each row of the run
             csr, index = product
             z = csr @ z.T
             z = (z if index is None else z[index]).T
+        if k < last and net._products[k + 1] is None and net.layers[k + 1][0].shape[0] <= _STREAM_NEXT_WIDTH:
+            # taken _TILE_UNITS units at a time into the next layer's sum, which the loop then skips
+            k, ((w_next, b_next), _) = next(layers)
+            acc = np.zeros((z.shape[0], w_next.shape[0]))
+            for c in range(0, len(b), _TILE_UNITS):
+                t = z @ w[c : c + _TILE_UNITS].T if product is None else z[:, c : c + _TILE_UNITS]
+                t += b[c : c + _TILE_UNITS]
+                t = act(t, out=t) if isinstance(act, Activation) else act(t)
+                acc += t @ w_next[:, c : c + _TILE_UNITS].T
+            z, b = acc, b_next
+        elif product is None:
+            z = z @ w.T
         z += b
         if k != last:
             z = act(z, out=z) if isinstance(act, Activation) else act(z)
-    return z[0] if squeeze else z
+    return z
 
 
-def _stream(
-    z: np.ndarray, w: np.ndarray, b: np.ndarray, w_next: np.ndarray, act: Activation | Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """act(z @ w.T + b) @ w_next.T, one tile of _TILE_ROWS points by _TILE_UNITS units at a time."""
-    out = np.zeros((z.shape[0], w_next.shape[0]))
-    for r in range(0, z.shape[0], _TILE_ROWS):
-        rows, acc = z[r : r + _TILE_ROWS], out[r : r + _TILE_ROWS]
-        for c in range(0, w.shape[0], _TILE_UNITS):
-            t = rows @ w[c : c + _TILE_UNITS].T
-            t += b[c : c + _TILE_UNITS]
-            t = act(t, out=t) if isinstance(act, Activation) else act(t)
-            acc += t @ w_next[:, c : c + _TILE_UNITS].T
-    return out
+@dataclass(frozen=True)
+class NetworkFn:
+    """A network as array-form g, (..., l_0) -> (...), or if `pointwise` as f, entry by entry: one `realize` a call."""
+
+    net: Network
+    act: Activation | Callable[[np.ndarray], np.ndarray]
+    pointwise: bool = False
+
+    def __call__(self, x: object) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if self.pointwise:
+            x = x[..., None]
+        return realize(self.net, self.act, x.reshape(-1, x.shape[-1]))[:, 0].reshape(x.shape[:-1])
 
 
 # -- JSON serialization ------------------------------------------------------

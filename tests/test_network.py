@@ -35,8 +35,8 @@ from picardnets import (
     scalar_mul,
     softplus,
 )
+from picardnets.cli import _quadratic_datum_net
 from picardnets.network import (
-    _STREAM_NEXT_WIDTH,
     _TILE_ROWS,
     _TILE_UNITS,
     _chunk_values,
@@ -553,8 +553,6 @@ def _wide_net(width, seed=11):
 @pytest.mark.parametrize("width", [_TILE_UNITS - 1, _TILE_UNITS, _TILE_UNITS + 1, 3 * _TILE_UNITS + 5])
 def test_streamed_realize_matches_the_one_block_pass(width):
     net = _wide_net(width)
-    streamed = width > _TILE_UNITS
-    assert net._streamed == (streamed, False, False)
     x = np.random.default_rng(12).standard_normal((_TILE_ROWS + 1, 3))
     for tag in ("relu", "leaky:0.1", "softplus", "repu:2", "tanh"):
         for rows in (0, 1, 17, _TILE_ROWS + 1, None):
@@ -564,8 +562,10 @@ def test_streamed_realize_matches_the_one_block_pass(width):
             assert got.shape == want.shape == ((1,) if rows is None else (rows, 1))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=f"{tag} rows={rows}")
             assert _same_bits(got, realize(net, _activation(tag), block))
-            if not streamed:
-                assert _same_bits(got, want)
+            if width <= _TILE_UNITS:  # one piece of units: the one-block pass of each 64-row tile
+                starts = range(0, rows, _TILE_ROWS) if rows else ()
+                tiles = [_one_block_realize(net, _activation(tag), block[r : r + _TILE_ROWS]) for r in starts]
+                assert _same_bits(got, np.concatenate(tiles) if tiles else want)
 
 
 def test_streamed_realize_puts_non_finite_values_where_the_one_block_pass_does():
@@ -585,49 +585,62 @@ def test_streamed_realize_puts_non_finite_values_where_the_one_block_pass_does()
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)
 
 
-def test_only_a_wide_dense_layer_before_a_narrow_dense_layer_streams():
-    rng = np.random.default_rng(14)
-    wide = _TILE_UNITS + 1
-
-    def shaped(*shape, sparse_at=()):
-        return network(
-            *[
-                (_sparse_matrix(rng, rows, cols, 0.05) if k in sparse_at else np.ones((rows, cols)), np.zeros(rows))
-                for k, (cols, rows) in enumerate(zip(shape, shape[1:]))
-            ]
-        )
-
-    assert shaped(2, wide, _STREAM_NEXT_WIDTH)._streamed == (True, False)
-    assert shaped(2, wide, _STREAM_NEXT_WIDTH + 1)._streamed == (False, False)
-    assert shaped(2, wide)._streamed == (False,)  # the output layer is not hidden
-    assert shaped(400, wide, 1, sparse_at=(0,))._streamed == (False, False)
-    assert shaped(2, wide, 1, sparse_at=(1,))._streamed == (False, False)
-    assert shaped(2, wide, wide, 1)._streamed == (False, True, False)
-    assert shaped(2, wide, 1, wide, 1)._streamed == (True, False, True, False)
+def _selector_net(width, seed=15):
+    """A (5, width, 1) net whose hidden units each read one coordinate, as the compiled nets' first layer does."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((width, 5))
+    w[np.arange(width), np.arange(width) % 5] = 1.0
+    return network((w, rng.standard_normal(width)), (rng.standard_normal((1, width)), [0.5]))
 
 
 def test_a_wide_layer_realizes_in_tile_sized_memory():
-    # a (5, 400,000, 1) selector net: each hidden unit reads one coordinate, as
-    # the compiled nets' first layer does; 256 points in one block would hold
-    # an 819 MB activation matrix
-    width = 400_000
-    rng = np.random.default_rng(15)
-    w = np.zeros((width, 5))
-    w[np.arange(width), np.arange(width) % 5] = 1.0
-    net = network((w, rng.standard_normal(width)), (rng.standard_normal((1, width)), [0.5]))
-    assert net._streamed == (True, False)
-    x = rng.standard_normal((256, 5))
-    x.setflags(write=False)
-    before = x.copy()
-    tracemalloc.start()
-    try:
-        got = realize(net, relu(), x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got.shape == (256, 1)
-    assert peak < 64e6
-    assert _same_bits(x, before)
+    cases = [
+        # 256 points in one block would hold an 819 MB activation matrix
+        (_selector_net(400_000), 256),
+        # a CSR first layer 2,576 wide: 65,536 points in one block would hold 1.35 GB
+        (_quadratic_datum_net(16, relu()), 65_536),
+    ]
+    for net, rows in cases:
+        x = np.random.default_rng(16).uniform(-1.0, 1.0, (rows, input_dim(net)))
+        x.setflags(write=False)
+        before = x.copy()
+        realize(net, relu(), x[:1])  # builds the cached CSR copies outside the traced call
+        tracemalloc.start()
+        try:
+            got = realize(net, relu(), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (rows, 1)
+        assert peak < 16e6, rows
+        assert _same_bits(x, before)
+        tiles = [realize(net, relu(), x[r : r + _TILE_ROWS]) for r in range(0, rows, _TILE_ROWS)]
+        assert _same_bits(got, np.concatenate(tiles))
+
+
+def test_realize_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a large product over its threads, and the split can round
+    # differently; 64-row tiles whose narrow products sum 2,048 terms at a time
+    # stay below the sizes where that happens for the CLI's datum nets
+    script = """
+import numpy as np
+from picardnets import realize, relu
+from picardnets.cli import _quadratic_datum_net
+rng = np.random.default_rng(17)
+for d in (5, 16, 64):
+    net = _quadratic_datum_net(d, relu())
+    for rows in (1, 17, 64, 65, 540, 1_620, 4_860, 20_000):
+        print(d, rows, realize(net, relu(), rng.uniform(-1.0, 1.0, (rows, d))).tobytes().hex())
+"""
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines()))
+    assert len(outputs[0]) == 24
+    assert [case for case in outputs[0] if outputs[0][case] != outputs[1][case]] == []
 
 
 # -- sparse layers ---------------------------------------------------------------
@@ -790,11 +803,14 @@ def test_sparse_realize_never_holds_a_dense_copy_of_the_layer():
     assert warm < 1.1 * x.nbytes
 
 
-def test_scipy_sparse_is_imported_only_for_a_sparse_layer():
-    # the child interpreter finds the package where this one imported it from
+def _child_env(**extra):
+    """The environment of a child interpreter that finds the package where this one imported it from."""
     src = os.path.dirname(os.path.dirname(importlib.import_module("picardnets").__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_scipy_sparse_is_imported_only_for_a_sparse_layer():
     script = """
 import sys
 import numpy as np
@@ -808,7 +824,7 @@ w[:, 0] = 1.0
 pn.realize(pn.network((w, np.zeros(400))), pn.relu(), np.ones((16, 400)))
 assert "scipy.sparse" in sys.modules
 """
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
