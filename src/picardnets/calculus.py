@@ -30,6 +30,7 @@ from .activations import Activation
 from .network import (
     Layer,
     Network,
+    _zeros,
     depth,
     dims,
     hidden_count,
@@ -196,12 +197,16 @@ def _write(x: Network | _Sum) -> Network:
     """The network `x` stands for, each stacked layer allocated once and filled in.
 
     The first bias and the head are the sum's own arrays, adopted as they are.
+    Each stacked weight matrix starts as `network._zeros`, with huge-page
+    advice off, and only its operands' blocks are written: the zeros between
+    the blocks, most of a compiled layer, never become resident (unless the
+    kernel backs every large array with huge pages; see `network`).
     """
     if isinstance(x, Network):
         return x
     layers = []
     for k in range(len(x.body_dims) - 1):
-        w = np.zeros((x.dims[k + 1], x.dims[k]))
+        w = _zeros((x.dims[k + 1], x.dims[k]))
         b = x.first_b if k == 0 else np.empty(x.dims[k + 1])
         _place(x, k, w, None if k == 0 else b, 0, 0)
         layers.append((read_only(w), read_only(b)))

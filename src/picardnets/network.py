@@ -8,6 +8,16 @@ network adopts a read-only float64 array that owns its memory, and copies
 anything else once, so layers carried from one network into another are shared,
 never copied.
 
+Compiled nets are mostly zeros, and a dense layer costs resident memory only
+for the pages its nonzeros are written to: the compiler's stacked layers and
+the JSON reader's arrays start as zeros from `_zeros` and get only their
+nonzero blocks written. `_zeros` allocates with numpy's huge-page advice off.
+With it on, numpy advises the kernel to back an array of 4 MiB or more with
+2 MiB pages, and under the kernel's `madvise` mode for transparent huge pages
+one written entry then makes its whole 2 MiB page resident. Under the
+`always` mode the kernel backs such arrays with huge pages whatever numpy
+advises, and the untouched zeros cost memory again.
+
 `realize` multiplies a sparse layer through a CSR copy of its weights, which
 each network builds once, on its first `realize`, and keeps. A layer is sparse
 when at most a tenth of its entries are nonzero, whatever its size. The copy
@@ -28,12 +38,14 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy._core.multiarray import _set_madvise_hugepage
 
 from .activations import Activation, parse_activation
 
@@ -44,6 +56,26 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """Mark an array its caller has just allocated read-only, so `Network` adopts it uncopied."""
     a.setflags(write=False)
     return a
+
+
+# Held while numpy's huge-page flag is switched off, so that two threads cannot
+# interleave their switches and leave it off.
+_hugepage_lock = threading.Lock()
+
+
+def _zeros(shape: int | tuple[int, ...]) -> np.ndarray:
+    """A new float64 array of zeros whose pages become resident only when written.
+
+    The memory comes zero-filled from the system, and numpy's huge-page advice
+    is off for this one allocation (see the module docstring), then set back
+    to what it was, also when the allocation fails.
+    """
+    with _hugepage_lock:
+        advise = _set_madvise_hugepage(False)
+        try:
+            return np.zeros(shape)
+        finally:
+            _set_madvise_hugepage(advise)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -558,11 +590,16 @@ def _read_array(data: bytes, pos: int, shape: tuple[int, ...]) -> tuple[np.ndarr
     filled by copying the parsed row. A batch after a miss is twice as long
     as the one before, up to _CHUNK_BYTES, so an array with no repeated rows
     pays a probe per chunk.
+
+    The array starts as `_zeros`, and skipped zero runs are never written. A
+    copied row is written only from its first to its last entry whose bits
+    are not those of +0.0 (so a -0.0 is written), and a copy of a row of +0.0
+    not at all, so the pages that hold only zeros stay unbacked.
     """
     stop = data.find(b"]", pos)
     if stop < 0:
         raise ValueError("unterminated array")
-    out = np.zeros(shape)
+    out = _zeros(shape)
     flat = out.reshape(-1)
     cols = shape[1] if len(shape) == 2 and shape[1] <= _WRITE_ENTRIES else flat.size
     view = np.frombuffer(data, dtype=np.uint8)
@@ -591,7 +628,11 @@ def _read_array(data: bytes, pos: int, shape: tuple[int, ...]) -> tuple[np.ndarr
         if filled + copies * cols > flat.size:
             raise ValueError("wrong entry count")
         if copies:
-            flat[filled : filled + copies * cols].reshape(copies, cols)[:] = flat[filled - cols : filled]
+            row = flat[filled - cols : filled]
+            written = np.flatnonzero(row.view(np.int64))  # bits, not values: -0.0 is written
+            if written.size:
+                lo, hi = written[0], written[-1] + 1
+                flat[filled : filled + copies * cols].reshape(copies, cols)[:, lo:hi] = row[lo:hi]
             filled += copies * cols
         # a probe that saved little is as good as a miss
         span = 0 if copies * len(unit) >= _PROBE_BYTES else min(max(2 * span, len(unit)), _CHUNK_BYTES)

@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy._core.multiarray import _set_madvise_hugepage
 
 from picardnets import (
     Activation,
@@ -40,11 +43,14 @@ from picardnets.network import (
     _TILE_ROWS,
     _TILE_UNITS,
     _chunk_values,
+    _freeze,
     _json_floats,
     _mostly_distinct,
     _new_rows,
     _read_blocks,
+    _zeros as _unbacked_zeros,
     from_json_obj,
+    read_only,
 )
 
 
@@ -1306,3 +1312,127 @@ def test_block_reader_memory_stays_near_the_array_bytes():
     # json.loads, one Python float per entry; 15.8 MB (2.0 A) read in blocks, of which
     # 6.7 MB is the ASCII copy of the str argument.
     assert peak < 3 * array_bytes
+
+
+# -- zeros that stay unbacked ------------------------------------------------------
+
+THP_MODE = "/sys/kernel/mm/transparent_hugepage/enabled"
+
+
+def _hugepage_advice():
+    """numpy's huge-page flag, read by setting it and setting it back."""
+    advise = _set_madvise_hugepage(True)
+    _set_madvise_hugepage(advise)
+    return advise
+
+
+@pytest.mark.parametrize("advise", [True, False])
+def test_zeros_switches_huge_page_advice_off_for_its_allocation_only(advise, monkeypatch):
+    seen = []
+    allocate = np.zeros
+
+    def spy(shape):
+        seen.append(_hugepage_advice())
+        return allocate(shape)
+
+    before = _set_madvise_hugepage(advise)
+    try:
+        monkeypatch.setattr(np, "zeros", spy)
+        a = _unbacked_zeros((3, 2))
+        with pytest.raises(ValueError):
+            _unbacked_zeros((2**40, 2**40))  # too big to allocate: numpy raises before asking for memory
+        monkeypatch.undo()
+        assert seen == [False, False] and _hugepage_advice() is advise
+        assert a.dtype == np.float64 and a.shape == (3, 2) and not a.any() and a.base is None
+        assert _freeze(read_only(a)) is a  # a network adopts it uncopied
+    finally:
+        _set_madvise_hugepage(before)
+
+
+def test_a_second_thread_waits_until_the_first_has_set_huge_page_advice_back(monkeypatch):
+    # Unguarded, the second thread would read the advice as off, and set it off
+    # again after the first thread had set it back on.
+    allocate, entered, first_done = np.zeros, threading.Event(), threading.Event()
+    second = threading.Thread(target=_unbacked_zeros, args=(4,))
+    seen = []
+
+    def spy(shape):
+        if threading.current_thread() is second:
+            entered.set()
+            first_done.wait(5)
+        else:
+            second.start()
+            seen.append(entered.wait(0.3))
+        return allocate(shape)
+
+    before = _set_madvise_hugepage(True)
+    try:
+        monkeypatch.setattr(np, "zeros", spy)
+        _unbacked_zeros(4)
+        first_done.set()
+        second.join(5)
+        monkeypatch.undo()
+        assert not second.is_alive() and seen == [False] and entered.is_set() and _hugepage_advice() is True
+    finally:
+        first_done.set()
+        _set_madvise_hugepage(before)
+
+
+def test_copies_of_a_row_are_read_bit_for_bit_whatever_its_zero_ends():
+    # The reader writes a copied row from its first to its last entry that is not +0.0.
+    rows = [
+        [-0.0, 0.0, 1.5, 0.0, -0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [-0.0, -0.0, -0.0, -0.0, -0.0],
+        [2.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 3.0],
+        [0.0, 0.0, 5e-324, 0.0, 0.0],
+    ]
+    w = np.array([row for row in rows for _ in range(600)])
+    net = network((w, np.zeros(len(w))), (np.ones((1, len(w))), [0.0]))
+    layers, _ = _read_blocks(dumps_network(net, relu()).encode())
+    assert _same_net(Network(tuple(layers)), net)
+
+
+@pytest.mark.skipif(
+    not os.path.exists(THP_MODE) or "[always]" in Path(THP_MODE).read_text(),
+    reason="needs transparent huge pages that follow madvise: under `always` every large array gets them",
+)
+def test_compile_and_load_keep_the_zeros_of_a_sparse_net_unbacked(tmp_path):
+    # compile-deep's inputs: a depth-4 net, 6.2% nonzero, whose 166 x 28,980 layer is 38.5 MB dense.
+    script = """
+import sys
+from pathlib import Path
+import numpy as np
+import picardnets as pn
+from picardnets.cli import QUADRATIC_DATUM_CELLS, QUADRATIC_DATUM_RANGE
+
+def rss_mb():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024.0
+
+d, act = 5, pn.relu()
+knots = np.linspace(-QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_CELLS + 1)
+square = pn.interp_net_relu(pn.Grid(knots), knots**2)
+inputs = pn.CompileInputs(
+    n=3, M=2, horizon=1.0, d=d, g_net=pn.compose(pn.fan_in(1, d), pn.parallelize([square] * d)),
+    f_net=pn.approx_net_relu(pn.LipschitzFn(np.sin, 1.0), 2.0, 0.5)[0], j_net=pn.default_identity(act),
+    activation=act, oracle=pn.RandomOracle(1, d),
+)
+before = rss_mb()
+net = pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True)
+compiled = rss_mb() - before
+pn.save_network(sys.argv[1], net, act)
+before = rss_mb()
+loaded = pn.load_network(sys.argv[1])
+print(compiled, rss_mb() - before)
+"""
+    path = tmp_path / "deep.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=_child_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    compiled, loaded = map(float, proc.stdout.split())
+    # Measured: 6.6 and 4.2-4.7 MB; 38-40 and 37.5-38 MB with numpy's huge-page advice on.
+    assert compiled < 16 and loaded < 16
