@@ -28,6 +28,15 @@ writer hands a block of mostly distinct numbers to `json.dumps`, which formats
 each at C speed, and the reader parses each distinct number of a chunk that
 repeats a few values once.
 
+`load_network` maps a file read-only and passes the map to the same reader
+that reads bytes. The reader releases each page of the map once it has
+passed it (`madvise(MADV_DONTNEED)`, a chunk of pages at a time), so a load
+holds about one chunk of the text beside the net it builds, not the whole
+text. If another process truncates the file during the load, this process
+ends with SIGBUS, as with `numpy.memmap`. Where `mmap.madvise` is missing the
+file is mapped without releasing; a pipe or an empty file, which cannot be
+mapped, is read whole.
+
 `realize` runs the points through every layer 64 at a time by one rule (see
 its docstring), so a call's temporaries are bounded by the tile, not by the
 number of points. The rule reads only the layers' shapes and values, so
@@ -38,6 +47,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import stat
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -325,7 +337,8 @@ class NetworkFn:
 # about 2,100 distinct values) is split at its commas 64 KiB at a time, the tokens not
 # seen before are parsed by one `json.loads`, and each token is mapped to its value
 # (`_chunk_values`). Exact byte copies of a parsed row are skipped and filled by
-# copying it (`_read_array`). Any other valid layout (other key order or spacing, say)
+# copying it, and each distinct text of a row of few entries is parsed once
+# (`_read_array`). Any other valid layout (other key order or spacing, say)
 # goes through `json.loads` + `from_json_obj`, which also raises the errors for
 # malformed text.
 
@@ -358,6 +371,11 @@ _PROBE_TOKENS = 4096
 # whole, a 1 MiB chunk holds 50,000 token objects at once, and compile-wide's peak
 # RSS, set later by verify's compile, came out 1-2 MB higher than with 64 KiB pieces.
 _MEMO_BYTES = 1 << 16
+# A row of at most this many entries has its commas found by `find`, one call each,
+# and each distinct text of it is parsed once. A numpy scan of the commas costs
+# about as much as 30 finds (7 µs), and a row text kept for a later run of it
+# holds its bytes: 145 KB for a row of compile-deep's 28,980-wide layer.
+_FEW_ENTRIES = 32
 
 
 def _entry_texts(a: np.ndarray) -> np.ndarray:
@@ -479,8 +497,51 @@ def from_json_obj(obj: object) -> tuple[Network, Activation]:
     return network(*layers), parse_activation(obj["activation"])
 
 
-def _expect(data: bytes, pos: int, token: bytes) -> int:
-    if not data.startswith(token, pos):
+class _MappedFile(mmap.mmap):
+    """A read-only map of a network file whose reader releases the pages it has passed.
+
+    `release(pos)` says that the reader goes on from `pos`. Once the whole
+    pages between the last release and `pos` make up a chunk, they are
+    released with `madvise(MADV_DONTNEED)`: they leave the process but stay in
+    the page cache, and reading them again maps them again. A `pos` behind
+    the last release says that the reader went back, so the pages from there
+    on count as mapped. Where `mmap.madvise` is missing nothing is released.
+    """
+
+    low = 0  # the start of the pages the reader may have mapped since the last release
+
+    def release(self, pos: int) -> None:
+        cut = pos - pos % mmap.PAGESIZE
+        if cut < self.low:
+            self.low = cut
+        elif cut - self.low >= _CHUNK_BYTES and hasattr(mmap, "MADV_DONTNEED"):
+            self.madvise(mmap.MADV_DONTNEED, self.low, cut - self.low)
+            self.low = cut
+
+
+def _release(data: bytes | _MappedFile, pos: int) -> None:
+    """Tell a mapped file that the reader goes on from `pos` (`_MappedFile.release`); bytes keep what they hold."""
+    if isinstance(data, _MappedFile):
+        data.release(pos)
+
+
+# The block reader below reads `bytes` or a `_MappedFile` alike, through what both
+# have: `find`, slices (which copy), indexing and `len`; a map has no `startswith`.
+# No numpy array or memoryview looks at the map itself, so closing it never finds
+# a view of it open, whether the reader returned or raised.
+
+
+def _at(data: bytes | _MappedFile, pos: int, token: bytes, stop: int) -> bool:
+    """Whether `data[pos:stop]` starts with `token`.
+
+    A slice of the token's length is compared: `bytes.find` bounded to the
+    token's length took 1.9 ms on a 1 MiB token, where the slice takes 0.1 ms.
+    """
+    return pos + len(token) <= stop and data[pos : pos + len(token)] == token
+
+
+def _expect(data: bytes | _MappedFile, pos: int, token: bytes) -> int:
+    if data[pos : pos + len(token)] != token:
         raise ValueError(f"expected {token!r} at byte {pos}")
     return pos + len(token)
 
@@ -516,9 +577,10 @@ def _chunk_values(chunk: bytes) -> list:
     return values
 
 
-def _parse_numbers(data: bytes, pos: int, stop: int, flat: np.ndarray, filled: int) -> int:
+def _parse_numbers(data: bytes | _MappedFile, pos: int, stop: int, flat: np.ndarray, filled: int) -> int:
     """Parse the numbers of `data[pos:stop]` into `flat[filled:]`; returns the new fill count."""
     while True:
+        _release(data, pos)
         cut = data.find(b",", pos + _CHUNK_BYTES, stop)
         cut = stop if cut < 0 else cut
         chunk = data[pos:cut]
@@ -534,7 +596,7 @@ def _parse_numbers(data: bytes, pos: int, stop: int, flat: np.ndarray, filled: i
         pos = cut + 1
 
 
-def _read_numbers(data: bytes, pos: int, stop: int, flat: np.ndarray, filled: int) -> int:
+def _read_numbers(data: bytes | _MappedFile, pos: int, stop: int, flat: np.ndarray, filled: int) -> int:
     """Read the entries of `data[pos:stop]` into `flat[filled:]`, skipping runs of 16 or more `0.0`; returns the new fill count."""
     while True:
         run = data.find(_ZERO_PROBE, pos, stop)
@@ -550,59 +612,83 @@ def _read_numbers(data: bytes, pos: int, stop: int, flat: np.ndarray, filled: in
         pos += 1
 
 
-def _commas(view: np.ndarray, pos: int, n: int, stop: int) -> np.ndarray:
-    """The indices of the first `n` commas in `view[pos:stop]`, or of all of them if there are fewer."""
+def _find_commas(data: bytes | _MappedFile, pos: int, n: int, stop: int) -> list[int]:
+    """The indices of the first `n` commas in `data[pos:stop]`, or of all of them if there are fewer, one `find` each."""
+    found: list[int] = []
+    while len(found) < n and (pos := data.find(b",", pos, stop)) >= 0:
+        found.append(pos)
+        pos += 1
+    return found
+
+
+def _scan_commas(data: bytes | _MappedFile, pos: int, n: int, stop: int) -> np.ndarray:
+    """`_find_commas` by numpy scans of copied windows of `data`, for many commas."""
     found, count, window = [], 0, 8 * n
     while count < n and pos < stop:
         end = min(stop, pos + window)
-        hits = np.flatnonzero(view[pos:end] == ord(","))
+        hits = np.flatnonzero(np.frombuffer(data[pos:end], dtype=np.uint8) == ord(","))
         found.append(hits[: n - count] + pos)
         count, pos, window = count + hits.size, end, 2 * window
     return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
 
 
-def _repeats(data: bytes, pos: int, stop: int, unit: bytes) -> tuple[int, int]:
+def _repeats(data: bytes | _MappedFile, pos: int, stop: int, unit: bytes) -> tuple[int, int]:
     """How many copies of `unit` follow `pos`, the last one ending at a comma or at `stop`; and the index after them.
 
     Copies are compared in blocks of 1, 2, 4, ... copies while they match, then
-    in the halves back down, so n copies take about 2 log2(n) memcmps. A block
+    in the halves back down, so n copies take about 2 log2(n) compares. A block
     of several copies is at most _CHUNK_BYTES long.
     """
     blocks, copies = [unit], 0
-    while data.startswith(blocks[-1], pos, stop):
+    while _at(data, pos, blocks[-1], stop):
         pos, copies = pos + len(blocks[-1]), copies + len(blocks[-1]) // len(unit)
+        _release(data, pos)
         if 2 * len(blocks[-1]) <= _CHUNK_BYTES:
             blocks.append(blocks[-1] * 2)
     for block in reversed(blocks[:-1]):
-        if data.startswith(block, pos, stop):
+        if _at(data, pos, block, stop):
             pos, copies = pos + len(block), copies + len(block) // len(unit)
     if copies and pos < stop and data[pos] != ord(","):  # the last copy's last entry runs on, as 1.0 does in 1.05
         pos, copies = pos - len(unit), copies - 1
     return copies, pos
 
 
-def _read_array(data: bytes, pos: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+def _close_bracket(data: bytes | _MappedFile, pos: int) -> int:
+    """The index of the first `]` from `pos`, found a chunk at a time, releasing a mapped file's pages as it passes them."""
+    scan = pos
+    while (stop := data.find(b"]", scan, scan + _CHUNK_BYTES)) < 0:
+        scan += _CHUNK_BYTES
+        if scan >= len(data):
+            raise ValueError("unterminated array")
+        _release(data, scan)
+    _release(data, pos)  # the reader goes back to `pos`
+    return stop
+
+
+def _read_array(data: bytes | _MappedFile, pos: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """Read the entries from `pos` to the next `]` into a new read-only array; returns it and the `]`'s index.
 
     The rows of a matrix whose rows fit in one write piece are read in
-    batches. After each batch one whole row is parsed, and the copies of its
-    text that follow it, each `", "` + row, are skipped with `startswith` and
-    filled by copying the parsed row. A batch after a miss is twice as long
-    as the one before, up to _CHUNK_BYTES, so an array with no repeated rows
-    pays a probe per chunk.
+    batches. After each batch one whole row is read, and the copies of its
+    text that follow it, each `", "` + row, are skipped with `_at` and
+    filled by copying the row. A batch after a miss is twice as long as the
+    one before, up to _CHUNK_BYTES, so an array with no repeated rows pays a
+    probe per chunk. A row of at most _FEW_ENTRIES entries has its commas
+    found by `find`, and its text is kept with where it was first parsed, so
+    each distinct text of such a row is parsed once and later copied: the
+    parse of a text gives the same bits wherever it stands.
 
     The array starts as `_zeros`, and skipped zero runs are never written. A
     copied row is written only from its first to its last entry whose bits
     are not those of +0.0 (so a -0.0 is written), and a copy of a row of +0.0
     not at all, so the pages that hold only zeros stay unbacked.
     """
-    stop = data.find(b"]", pos)
-    if stop < 0:
-        raise ValueError("unterminated array")
+    stop = _close_bracket(data, pos)
     out = _zeros(shape)
     flat = out.reshape(-1)
     cols = shape[1] if len(shape) == 2 and shape[1] <= _WRITE_ENTRIES else flat.size
-    view = np.frombuffer(data, dtype=np.uint8)
+    few = cols <= _FEW_ENTRIES
+    parsed: dict[bytes, int] = {}  # the text of a row of few entries -> where in `flat` it was parsed
     filled = span = 0
     while True:
         if span:  # a batch: up to the first comma `span` bytes on
@@ -617,23 +703,32 @@ def _read_array(data: bytes, pos: int, shape: tuple[int, ...]) -> tuple[np.ndarr
         if filled + need >= flat.size:
             filled = _read_numbers(data, pos, stop, flat, filled)
             break
-        commas = _commas(view, pos, need, stop)
-        if commas.size < need:
+        commas = (_find_commas if few else _scan_commas)(data, pos, need, stop)
+        if len(commas) < need:
             raise ValueError("wrong entry count")
         end = int(commas[-1])
         start = int(commas[-1 - cols]) if need > cols else pos - 1
-        filled = _read_numbers(data, pos, end, flat, filled)
+        if need > cols:
+            filled = _read_numbers(data, pos, start, flat, filled)
         unit = b"," + data[start + 1 : end]
+        row = parsed.get(unit) if few else None
+        fresh = row is None
+        if fresh:
+            filled = _read_numbers(data, start + 1, end, flat, filled)
+            row = filled - cols
+            if few:
+                parsed[unit] = row
         copies, pos = _repeats(data, end, stop, unit)
-        if filled + copies * cols > flat.size:
+        fill = copies + (not fresh)  # a row parsed before is copied in too
+        if filled + fill * cols > flat.size:
             raise ValueError("wrong entry count")
-        if copies:
-            row = flat[filled - cols : filled]
-            written = np.flatnonzero(row.view(np.int64))  # bits, not values: -0.0 is written
+        if fill:
+            src = flat[row : row + cols]
+            written = np.flatnonzero(src.view(np.int64))  # bits, not values: -0.0 is written
             if written.size:
                 lo, hi = written[0], written[-1] + 1
-                flat[filled : filled + copies * cols].reshape(copies, cols)[:, lo:hi] = row[lo:hi]
-            filled += copies * cols
+                flat[filled : filled + fill * cols].reshape(fill, cols)[:, lo:hi] = src[lo:hi]
+            filled += fill * cols
         # a probe that saved little is as good as a miss
         span = 0 if copies * len(unit) >= _PROBE_BYTES else min(max(2 * span, len(unit)), _CHUNK_BYTES)
         if pos == stop:
@@ -644,7 +739,7 @@ def _read_array(data: bytes, pos: int, shape: tuple[int, ...]) -> tuple[np.ndarr
     return read_only(out), stop
 
 
-def _read_blocks(data: bytes) -> tuple[list[Layer], str]:
+def _read_blocks(data: bytes | _MappedFile) -> tuple[list[Layer], str]:
     """The layers and activation tag of text in exactly the layout `dumps_network` writes.
 
     Raises ValueError (or OverflowError) for any other text, valid JSON or not.
@@ -671,7 +766,8 @@ def _read_blocks(data: bytes) -> tuple[list[Layer], str]:
         weights, pos = _read_array(data, _expect(data, pos, b'], "w": ['), (rows, cols))
         pos = _expect(data, pos, b"]}")
         layers.append((weights, bias))
-    if data[_expect(data, pos, b"]}") :] not in (b"", b"\n"):
+    end = _expect(data, pos, b"]}")
+    if data[end : end + 2] not in (b"", b"\n"):
         raise ValueError("trailing text")
     return layers, tag
 
@@ -688,12 +784,13 @@ def loads_network(text: str | bytes) -> tuple[Network, Activation]:
     rest is parsed by the json module a chunk at a time, a chunk that repeats
     a few values one distinct value at a time. Every entry of "w"
     and "b" must be a finite JSON number; anything malformed is a ValueError.
+    `load_network` passes a read-only map of its file, which reads as bytes do.
     """
     try:
         try:
-            layers, tag = _read_blocks(text if isinstance(text, bytes) else text.encode("ascii"))
+            layers, tag = _read_blocks(text.encode("ascii") if isinstance(text, str) else text)
         except (ValueError, OverflowError):  # another layout, or malformed: the json module decides
-            return from_json_obj(json.loads(text))
+            return from_json_obj(json.loads(text[:] if isinstance(text, mmap.mmap) else text))
     except RecursionError:
         raise ValueError("network JSON is nested too deeply") from None
     return Network(tuple(layers)), parse_activation(tag)
@@ -714,4 +811,19 @@ def save_network(path: str | Path, net: Network, act: Activation) -> None:
 
 
 def load_network(path: str | Path) -> tuple[Network, Activation]:
-    return loads_network(Path(path).read_bytes())
+    """`loads_network` of the file at `path`, read through a read-only map that the reader releases as it goes.
+
+    A regular file of nonzero size is mapped, and each page of it leaves the
+    process once the reader has passed it (`_MappedFile`), so a load holds
+    about one chunk of the text beside the net it builds. Where `mmap.madvise`
+    is missing the file is mapped without releasing. A pipe (`/dev/stdin`, say)
+    or an empty file, which cannot be mapped, is read whole. As with
+    `numpy.memmap`, a file that another process truncates during the load ends
+    this process with SIGBUS.
+    """
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode) or info.st_size == 0:
+            return loads_network(fh.read())
+        with _MappedFile(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return loads_network(data)

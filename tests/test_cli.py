@@ -153,6 +153,25 @@ def test_file_datum_activation_mismatch(tmp_path, capsys):
     assert "repu:2" in err
 
 
+def test_mlp_reads_a_piped_datum_net_as_it_reads_the_file(tmp_path, capsys):
+    # /dev/stdin is a pipe here, which cannot be mapped, so the net is read whole
+    datum, pts = tmp_path / "datum.json", tmp_path / "pts.csv"
+    assert run(capsys, "compile", *BASE, "--out", str(datum))[0] == 0
+    pts.write_text("0.1,0.2\n-0.5,1.5\n")
+    argv = [
+        sys.executable, "-m", "picardnets.cli", "mlp",
+        "--d", "2", "--n", "2", "--m", "2", "--t", "0.0", "--horizon", "1.0",
+        "--points", str(pts), "--seeds", "1,2",
+    ]
+    piped = subprocess.run(
+        [*argv, "--g", "file:/dev/stdin"], input=datum.read_bytes(), capture_output=True, env=cli_env()
+    )
+    from_file = subprocess.run([*argv, "--g", f"file:{datum}"], capture_output=True, env=cli_env())
+    assert piped.returncode == 0, piped.stderr
+    assert from_file.returncode == 0, from_file.stderr
+    assert piped.stdout == from_file.stdout and len(piped.stdout.splitlines()) == 5
+
+
 def test_compile_rejects_the_gaussian_bump_datum(tmp_path, capsys):
     code, _, err = run(
         capsys, "compile", *BASE, "--g", "gaussian-bump", "--out", str(tmp_path / "x.json")

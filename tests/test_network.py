@@ -2,11 +2,13 @@ import importlib
 import itertools
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1314,6 +1316,109 @@ def test_block_reader_memory_stays_near_the_array_bytes():
     assert peak < 3 * array_bytes
 
 
+def test_each_distinct_text_of_a_row_of_few_entries_is_parsed_once(monkeypatch):
+    # Runs of rows from a pool of six, in any order, as in compile-wide's 608,580 x 5
+    # layer: a row text met again in a later run is copied from where it was parsed.
+    pool = [
+        [0.0, 1.5, -2.0], [-0.0, 1.5, -2.0], [0.0, 0.0, 0.0],
+        [1.0, 0.0, 2.0], [1.0, 0.0, 2.05], [5e-324, -0.0, 0.0],
+    ]
+    order = [0, 3, 0, 2, 1, 0, 4, 3, 5, 2, 1, 5, 4, 0]
+    w = np.array([pool[k] for k in order for _ in range(300)])
+    net = network((w, np.full(len(w), 0.5)), (np.ones((1, len(w))), [0.0]))
+    module = importlib.import_module("picardnets.network")
+    chunk_values, chunks = module._chunk_values, []
+    monkeypatch.setattr(module, "_chunk_values", lambda chunk: chunks.append(chunk) or chunk_values(chunk))
+    layers, _ = _read_blocks(dumps_network(net, relu()).encode())
+    assert _same_net(Network(tuple(layers)), net)
+    # The first row has no space before it, so no copy of it is skipped, and the
+    # next row is parsed in a batch; every other row text is parsed once.
+    parses = Counter(chunks)
+    assert [parses[b" " + ", ".join(map(repr, row)).encode()] for row in pool[1:]] == [1] * 5
+
+
+# -- a network file read through a map ----------------------------------------------
+
+
+@pytest.fixture
+def maps(monkeypatch):
+    """The maps `load_network` opens, each with the ranges it released."""
+    module = importlib.import_module("picardnets.network")
+    opened = []
+
+    class Recorded(module._MappedFile):
+        def __init__(self, *args, **kwargs):
+            self.released = []
+            opened.append(self)
+
+        def madvise(self, option, start, length):
+            self.released.append((start, start + length))
+            super().madvise(option, start, length)
+
+    monkeypatch.setattr(module, "_MappedFile", Recorded)
+    return opened
+
+
+def _net_file(tmp_path, data):
+    path = tmp_path / "net.json"
+    path.write_bytes(data)
+    return path
+
+
+def test_an_empty_file_is_read_whole_and_rejected(tmp_path, maps):
+    with pytest.raises(ValueError):
+        load_network(_net_file(tmp_path, b""))
+    assert maps == []  # mmap refuses an empty file
+
+
+def test_a_file_cut_off_inside_an_array_is_rejected_and_its_map_closed(tmp_path, maps):
+    text = dumps_network(_repeated_rows_net(), relu()).encode()
+    cut = text.index(b'"w": [') + 1000  # inside the runs of the first weight matrix
+    with pytest.raises(ValueError):
+        load_network(_net_file(tmp_path, text[:cut]))
+    assert len(maps) == 1 and maps[0].closed
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_BIASES))
+def test_damaged_text_in_a_file_is_rejected_and_its_map_closed(tmp_path, maps, case):
+    # a view of the map left in the raising frame would make closing it raise BufferError
+    with pytest.raises(ValueError):
+        load_network(_net_file(tmp_path, _one_layer_text(DAMAGED_BIASES[case]).encode()))
+    assert len(maps) == 1 and maps[0].closed
+
+
+def test_a_file_in_another_layout_is_read_from_its_map(tmp_path, maps):
+    net = _repeated_rows_net()
+    obj = json.loads(dumps_network(net, softplus()))
+    loaded, act = load_network(_net_file(tmp_path, json.dumps(obj, indent=1).encode()))
+    assert _same_net(loaded, net) and act.tag() == "softplus"
+    assert len(maps) == 1 and maps[0].closed
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="needs mmap.madvise to release the read pages")
+def test_a_mapped_file_releases_its_pages_a_chunk_at_a_time_behind_the_reader(tmp_path, maps):
+    # 5.9 MB of text, mostly one 2,400 x 500 matrix of zeros and runs of eight rows:
+    # the scan for its `]` releases its pages, and so does the parse after it.
+    rng = np.random.default_rng(3)
+    pool = np.where(rng.random((8, 500)) < 0.05, rng.standard_normal((8, 500)), 0.0)
+    w = np.repeat(pool[rng.integers(0, 8, 24)], 100, axis=0)
+    net = network((w, np.zeros(len(w))), (np.ones((1, len(w))), [0.0]))
+    path = tmp_path / "net.json"
+    save_network(path, net, relu())
+    loaded, _ = load_network(path)
+    assert _same_net(loaded, net)
+    (mapped,) = maps
+    size, chunk = path.stat().st_size, importlib.import_module("picardnets.network")._CHUNK_BYTES
+    assert mapped.closed and size > 5 * chunk
+    for start, end in mapped.released:
+        assert start % mmap.PAGESIZE == 0 and end % mmap.PAGESIZE == 0 and end - start >= chunk
+    # the pages are released twice over: once behind the scan, once behind the parse
+    covered = np.zeros(size, dtype=np.int8)
+    for start, end in mapped.released:
+        covered[start:end] += 1
+    assert covered[: size - 2 * chunk].min() >= 1 and np.count_nonzero(covered >= 2) > size // 2
+
+
 # -- zeros that stay unbacked ------------------------------------------------------
 
 THP_MODE = "/sys/kernel/mm/transparent_hugepage/enabled"
@@ -1394,23 +1499,13 @@ def test_copies_of_a_row_are_read_bit_for_bit_whatever_its_zero_ends():
     assert _same_net(Network(tuple(layers)), net)
 
 
-@pytest.mark.skipif(
-    not os.path.exists(THP_MODE) or "[always]" in Path(THP_MODE).read_text(),
-    reason="needs transparent huge pages that follow madvise: under `always` every large array gets them",
-)
-def test_compile_and_load_keep_the_zeros_of_a_sparse_net_unbacked(tmp_path):
-    # compile-deep's inputs: a depth-4 net, 6.2% nonzero, whose 166 x 28,980 layer is 38.5 MB dense.
-    script = """
+# compile-deep's inputs: a depth-4 net, 6.2% nonzero, whose 166 x 28,980 layer is 38.5 MB dense.
+_DEEP_INPUTS = """
 import sys
 from pathlib import Path
 import numpy as np
 import picardnets as pn
 from picardnets.cli import QUADRATIC_DATUM_CELLS, QUADRATIC_DATUM_RANGE
-
-def rss_mb():
-    for line in Path("/proc/self/status").read_text().splitlines():
-        if line.startswith("VmRSS:"):
-            return int(line.split()[1]) / 1024.0
 
 d, act = 5, pn.relu()
 knots = np.linspace(-QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_RANGE, QUADRATIC_DATUM_CELLS + 1)
@@ -1420,19 +1515,62 @@ inputs = pn.CompileInputs(
     f_net=pn.approx_net_relu(pn.LipschitzFn(np.sin, 1.0), 2.0, 0.5)[0], j_net=pn.default_identity(act),
     activation=act, oracle=pn.RandomOracle(1, d),
 )
-before = rss_mb()
-net = pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True)
-compiled = rss_mb() - before
-pn.save_network(sys.argv[1], net, act)
-before = rss_mb()
-loaded = pn.load_network(sys.argv[1])
-print(compiled, rss_mb() - before)
 """
-    path = tmp_path / "deep.json"
+
+_STATUS_MB = """
+def status_mb(key):
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith(key + ":"):
+            return int(line.split()[1]) / 1024.0
+"""
+
+ZEROS_FOLLOW_MADVISE = pytest.mark.skipif(
+    not os.path.exists(THP_MODE) or "[always]" in Path(THP_MODE).read_text(),
+    reason="needs transparent huge pages that follow madvise: under `always` every large array gets them",
+)
+
+
+def _run_child(script, *args):
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(path)], env=_child_env(), capture_output=True, text=True
+        [sys.executable, "-c", script, *map(str, args)], env=_child_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    compiled, loaded = map(float, proc.stdout.split())
+    return list(map(float, proc.stdout.split()))
+
+
+@ZEROS_FOLLOW_MADVISE
+def test_compile_and_load_keep_the_zeros_of_a_sparse_net_unbacked(tmp_path):
+    script = _DEEP_INPUTS + _STATUS_MB + """
+before = status_mb("VmRSS")
+net = pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True)
+compiled = status_mb("VmRSS") - before
+pn.save_network(sys.argv[1], net, act)
+before = status_mb("VmRSS")
+loaded = pn.load_network(sys.argv[1])
+print(compiled, status_mb("VmRSS") - before)
+"""
+    compiled, loaded = _run_child(script, tmp_path / "deep.json")
     # Measured: 6.6 and 4.2-4.7 MB; 38-40 and 37.5-38 MB with numpy's huge-page advice on.
     assert compiled < 16 and loaded < 16
+
+
+@ZEROS_FOLLOW_MADVISE
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="needs mmap.madvise to release the read pages")
+def test_a_load_holds_about_one_chunk_of_the_file_at_its_peak(tmp_path):
+    # The high-water mark of a fresh process that only loads compile-deep's saved net.
+    path = tmp_path / "deep.json"
+    _run_child(_DEEP_INPUTS + """
+pn.save_network(sys.argv[1], pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True), act)
+""", path)
+    script = """
+import sys
+from pathlib import Path
+import picardnets as pn
+""" + _STATUS_MB + """
+before = status_mb("VmRSS")
+loaded = pn.load_network(sys.argv[1])
+print(status_mb("VmHWM") - before, Path(sys.argv[1]).stat().st_size / 2**20)
+"""
+    peak, text_mb = _run_child(script, path)
+    # Measured: 11.3-11.8 MB; 39.5 MB when the whole text was read into memory.
+    assert text_mb > 25 and peak < 16
