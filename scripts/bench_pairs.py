@@ -27,7 +27,9 @@ the hashed paths also split into time and Gaussian draws, how many `g` and
 `compile_memory_4_3` and `compile_memory_3_2_sin`) the `tracemalloc` peak
 of compiling compile-wide's and compile-deep's inputs next to the bytes of
 the net it builds: a count of what a compile holds that does not depend on
-timing. For a compile workload it also records, per checkout and as
+timing. As `realize_memory_3_2_sin` it records the `tracemalloc` peak of
+the first `realize` of compile-deep's net, on 16 points, which builds its
+CSR copies, and of a `realize` of 64 points after it. For a compile workload it also records, per checkout and as
 `peak_phases_W`, the resident high-water mark after each phase of one
 request made as `bench/run.py --peak-only` makes it, so a pair file shows
 which phase sets `peak_mb`, and as `compile_rss_W` how far a compile alone
@@ -138,6 +140,21 @@ peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 output = sum(w.nbytes + b.nbytes for w, b in net.layers)
 print(json.dumps({"traced_peak_mb": peak / 1e6, "output_mb": output / 1e6, "peak_over_output": peak / output}))
+"""
+# The traced peaks of `realize` on the net those inputs compile to at oracle seed 1: its
+# first call, on 16 points, which builds the CSR copies, then a call on 64 points.
+REALIZE_MEMORY = COMPILE_INPUTS + """
+import tracemalloc
+import scipy.sparse  # noqa: F401  (its import is not the calls' memory)
+net = pn.compile_mlp(inputs, pn.ROOT_PATH, 0.0, allow_large=True)
+points = np.random.default_rng(2).uniform(-1.0, 1.0, size=(64, d))
+peaks = {}
+for name, rows in (("first_16_rows_mb", 16), ("then_64_rows_mb", 64)):
+    tracemalloc.start()
+    pn.realize(net, act, points[:rows])
+    peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+print(json.dumps(peaks))
 """
 # How far one compile of those inputs raises the resident high-water mark (VmHWM, MB) over
 # the set-up (imports and inputs), untraced; run under PEAK_ENV, as `bench/run.py --peak-only` runs.
@@ -313,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     for key, workload in COMPILE_MEMORY_KEYS.items():
         case = (*COMPILE_CASES[workload], "1")
         report[key] = {side: run_snippet(checkout.resolve(), COMPILE_MEMORY, *case) for side, checkout in sides}
+    case = (*COMPILE_CASES["compile-deep"], "1")
+    report["realize_memory_3_2_sin"] = {side: run_snippet(checkout.resolve(), REALIZE_MEMORY, *case) for side, checkout in sides}
     if args.workload.startswith("compile-"):
         report[f"peak_phases_{args.workload}"] = {
             side: run_snippet(checkout.resolve(), PEAK_PHASES, args.workload, env=PEAK_ENV) for side, checkout in sides

@@ -39,8 +39,11 @@ mapped, is read whole.
 
 `realize` runs the points through every layer 64 at a time by one rule (see
 its docstring), so a call's temporaries are bounded by the tile, not by the
-number of points. The rule reads only the layers' shapes and values, so
-`realize` stays a pure function of the network and the input.
+number of points. A hidden layer goes 2,048 units at a time into a CSR next
+layer or a dense one at most 32 wide, so no temporary holds its whole
+activation for the tile either; nor does building a CSR copy, which reads
+the layer a block of rows at a time. The rule reads only the layers' shapes
+and values, so `realize` stays a pure function of the network and the input.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy._core.multiarray import _set_madvise_hugepage
@@ -132,21 +135,31 @@ class Network:
         object.__setattr__(self, "layers", tuple(frozen))
 
     @cached_property
-    def _products(self) -> tuple[tuple[object, np.ndarray | None] | None, ...]:
-        """Per layer, what `_sparse_copy` gives: the CSR copy of W's runs and its row index, or None for the dense W."""
+    def _products(self) -> tuple[_SparseCopy | None, ...]:
+        """Per layer, what `_sparse_copy` gives: the CSR copy of W's runs in column blocks, or None for the dense W."""
         return tuple(_sparse_copy(w) for w, _ in self.layers)
 
 
 # A layer with at most 1/_SPARSE_RATIO of its entries nonzero is multiplied through CSR.
 _SPARSE_RATIO = 10
-# `realize` takes _TILE_ROWS points at a time, and a hidden layer before a dense
-# one at most _STREAM_NEXT_WIDTH wide _TILE_UNITS units at a time (1 MiB). Products
-# of at most 2,048 terms rounded alike under one and two OpenBLAS threads, where
-# one of 10,304 terms did not. Into a wider next layer the pieces' small products
-# ran up to 1.5x slower than one product at 1,000 points.
+# `realize` takes _TILE_ROWS points at a time, and a hidden layer _TILE_UNITS units
+# at a time (1 MiB) into a CSR next layer, cut into blocks of as many columns, or
+# a dense one at most _STREAM_NEXT_WIDTH wide. Products of at most 2,048 terms
+# rounded alike under one and two OpenBLAS threads, where one of 10,304 terms did
+# not. Into a wider dense layer the pieces' small products ran up to 1.5x slower
+# than one product at 1,000 points; a CSR block's product does the same nonzero
+# work however the columns are cut. `_sparse_copy` reads a layer
+# _TILE_ROWS * _TILE_UNITS entries (1 MiB) of rows at a time.
 _TILE_ROWS = 64
 _TILE_UNITS = 2048
 _STREAM_NEXT_WIDTH = 32
+
+
+class _SparseCopy(NamedTuple):
+    """A sparse layer as `realize` multiplies it (see `_sparse_copy`)."""
+
+    index: np.ndarray | None  # the run of each row of W, or None if no two neighbouring rows are equal
+    blocks: tuple  # scipy.sparse.csr_arrays of one row of W per run, _TILE_UNITS columns each
 
 
 def _new_rows(w: np.ndarray) -> np.ndarray:
@@ -162,35 +175,59 @@ def _new_rows(w: np.ndarray) -> np.ndarray:
     return new
 
 
-def _sparse_copy(w: np.ndarray) -> tuple[object, np.ndarray | None] | None:
-    """A `scipy.sparse.csr_array` of one row of `w` per run of identical rows, and
-    the index of each row of `w` into it (None if no two neighbouring rows are
-    equal); or None if more than 1/_SPARSE_RATIO of the entries of `w` are nonzero.
+def _sparse_copy(w: np.ndarray) -> _SparseCopy | None:
+    """The CSR copy of `w` that `realize` multiplies, or None if more than
+    1/_SPARSE_RATIO of the entries of `w` are nonzero.
 
-    Columns ascend within each row. The nonzeros are found on the boolean mask
-    `w != 0`: building it reads the float array once, and the mask's count and
-    `flatnonzero` are cheap, where `np.flatnonzero(w)` alone takes several
-    times as long.
+    The copy holds one row of `w` per run of identical rows, with columns
+    ascending within each row, as `scipy.sparse.csr_array` blocks of
+    _TILE_UNITS columns (the last holds the rest), each of which `realize`
+    multiplies by the matching piece of the layer's input; and the index of
+    each row of `w` into it (None if no two neighbouring rows are equal).
+    Put side by side, the blocks are the CSR array of those rows, bit for bit.
+
+    No temporary covers the whole layer: the nonzeros are counted, the runs
+    found and the nonzeros of the distinct rows found a block of rows of 1 MiB
+    of entries at a time. Nonzeros are counted and found on a boolean mask of
+    the block: on the floats themselves `np.count_nonzero` took four times as
+    long and `np.flatnonzero` several times.
     """
-    nonzero = w != 0
-    if _SPARSE_RATIO * np.count_nonzero(nonzero) > w.size:
+    height, width = w.shape
+    step = max(1, _TILE_ROWS * _TILE_UNITS // width)  # rows a block
+    blocks = range(0, height, step)
+    if _SPARSE_RATIO * sum(np.count_nonzero(w[r : r + step] != 0) for r in blocks) > w.size:
         return None
     import scipy.sparse  # deferred: importing it costs every CLI start, and most nets never need it
 
-    new = _new_rows(w)
+    new = np.empty(height, dtype=bool)
+    for r in blocks:  # each block with the row before it
+        lo = max(r - 1, 0)
+        new[r : r + step] = _new_rows(w[lo : r + step])[r - lo :]
     starts = np.flatnonzero(new)
-    index = None
-    if starts.size < w.shape[0]:
-        nonzero = nonzero[starts]
-        index = np.cumsum(new) - 1
-    flat = np.flatnonzero(nonzero)
-    del nonzero
-    rows, cols = np.divmod(flat, w.shape[1])
+    index = np.cumsum(new) - 1 if starts.size < height else None
     kind = np.int32 if w.size < 2**31 else np.int64  # 32-bit indices read faster
-    indptr = np.zeros(starts.size + 1, dtype=kind)
-    np.cumsum(np.bincount(rows, minlength=starts.size), out=indptr[1:])
-    csr = scipy.sparse.csr_array((w[starts[rows], cols], cols.astype(kind), indptr), shape=(starts.size, w.shape[1]))
-    return csr, index
+    found = []  # per block of distinct rows: their row numbers, columns and values
+    for s in range(0, starts.size, step):
+        block = w[starts[s : s + step]]
+        flat = np.flatnonzero(block != 0)
+        rows, cols = np.divmod(flat, width)
+        found.append((rows + s, cols.astype(kind), block.reshape(-1)[flat]))
+    rows, cols, values = (np.concatenate(part) for part in zip(*found))
+    del found
+    cuts = range(0, width, _TILE_UNITS)
+    split = [slice(None)]  # per column block, its entries, row by row
+    if len(cuts) > 1:
+        piece = cols // _TILE_UNITS
+        order = np.argsort(piece, kind="stable")
+        split = np.split(order, np.searchsorted(piece[order], np.arange(1, len(cuts))))
+
+    def csr(at: slice | np.ndarray, c: int) -> object:
+        indptr = np.zeros(starts.size + 1, dtype=kind)
+        np.cumsum(np.bincount(rows[at], minlength=starts.size), out=indptr[1:])
+        shape = (starts.size, min(_TILE_UNITS, width - c))
+        return scipy.sparse.csr_array((values[at], cols[at] - c, indptr), shape=shape)
+
+    return _SparseCopy(index, tuple(csr(at, c) for c, at in zip(cuts, split)))
 
 
 def network(*layers: tuple[object, object]) -> Network:
@@ -240,25 +277,26 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
 
     The points go through the network in tiles of 64 rows, the last tile
     holding the rest, and each tile meets every layer by one rule. A hidden
-    layer whose next layer is dense and at most 32 wide is biased and
-    activated 2,048 units at a time, and each piece's product with the next
-    layer's matching columns is added into that layer's sum; a dense one is
-    formed a piece at a time, so it takes 1 MiB whatever its width. Every
-    other layer is one product for the tile. So `realize(x)` is `realize` of
-    each 64-row slice of `x`, concatenated, bit for bit, and a call's
-    temporaries are bounded by the tile, not by N. Sums over more than 2,048
-    units can differ from one product by a few ulps, and a row in a shorter
-    tile can differ from the same row in a full one (README, Determinism).
+    layer whose next layer is a CSR copy (below), or dense and at most 32
+    wide, is biased and activated 2,048 units at a time, and each piece's
+    product with the next layer's matching columns is added into that
+    layer's sum; a dense one is formed a piece at a time, so it takes 1 MiB
+    whatever its width. Every other layer is one product for the tile. So
+    `realize(x)` is `realize` of each 64-row slice of `x`, concatenated, bit
+    for bit, and a call's temporaries are bounded by the tile, not by N or by
+    a streamed layer's width. Sums over more than 2,048 units can differ
+    from one product by a few ulps, and a row in a shorter tile can differ
+    from the same row in a full one (README, Determinism).
 
     Weights are stored dense, but a layer with at most a tenth of its entries
     nonzero, of any size, is multiplied through a CSR copy, built on the
     network's first `realize` and cached on it. Its sums run over the
-    nonzeros in column order, one row at a time, so they can differ from the
-    dense product by a few ulps. The copy holds one row per run of identical
-    rows, and each run's product is copied to every row of the run, so the
-    values are those of a CSR copy of every row, bit for bit. A non-finite
-    input meets only the nonzero weights there, so a zero weight times inf
-    adds nothing instead of NaN.
+    nonzeros in column order, one row at a time and 2,048 columns at a time,
+    so they can differ from the dense product by a few ulps. The copy holds
+    one row per run of identical rows, and each run's product is copied to
+    every row of the run, so the values are those of a CSR copy of every
+    row, bit for bit. A non-finite input meets only the nonzero weights
+    there, so a zero weight times inf adds nothing instead of NaN.
     """
     z = np.asarray(x, dtype=np.float64)
     squeeze = z.ndim == 1
@@ -273,16 +311,29 @@ def realize(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], 
 
 
 def _realize_tile(net: Network, act: Activation | Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
-    """`realize` of at most _TILE_ROWS points."""
+    """`realize` of at most _TILE_ROWS points.
+
+    A hidden layer goes _TILE_UNITS units at a time into its next layer's
+    sum when that layer is a CSR copy, or dense and at most
+    _STREAM_NEXT_WIDTH wide, and the loop then skips the next layer. Into a
+    dense layer each piece is points-major, (points, units). Into a CSR copy
+    each piece is units-major, (units, points), the layout scipy multiplies
+    without copying, and goes into `_csr_sum` with the copy's matching
+    column block. A dense layer is formed a piece at a time, so no temporary
+    holds a whole row of a wide layer. A CSR layer whose input comes whole
+    (the first layer, or one after a layer the loop skipped) is multiplied a
+    column block at a time too.
+    """
     last = len(net.layers) - 1
     layers = enumerate(zip(net.layers, net._products))
     for k, ((w, b), product) in layers:
-        if product is not None:  # one product row per run of identical rows, copied to each row of the run
-            csr, index = product
-            z = csr @ z.T
-            z = (z if index is None else z[index]).T
-        if k < last and net._products[k + 1] is None and net.layers[k + 1][0].shape[0] <= _STREAM_NEXT_WIDTH:
-            # taken _TILE_UNITS units at a time into the next layer's sum, which the loop then skips
+        if product is not None:
+            z = _csr_sum(product, (z.T[c : c + _TILE_UNITS] for c in range(0, w.shape[1], _TILE_UNITS)))
+        following = net._products[k + 1] if k < last else None
+        if following is not None:
+            k, ((_, b_next), _) = next(layers)
+            z, b = _csr_sum(following, _units_major(act, z, w, b, product is not None)), b_next
+        elif k < last and net.layers[k + 1][0].shape[0] <= _STREAM_NEXT_WIDTH:
             k, ((w_next, b_next), _) = next(layers)
             acc = np.zeros((z.shape[0], w_next.shape[0]))
             for c in range(0, len(b), _TILE_UNITS):
@@ -297,6 +348,28 @@ def _realize_tile(net: Network, act: Activation | Callable[[np.ndarray], np.ndar
         if k != last:
             z = act(z, out=z) if isinstance(act, Activation) else act(z)
     return z
+
+
+def _units_major(
+    act: Activation | Callable[[np.ndarray], np.ndarray], z: np.ndarray, w: np.ndarray, b: np.ndarray, summed: bool
+) -> Iterator[np.ndarray]:
+    """A hidden layer's activation for the tile, (units, points), _TILE_UNITS units at a time: formed
+    from the layer's input `z` by its dense `w`, or, if `summed`, taken from its CSR sum `z`, a view
+    of a (units, points) array that this overwrites."""
+    for c in range(0, len(b), _TILE_UNITS):
+        t = z.T[c : c + _TILE_UNITS] if summed else w[c : c + _TILE_UNITS] @ z.T
+        t += b[c : c + _TILE_UNITS, None]
+        yield act(t, out=t) if isinstance(act, Activation) else act(t)
+
+
+def _csr_sum(product: _SparseCopy, pieces: Iterable[np.ndarray]) -> np.ndarray:
+    """(points, rows of W): the sum of each column block's product with its (units, points) piece of
+    the layer's input, one row per run of identical rows, copied to each row of the run."""
+    sums = (block @ t for block, t in zip(product.blocks, pieces))
+    acc = next(sums)
+    for s in sums:
+        acc += s
+    return (acc if product.index is None else acc[product.index]).T
 
 
 @dataclass(frozen=True)
@@ -710,7 +783,7 @@ def _read_array(data: bytes | _MappedFile, pos: int, shape: tuple[int, ...]) -> 
         start = int(commas[-1 - cols]) if need > cols else pos - 1
         if need > cols:
             filled = _read_numbers(data, pos, start, flat, filled)
-        unit = b"," + data[start + 1 : end]
+        unit = b", " + data[start + 1 : end].removeprefix(b" ")  # the first row has no space after `[`
         row = parsed.get(unit) if few else None
         fresh = row is None
         if fresh:

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,6 +49,7 @@ from picardnets.network import (
     _mostly_distinct,
     _new_rows,
     _read_blocks,
+    _sparse_copy,
     _zeros as _unbacked_zeros,
     from_json_obj,
     read_only,
@@ -537,8 +537,8 @@ def _one_block_realize(net, act, x):
         if product is None:
             z = z @ w.T
         else:
-            csr, index = product
-            z = csr @ z.T
+            index, blocks = product
+            z = importlib.import_module("scipy.sparse").hstack(blocks, format="csr") @ z.T
             z = (z if index is None else z[index]).T
         z += b
         if k != last:
@@ -601,6 +601,18 @@ def _selector_net(width, seed=15):
     return network((w, rng.standard_normal(width)), (rng.standard_normal((1, width)), [0.5]))
 
 
+def _deep_shaped_net(seed=18):
+    """General weights in the shape of the benchmark's compile-deep net: a dense (28,980 x 5)
+    first layer, a 6%-dense (166 x 28,980) layer in runs of 16 distinct rows, a (1 x 166) top."""
+    rng = np.random.default_rng(seed)
+    distinct = _sparse_matrix(rng, 16, 28_980, 0.06) / 40.0
+    return network(
+        (rng.standard_normal((28_980, 5)), rng.standard_normal(28_980)),
+        (np.repeat(distinct, [11] * 6 + [10] * 10, axis=0), rng.standard_normal(166)),
+        (rng.standard_normal((1, 166)) / 13.0, [0.5]),
+    )
+
+
 def test_a_wide_layer_realizes_in_tile_sized_memory():
     cases = [
         # 256 points in one block would hold an 819 MB activation matrix
@@ -649,6 +661,69 @@ for d in (5, 16, 64):
         outputs.append(dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines()))
     assert len(outputs[0]) == 24
     assert [case for case in outputs[0] if outputs[0][case] != outputs[1][case]] == []
+
+
+def test_realize_bits_of_general_weights_do_not_depend_on_blas_threads():
+    # The products of a random dense layer as wide as compile-deep's, taken 2,048
+    # units at a time into a CSR layer of 16 runs, round alike under two threads.
+    script = """
+import numpy as np
+from picardnets import realize, relu
+from test_network import _deep_shaped_net
+net = _deep_shaped_net()
+rng = np.random.default_rng(19)
+for rows in (1, 17, 64, 65, 540):
+    print(rows, realize(net, relu(), rng.uniform(-1.0, 1.0, (rows, 5))).tobytes().hex())
+"""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = _child_env(OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([tests, env["PYTHONPATH"]])
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(dict(line.split(" ", 1) for line in proc.stdout.splitlines()))
+    assert len(outputs[0]) == 5
+    assert [case for case in outputs[0] if outputs[0][case] != outputs[1][case]] == []
+
+
+def test_a_wide_dense_layer_into_a_sparse_one_realizes_in_tile_sized_memory():
+    # Before the sparse layer was streamed into, a 64-row tile held the whole
+    # (64 x 28,980) activation and scipy's transposed copy of it, and building
+    # the CSR copy held two whole-layer masks: a 31.6 MB peak on compile-deep's net.
+    net = _deep_shaped_net()
+    x = np.random.default_rng(20).uniform(-1.0, 1.0, (_TILE_ROWS, 5))
+    importlib.import_module("scipy.sparse")  # its import is not the call's memory
+    tracemalloc.start()
+    try:
+        got = realize(net, relu(), x)  # the first call, which builds the CSR copy
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert len(net._products[1].blocks) == 15
+    np.testing.assert_allclose(got, _one_block_realize(net, relu(), x), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("first", ["dense", "sparse"])
+def test_a_layer_streamed_into_a_sparse_one_of_few_runs_matches_the_one_block_pass(first):
+    # 3 -> 6,149 (dense, or 5% nonzero) -> 40 rows in runs of 5 distinct ones -> 1
+    rng = np.random.default_rng(21)
+    width = 3 * _TILE_UNITS + 5
+    w0 = rng.standard_normal((width, 3)) if first == "dense" else _sparse_matrix(rng, width, 3, 0.05)
+    distinct = _sparse_matrix(rng, 5, width, 0.05)
+    net = network(
+        (w0, rng.standard_normal(width)),
+        (np.repeat(distinct, 8, axis=0), rng.standard_normal(40)),
+        (rng.standard_normal((1, 40)), [0.5]),
+    )
+    assert _uses_csr(net) == [first == "sparse", True, False] and len(net._products[1].blocks) == 4
+    x = rng.standard_normal((2 * _TILE_ROWS + 3, 3))
+    for tag in ("relu", "softplus", "tanh"):
+        got = realize(net, _activation(tag), x)
+        np.testing.assert_allclose(got, _one_block_realize(net, _activation(tag), x), rtol=1e-12, atol=1e-12)
+        tiles = [realize(net, _activation(tag), x[r : r + _TILE_ROWS]) for r in range(0, len(x), _TILE_ROWS)]
+        assert _same_bits(got, np.concatenate(tiles))
 
 
 # -- sparse layers ---------------------------------------------------------------
@@ -715,31 +790,56 @@ def test_sparse_rows_do_not_depend_on_the_block():
 
 
 def test_a_sparse_layer_with_repeated_rows_realizes_as_it_does_without_the_row_index(monkeypatch):
-    # 400 rows in runs of 1 to 60 copies of 12 distinct rows, two of them apart only in a zero's sign
+    # 400 rows in runs of 1 to 60 copies of 12 distinct rows, two of them apart only in a zero's sign,
+    # after a dense layer that goes into it a piece at a time, and as the first layer, whose input comes whole
     rng = np.random.default_rng(9)
     distinct = _sparse_matrix(rng, 12, 400, 0.05)
     distinct[5] = distinct[4]
     distinct[5, np.flatnonzero(distinct[4] == 0)[0]] = -0.0
     runs = np.repeat(np.arange(12), [60, 1, 2, 40, 17, 16, 15, 100, 1, 50, 60, 38])
-    net = network(
+    layers = [
         (rng.standard_normal((400, 8)), rng.standard_normal(400)),
         (distinct[runs], rng.standard_normal(400)),
         (rng.standard_normal((3, 400)), rng.standard_normal(3)),
-    )
-    csr, index = net._products[1]
-    assert csr.shape == (12, 400) and np.array_equal(index, runs)
+    ]
+    nets = [network(*layers), network(*layers[1:])]
+    for net in nets:
+        index, (csr,) = net._products[len(net.layers) - 2]
+        assert csr.shape == (12, 400) and np.array_equal(index, runs)
     module = importlib.import_module("picardnets.network")
     monkeypatch.setattr(module, "_new_rows", lambda w: np.ones(w.shape[0], dtype=bool))
-    twin = network(*net.layers)
-    assert twin._products[1][0].shape == (400, 400) and twin._products[1][1] is None
-    x = rng.standard_normal((17, 8))
-    for tag in ("relu", "leaky:0.1", "softplus", "tanh"):
-        for block in (x[:0], x[:1], x, x[3]):
-            got = realize(net, _activation(tag), block)
-            assert got.shape == ((3,) if block.ndim == 1 else (len(block), 3))
-            assert _same_bits(got, realize(twin, _activation(tag), block)), tag
-    got = realize(net, relu(), x)
-    assert np.max(np.abs(got - _reference_realize(net, OLD_ACTIVATIONS["relu"], x))) <= 1e-12 * np.max(np.abs(got))
+    for net in nets:
+        twin = network(*net.layers)
+        index, (csr,) = twin._products[len(net.layers) - 2]
+        assert csr.shape == (400, 400) and index is None
+        x = rng.standard_normal((17, input_dim(net)))
+        for tag in ("relu", "leaky:0.1", "softplus", "tanh"):
+            for block in (x[:0], x[:1], x, x[3]):
+                got = realize(net, _activation(tag), block)
+                assert got.shape == ((3,) if block.ndim == 1 else (len(block), 3))
+                assert _same_bits(got, realize(twin, _activation(tag), block)), tag
+        got = realize(net, relu(), x)
+        want = _reference_realize(net, OLD_ACTIVATIONS["relu"], x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+
+def test_the_column_blocks_of_a_sparse_copy_are_the_csr_array_of_its_distinct_rows():
+    # 3 x 2,048 + 5 columns in 4 blocks; rows in runs, one distinct row all zeros, -0.0 entries dropped
+    rng = np.random.default_rng(22)
+    width = 3 * _TILE_UNITS + 5
+    distinct = _sparse_matrix(rng, 7, width, 0.05)
+    distinct[2] = 0.0
+    distinct[3, :: 97] = -0.0
+    distinct[4, _TILE_UNITS : 2 * _TILE_UNITS] = 0.0  # an empty block of one row
+    w = np.repeat(distinct, [3, 1, 5, 2, 1, 4, 6], axis=0)
+    index, blocks = _sparse_copy(w)
+    assert np.array_equal(index, np.repeat(np.arange(7), [3, 1, 5, 2, 1, 4, 6]))
+    assert [block.shape for block in blocks] == [(7, _TILE_UNITS)] * 3 + [(7, 5)]
+    whole = importlib.import_module("scipy.sparse").hstack(blocks, format="csr")
+    want = importlib.import_module("scipy.sparse").csr_array(distinct)
+    assert _same_bits(whole.data, want.data) and np.array_equal(whole.indices, want.indices)
+    assert np.array_equal(whole.indptr, want.indptr)
+    assert all(block.indices.dtype == np.int32 == block.indptr.dtype for block in blocks)
 
 
 def test_sparse_realize_never_writes_its_input():
@@ -807,8 +907,9 @@ def test_sparse_realize_never_holds_a_dense_copy_of_the_layer():
     # the cached copy keeps 12 bytes per nonzero; its build holds a few more such arrays
     assert held < 2 * 8 * nnz
     assert cold < 6 * 8 * nnz + x.nbytes < w.nbytes / 2
-    # the product holds one transposed copy of the block and the (16, 100) result
-    assert warm < 1.1 * x.nbytes
+    # the product holds a transposed copy of one 2,048-column piece of the block at a time and the
+    # (100, 16) sums, not a copy of the whole block (2.57 MB when the layer was one product)
+    assert warm < 2 * 8 * 16 * _TILE_UNITS < x.nbytes / 4
 
 
 def _child_env(**extra):
@@ -1331,10 +1432,11 @@ def test_each_distinct_text_of_a_row_of_few_entries_is_parsed_once(monkeypatch):
     monkeypatch.setattr(module, "_chunk_values", lambda chunk: chunks.append(chunk) or chunk_values(chunk))
     layers, _ = _read_blocks(dumps_network(net, relu()).encode())
     assert _same_net(Network(tuple(layers)), net)
-    # The first row has no space before it, so no copy of it is skipped, and the
-    # next row is parsed in a batch; every other row text is parsed once.
-    parses = Counter(chunks)
-    assert [parses[b" " + ", ".join(map(repr, row)).encode()] for row in pool[1:]] == [1] * 5
+    # Between the biases (chunk 0) and the next layer, the chunks parsed are each
+    # distinct row text once, in order of first use: the first row, which has no
+    # space after its `[`, is probed as `", "` + its text, as its copies are written.
+    texts = [", ".join(map(repr, pool[k])).encode() for k in dict.fromkeys(order)]
+    assert chunks[1:7] == [texts[0]] + [b" " + text for text in texts[1:]]
 
 
 # -- a network file read through a map ----------------------------------------------
