@@ -19,7 +19,8 @@ per-layer counts sit next to their closed forms. A run that writes no result
 (it failed to start, crashed or ran past RUN_TIMEOUT_S) is kept with its exit
 code and the tail of its stderr, and the summary covers only the pairs in
 which both runs wrote one. It also records, for each checkout, how many
-`uniform01` calls and hashed paths one (4,3), d = 5 sample tree takes, with
+`uniform_time` and `brownian_increment` block calls and hashed paths one
+(4,3), d = 5 sample tree of one oracle takes, with
 the hashed paths also split into time and Gaussian draws, how many `g` and
 `f` calls one (4,3) estimate of 16 points by one seed makes, the
 `tracemalloc` peak of a (4,4), d = 16 estimate of 64 points by 4 seeds (as
@@ -49,45 +50,59 @@ from pathlib import Path
 from statistics import median, quantiles
 
 
-# One (4,3), d = 5 sample tree drawn through an oracle that counts its calls and the
-# paths it hashes, in all and by kind (time and Gaussian); then one (4,3) estimate of
-# 16 points by one seed through f and g that count their calls.
+# One (4,3), d = 5 sample tree drawn through an oracle whose keyed hash counts the paths
+# it hashes, in all and by kind (time and Gaussian), with the block calls of `_draw_depths`
+# counted; then one (4,3) estimate of 16 points by one seed through f and g that count
+# their calls. A message is a path's length prefix and entries, its kind byte and an
+# 8-byte digest counter, so a message with counter 0 is one hashed path however the
+# oracle batches its calls, and a count means the same at any commit.
 WORK_COUNTS = """
 import json
 from collections import Counter
 import numpy as np
 import picardnets as pn
+from picardnets import engine
 from picardnets.engine import MlpConfig, _draw_depths
 from picardnets.sampling import KIND_GAUSS, KIND_TIME
 
-class Counting(pn.RandomOracle):
-    def __init__(self, seed, d):
-        super().__init__(seed, d)
-        self.calls, self.paths = 0, Counter()
+paths, calls = Counter(), Counter()
 
-    def uniform01(self, theta, kind, count):
-        self.calls += 1
-        self.paths[kind] += len(theta) if isinstance(theta, np.ndarray) and theta.ndim == 2 else 1
-        return super().uniform01(theta, kind, count)
+class CountingKey:
+    def __init__(self, keyed):
+        self.keyed = keyed
 
-oracle = Counting(1, 5)
-cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
-_draw_depths(cfg, pn.ROOT_PATH, oracle)
-calls = Counter()
+    def copy(self):
+        return CountingKey(self.keyed.copy())
+
+    def update(self, message):
+        if message[-8:] == bytes(8):
+            paths[message[-9:-8]] += 1
+        self.keyed.update(message)
+
+    def digest(self):
+        return self.keyed.digest()
 
 def counted(name, fn):
-    def call(a):
+    def call(*args):
         calls[name] += 1
-        return fn(a)
+        return fn(*args)
     return call
 
+for name in ("uniform_time", "brownian_increment"):
+    setattr(engine, name, counted("draw", getattr(engine, name)))
+
+oracle = pn.RandomOracle(1, 5)
+oracle._keyed = CountingKey(oracle._keyed)
+cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
+_draw_depths(cfg, pn.ROOT_PATH, oracle)
+block_calls = calls["draw"]
 fns = pn.ProblemFns(f=counted("f", lambda v: 0.1 * v), g=counted("g", lambda x: np.sum(x * x, axis=-1)))
 pn.mlp_estimate_batch(cfg, np.full((16, 5), 0.5), [1], fns)
 print(json.dumps({
-    "uniform01_calls_per_tree": oracle.calls,
-    "hashed_paths_per_tree": oracle.paths.total(),
-    "hashed_time_paths_per_tree": oracle.paths[KIND_TIME],
-    "hashed_gauss_paths_per_tree": oracle.paths[KIND_GAUSS],
+    "block_calls_per_tree": block_calls,
+    "hashed_paths_per_tree": paths.total(),
+    "hashed_time_paths_per_tree": paths[KIND_TIME],
+    "hashed_gauss_paths_per_tree": paths[KIND_GAUSS],
     "g_calls_per_estimate": calls["g"],
     "f_calls_per_estimate": calls["f"],
 }))

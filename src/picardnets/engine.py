@@ -134,13 +134,14 @@ def _draw_depths(
 
     The draws are made breadth first. Every path drawn at one depth of the tree
     has the same length, and a node's time is its parent's branch time, so one
-    depth is two block calls per oracle: `uniform_time` for the times of all its
-    branches, then `brownian_increment` for all its datum shifts and branch
-    displacements. The paths do not depend on the seed, so each depth builds its
-    block once for all oracles. Block rows equal per-path draws bit for bit, so
-    seed j holds the draws that the definition's recursion makes path by path
-    with oracle j, less those of tier 0 and of level-0 recursions, which no
-    reader reads: D(n) hashed paths in all (see `_Depth`).
+    depth is two block calls for all S oracles: `uniform_time` for the times of
+    all its branches, then `brownian_increment` for all its datum shifts and
+    branch displacements. The paths do not depend on the seed, so each call
+    encodes their messages once and every oracle hashes them under its own key.
+    Block rows equal per-path draws bit for bit, so seed j holds the draws that
+    the definition's recursion makes path by path with oracle j, less those of
+    tier 0 and of level-0 recursions, which no reader reads: D(n) hashed paths
+    in all (see `_Depth`).
     """
     theta_bytes(theta)  # rejects entries that are not 64-bit integers
     oracles = _oracle_list(oracle, cfg.d)
@@ -169,10 +170,9 @@ def _draw_depths(
         datum_paths = np.hstack([paths[datum_owner], datum_rows])
         branch_paths = np.hstack([paths[branch_owner], branch_rows])
         start = times[:, branch_owner]
-        s = np.array([uniform_time(o, branch_paths, t, horizon) for o, t in zip(oracles, start)])
+        s = uniform_time(oracles, branch_paths, start, horizon)
         elapsed = np.concatenate([horizon - times[:, datum_owner], s - start], axis=1)
-        move_paths = np.vstack([datum_paths, branch_paths])
-        moves = np.stack([brownian_increment(o, move_paths, e) for o, e in zip(oracles, elapsed)], axis=1)
+        moves = brownian_increment(oracles, np.vstack([datum_paths, branch_paths]), elapsed).transpose(1, 0, 2)
         scales = (horizon - times[:, tier_owner]) / tier_divisors
         # the next depth: every branch's child along (theta, i, k), then the
         # level-(i-1) tree along (theta, -i, k) of every branch with i >= 2,

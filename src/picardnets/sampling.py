@@ -14,17 +14,26 @@ two's-complement int64. The root path is the single entry 0.
 Block form: `uniform01`, `gaussians`, `uniform_time` and `brownian_increment`
 also take a block of K paths of one length L, a (K, L) signed-integer array,
 and then return one row of draws per path (times of shape (K,) for per-row t
-of shape (K,), increments of shape (K, d) for per-row s of shape (K,)). Row j
-of a block call equals the single-path call on `tuple(paths[j])` bit for bit:
-both hash the same bytes (the block is encoded by one `astype("<i8")`, each
-row after the shared length prefix), and every later step is elementwise. A
-tuple is one path; an array is a block, and must be 2-D.
+of shape (K,), increments of shape (K, d) for per-row s of shape (K,)). A tuple
+is one path; an array is a block, and must be 2-D.
+
+Seed block: `uniform_time` and `brownian_increment` also take a sequence of S
+oracles of one dimension in place of one oracle, with t or s of shape (S, K)
+for a block ((S,) for one path), and return (S, K) times or (S, K, d)
+increments ((S,) or (S, d)). Each message is encoded once, and every oracle
+digests it under its own key.
+
+Row (s, j) of any form equals oracle s's single-path call on
+`tuple(paths[j])` bit for bit: both hash the same bytes (the block is encoded
+by one `astype("<i8")`, each row after the shared length prefix), and every
+later step is elementwise. Times and horizons must be finite.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -46,7 +55,8 @@ def theta_bytes(theta: ThetaPath) -> bytes:
     """Canonical byte encoding of a theta path."""
     parts = [struct.pack("<Q", len(theta))]
     for entry in theta:
-        if not isinstance(entry, (int, np.integer)):
+        # a bool is an int, but True would key the draws of the path with 1
+        if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)):
             raise ValueError(f"theta entries must be integers, got {type(entry).__name__}")
         entry = int(entry)
         if entry < _INT64_MIN or entry > _INT64_MAX:
@@ -101,63 +111,93 @@ class RandomOracle:
     def uniform01(self, theta: Paths, kind: bytes, count: int) -> np.ndarray:
         """`count` uniforms in (0, 1), eight per digest block: shape (count,)
         for one path, (K, count) for a block of K paths."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        block = _is_block(theta)
-        prefixes = _block_bytes(theta) if block else [theta_bytes(theta)]
-        tails = [kind + struct.pack("<Q", index) for index in range((count + 7) // 8)]
-        digests = []
-        for prefix in prefixes:
-            for tail in tails:
-                h = self._keyed.copy()
-                h.update(prefix + tail)
-                digests.append(h.digest())
-        lanes = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(prefixes), 8 * len(tails))
-        u = (lanes.astype(np.float64) + 0.5)[:, :count] / _TWO64
-        return u if block else u[0]
+        u = _uniforms([self], theta, kind, count)[0]
+        return u if _is_block(theta) else u[0]
 
     def gaussians(self, theta: Paths, count: int) -> np.ndarray:
         """Standard normals via the inverse CDF of per-lane uniforms."""
         return ndtri(self.uniform01(theta, KIND_GAUSS, count))
 
 
-def _per_row(values: object, rows: int, name: str) -> np.ndarray:
+def _uniforms(oracles: list[RandomOracle], theta: Paths, kind: bytes, count: int) -> np.ndarray:
+    """(S, K, count) uniforms of S oracles on K paths (K = 1 for one path). The
+    messages are built once; each oracle in turn digests them all under its key
+    and converts its lanes into its slice of one preallocated block. The block
+    is laid out (K, S, count), so the (S, K, count) result is a transposed view
+    and swapping its first two axes back gives the depth records' contiguous
+    (K, S, count)."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    rows = _block_bytes(theta) if _is_block(theta) else [theta_bytes(theta)]
+    tails = [kind + struct.pack("<Q", index) for index in range((count + 7) // 8)]
+    messages = [row + tail for row in rows for tail in tails]
+    u = np.empty((len(rows), len(oracles), count))
+    for j, oracle in enumerate(oracles):
+        copy = oracle._keyed.copy
+        digests = []
+        for message in messages:
+            h = copy()
+            h.update(message)
+            digests.append(h.digest())
+        lanes = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(rows), 8 * len(tails))
+        u[:, j] = lanes[:, :count]
+    u += 0.5
+    u /= _TWO64
+    return u.transpose(1, 0, 2)
+
+
+def _seed_block(
+    oracle: RandomOracle | Sequence[RandomOracle], theta: Paths, values: object, name: str
+) -> tuple[list[RandomOracle], np.ndarray, tuple[int, ...]]:
+    """The oracles of a draw, its finite per-row values as an (S, K) array, and
+    the shape they must be given in: () for one oracle and one path, (K,) for
+    one oracle and K paths, (S,) or (S, K) for a sequence of S oracles."""
+    single = isinstance(oracle, RandomOracle)
+    oracles = [oracle] if single else list(oracle)
+    if not oracles or len({o.d for o in oracles}) > 1:
+        raise ValueError("need one oracle, or a nonempty sequence of oracles of one dimension")
+    shape = (len(theta),) if _is_block(theta) else ()
+    if not single:
+        shape = (len(oracles), *shape)
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (rows,):
-        raise ValueError(f"{name} must have shape ({rows},) for {rows} paths, got {values.shape}")
-    return values
+    if values.shape != shape:
+        raise ValueError(f"{name} must have shape {shape} for these oracles and paths, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return oracles, values.reshape(len(oracles), -1), shape
 
 
 def uniform_time(
-    oracle: RandomOracle, theta: Paths, t: object, horizon: float
+    oracle: RandomOracle | Sequence[RandomOracle], theta: Paths, t: object, horizon: float
 ) -> float | np.ndarray:
     """One time drawn uniformly from [t, horizon], keyed by the theta path.
 
-    For a block of K paths, t has shape (K,) and so does the result."""
-    if _is_block(theta):
-        t = _per_row(t, len(theta), "t")
-        if not np.all(t <= horizon):
-            raise ValueError(f"need t <= horizon in every row, got t={t}, horizon={horizon}")
-        return t + (horizon - t) * oracle.uniform01(theta, KIND_TIME, 1)[:, 0]
-    if not t <= horizon:
-        raise ValueError(f"need t <= horizon, got t={t}, horizon={horizon}")
-    u = float(oracle.uniform01(theta, KIND_TIME, 1)[0])
-    return t + (horizon - t) * u
+    For a block of K paths, t has shape (K,) and so does the result; for a
+    sequence of S oracles, both have shape (S, K) (or (S,) for one path)."""
+    oracles, t, shape = _seed_block(oracle, theta, t, "t")
+    if not (np.isfinite(horizon) and np.all(t <= horizon)):
+        raise ValueError(f"need t <= horizon and a finite horizon, got t={t}, horizon={horizon}")
+    s = t + (horizon - t) * _uniforms(oracles, theta, KIND_TIME, 1)[..., 0]
+    return s.reshape(shape) if shape else float(s[0, 0])
 
 
-def brownian_increment(oracle: RandomOracle, theta: Paths, s: object) -> np.ndarray:
+def brownian_increment(
+    oracle: RandomOracle | Sequence[RandomOracle], theta: Paths, s: object
+) -> np.ndarray:
     """Brownian displacement over elapsed time s >= 0: sqrt(s) times the path's
     fixed Gaussian vector, so the same theta at two times gives collinear draws.
 
-    For a block of K paths, s has shape (K,) and the result (K, d)."""
-    if _is_block(theta):
-        s = _per_row(s, len(theta), "s")
-        if np.any(s < 0):
-            raise ValueError(f"elapsed times must be >= 0, got min s={s.min()}")
-        return np.sqrt(s)[:, None] * oracle.gaussians(theta, oracle.d)
-    if s < 0:
-        raise ValueError(f"elapsed time must be >= 0, got {s}")
-    return np.sqrt(s) * oracle.gaussians(theta, oracle.d)
+    For a block of K paths, s has shape (K,) and the result (K, d); for a
+    sequence of S oracles, s has shape (S, K) and the result (S, K, d), or
+    (S,) and (S, d) for one path."""
+    oracles, s, shape = _seed_block(oracle, theta, s, "s")
+    if np.any(s < 0):
+        raise ValueError(f"elapsed times must be >= 0, got min s={s.min()}")
+    d = oracles[0].d
+    moves = _uniforms(oracles, theta, KIND_GAUSS, d)
+    ndtri(moves, out=moves)
+    moves *= np.sqrt(s)[..., None]
+    return moves.reshape(*shape, d)
 
 
 def box_point(oracle: RandomOracle, index: int, low: float, high: float) -> np.ndarray:

@@ -1,6 +1,8 @@
 """The estimator and its sample tree written out from the definition, path by
 path, as references for the library's block draws and depth-at-a-time readers."""
 
+import struct
+
 import numpy as np
 
 from picardnets import RandomOracle, brownian_increment, uniform_time
@@ -69,14 +71,31 @@ def reference_tree(n, t, theta, cfg, oracle, times):
 
 
 class LoggingOracle(RandomOracle):
-    """An oracle that logs one (path, kind) per hashed path."""
+    """An oracle that logs one (path, kind) per hashed path, as its keyed hash
+    sees the messages, whichever call shape or seed block drew them."""
 
     def __init__(self, seed, d):
         super().__init__(seed, d)
         self.calls = []
+        self._keyed = LoggingKey(self._keyed, self.calls)
 
-    def uniform01(self, theta, kind, count):
-        # a block of paths logs one (path, kind) per row
-        rows = [tuple(row.tolist()) for row in theta] if isinstance(theta, np.ndarray) else [theta]
-        self.calls.extend((row, kind) for row in rows)
-        return super().uniform01(theta, kind, count)
+
+class LoggingKey:
+    """Stands in for an oracle's keyed BLAKE2b state. A message is the path's
+    length prefix and entries, then the kind byte and the 8-byte digest counter;
+    each copy logs (path, kind) when it hashes a path's first digest."""
+
+    def __init__(self, keyed, log):
+        self.keyed, self.log = keyed, log
+
+    def copy(self):
+        return LoggingKey(self.keyed.copy(), self.log)
+
+    def update(self, message):
+        if message[-8:] == bytes(8):
+            (length,) = struct.unpack_from("<Q", message)
+            self.log.append((struct.unpack_from(f"<{length}q", message, 8), message[-9:-8]))
+        self.keyed.update(message)
+
+    def digest(self):
+        return self.keyed.digest()

@@ -86,12 +86,18 @@ def assert_same_records(depths, tree, n, d, j):
     ],
 )
 def test_depth_records_equal_the_per_path_recursion(monkeypatch, n, M, d, theta, t):
-    # every drawn time, by seed and branch path, as the records' block calls return it
-    times = {}
+    # every drawn time, by seed and branch path, as the records' block calls
+    # return it (a seed group and each seed alone must draw the same bits), and
+    # how many oracles each call draws for
+    times, calls = {}, []
 
-    def recording_uniform_time(oracle, paths, start, horizon):
-        s = uniform_time(oracle, paths, start, horizon)
-        times.update(((oracle.seed, tuple(row)), value) for row, value in zip(paths.tolist(), s))
+    def recording_uniform_time(oracles, paths, start, horizon):
+        s = uniform_time(oracles, paths, start, horizon)
+        calls.append(len(oracles))
+        for oracle, row in zip(oracles, s):
+            for path, value in zip(paths.tolist(), row):
+                drawn = times.setdefault((oracle.seed, tuple(path)), value)
+                assert np.float64(drawn).tobytes() == value.tobytes()
         return s
 
     monkeypatch.setattr(engine, "uniform_time", recording_uniform_time)
@@ -105,6 +111,8 @@ def test_depth_records_equal_the_per_path_recursion(monkeypatch, n, M, d, theta,
         want_times.update(((seed, path), s) for path, s in per_seed.items())
         assert_same_records(group, want, n, d, j)
         assert_same_records(engine._draw_depths(cfg, theta, RandomOracle(seed, d)), want, n, d, 0)
+    # one call per depth for all seeds, then one per depth for each seed alone
+    assert calls == [len(seeds)] * len(group) + [1] * len(group) * len(seeds)
     assert {k: np.float64(v).tobytes() for k, v in times.items()} == {
         k: np.float64(v).tobytes() for k, v in want_times.items()
     }
@@ -190,20 +198,23 @@ def test_constant_nonlinearity_with_zero_datum():
 def test_each_branch_draw_happens_exactly_once():
     # the time and displacement of branch (i, k) are shared by both nested
     # recursions, so no (path, kind) pair may ever be hashed twice, and the
-    # sign-flipped relabel paths must not draw anything at their own node
+    # sign-flipped relabel paths must not draw anything at their own node; each
+    # seed of a seed block draws every branch once, as one oracle alone does
     cfg = MlpConfig(n=2, M=2, horizon=1.0, t=0.0, d=1)
     fns = ProblemFns(f=lambda v: 0.1 * v, g=lambda x: x[..., 0])
-    oracle = LoggingOracle(3, 1)
-    mlp_eval(cfg, np.array([0.0]), ROOT_PATH, fns, oracle)
+    alone, block = LoggingOracle(3, 1), [LoggingOracle(3, 1), LoggingOracle(8, 1)]
+    mlp_eval(cfg, np.array([0.0]), ROOT_PATH, fns, alone)
+    mlp_eval(cfg, np.array([0.0]), ROOT_PATH, fns, block)
+    assert block[0].calls == alone.calls == block[1].calls
 
-    counts = Counter(oracle.calls)
+    counts = Counter(alone.calls)
     assert max(counts.values()) == 1
     for i, k in [(1, 1), (1, 2)]:
         assert ((0, i, k), KIND_TIME) in counts
         assert ((0, i, k), KIND_GAUSS) in counts
-        assert all(theta != (0, -i, k) for theta, _ in oracle.calls)
+        assert all(theta != (0, -i, k) for theta, _ in alone.calls)
     # a tier-0 branch's summand is f(0) whatever is drawn for it, so nothing is
-    assert not [theta for theta, _ in oracle.calls if theta[-2] == 0 and theta[-1] >= 1]
+    assert not [theta for theta, _ in alone.calls if theta[-2] == 0 and theta[-1] >= 1]
 
 
 def drawn_paths(n, M):

@@ -34,6 +34,12 @@ def test_theta_bytes_rejects_bad_entries():
         theta_bytes((-(2**63) - 1,))
     with pytest.raises(ValueError):
         theta_bytes((1.5,))
+    # a bool is an int, but (True,) would key the draws of the path (1,)
+    for theta in [(True,), (0, False), (np.True_,)]:
+        with pytest.raises(ValueError):
+            theta_bytes(theta)
+        with pytest.raises(ValueError):
+            RandomOracle(1, 1).uniform01(theta, KIND_TIME, 1)
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -208,7 +214,7 @@ EDGE_ENTRIES = st.sampled_from([2**63 - 1, -(2**63 - 1), -(2**63), 0, 1, -1])
 def path_blocks(draw):
     """A (K, L) block of paths with entries often at the int64 extremes."""
     rows = draw(st.integers(0, 5))
-    length = draw(st.integers(1, 6))
+    length = draw(st.integers(0, 6))
     entry = EDGE_ENTRIES | INT64 | st.integers(-3, 3)
     return np.array(
         [[draw(entry) for _ in range(length)] for _ in range(rows)], dtype=np.int64
@@ -270,6 +276,71 @@ def test_block_rejects_bad_paths_and_times():
         brownian_increment(oracle, good, np.array([1.0, -1e-300]))
     with pytest.raises(ValueError):
         brownian_increment(oracle, good, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path_blocks(), st.lists(INT64, min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_seed_block_rows_equal_each_oracles_own_draws(paths, seeds, times_seed):
+    # d = 9 needs two digests per path
+    oracles = [RandomOracle(seed, 9) for seed in seeds]
+    shape = (len(oracles), len(paths))
+    t = np.random.default_rng(times_seed).uniform(-2.0, 1.5, size=shape)
+    s = np.where(np.arange(len(paths)) % 2 == 0, 0.0, np.abs(t))  # s = 0 in every other column
+    times = uniform_time(oracles, paths, t, 1.5)
+    moves = brownian_increment(oracles, paths, s)
+    assert times.shape == shape and moves.shape == (*shape, 9)
+    for i, oracle in enumerate(oracles):
+        assert times[i].tobytes() == uniform_time(oracle, paths, t[i], 1.5).tobytes()
+        assert moves[i].tobytes() == brownian_increment(oracle, paths, s[i]).tobytes()
+    # one path drawn for every oracle: (S,) times and (S, d) increments
+    for j, row in enumerate(paths):
+        path = tuple(int(v) for v in row)
+        assert uniform_time(oracles, path, t[:, j], 1.5).tobytes() == times[:, j].tobytes()
+        assert brownian_increment(oracles, path, s[:, j]).tobytes() == moves[:, j].tobytes()
+
+
+def test_seed_block_rejects_bad_oracles_and_shapes():
+    paths = np.array([[0, 1], [0, 2], [0, 3]], dtype=np.int64)
+    pair = [RandomOracle(1, 2), RandomOracle(2, 2)]
+    draws = [
+        lambda oracles, v: uniform_time(oracles, paths, v, 1.0),
+        lambda oracles, v: brownian_increment(oracles, paths, v),
+    ]
+    for draw in draws:
+        assert draw(pair, np.zeros((2, 3))).shape[:2] == (2, 3)
+        for oracles in [[], (), [RandomOracle(1, 2), RandomOracle(2, 3)]]:
+            with pytest.raises(ValueError, match="oracle"):
+                draw(oracles, np.zeros((len(oracles), 3)))
+        for shape in [(), (3,), (2,), (3, 2), (1, 3), (2, 3, 1)]:
+            with pytest.raises(ValueError, match="shape"):
+                draw(pair, np.zeros(shape))
+    # one path takes (S,) values
+    for shape in [(), (1,), (2, 1)]:
+        with pytest.raises(ValueError, match="shape"):
+            uniform_time(pair, (0, 1), np.zeros(shape), 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            brownian_increment(pair, (0, 1), np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_are_rejected(bad):
+    # they used to give NaN or infinite times and increments
+    oracle = RandomOracle(3, 2)
+    pair = [oracle, RandomOracle(4, 2)]
+    block = np.array([[0, 1], [0, 2]], dtype=np.int64)
+    cases = [
+        (oracle, (0, 1), bad),
+        (oracle, block, np.array([0.5, bad])),
+        (pair, block, np.array([[0.5, 0.5], [bad, 0.5]])),
+        (pair, (0, 1), np.array([0.5, bad])),
+    ]
+    for oracles, paths, values in cases:
+        with pytest.raises(ValueError):
+            brownian_increment(oracles, paths, values)
+        with pytest.raises(ValueError):
+            uniform_time(oracles, paths, values, 1.0)
+        with pytest.raises(ValueError):
+            uniform_time(oracles, paths, np.zeros(np.shape(values)), bad)
 
 
 def test_empty_block_draws_nothing():
