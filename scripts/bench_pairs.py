@@ -21,10 +21,14 @@ code and the tail of its stderr, and the summary covers only the pairs in
 which both runs wrote one. It also records, for each checkout, how many
 `uniform_time` and `brownian_increment` block calls and hashed paths one
 (4,3), d = 5 sample tree of one oracle takes, with
-the hashed paths also split into time and Gaussian draws, how many `g` and
+the hashed paths also split into time and Gaussian draws, the same counts for
+the same tree drawn a second and a third time in a row (`kept_tree`,
+`warm_tree`), how many `g` and
 `f` calls one (4,3) estimate of 16 points by one seed makes, the
 `tracemalloc` peak of a (4,4), d = 16 estimate of 64 points by 4 seeds (as
-`mlp_eval_memory_4_4`), and (as
+`mlp_eval_memory_4_4`), the traced bytes that one estimate, and two in a
+row, leave held at (4,3), d = 5 and (4,4), d = 16 (as `plan_memory`: the
+kept plan), and (as
 `compile_memory_4_3` and `compile_memory_3_2_sin`) the `tracemalloc` peak
 of compiling compile-wide's and compile-deep's inputs next to the bytes of
 the net it builds: a count of what a compile holds that does not depend on
@@ -52,10 +56,11 @@ from statistics import median, quantiles
 
 # One (4,3), d = 5 sample tree drawn through an oracle whose keyed hash counts the paths
 # it hashes, in all and by kind (time and Gaussian), with the block calls of `_draw_depths`
-# counted; then one (4,3) estimate of 16 points by one seed through f and g that count
+# counted; the same tree drawn a second time (`kept_tree`, which keeps the plan where the
+# engine keeps one) and a third (`warm_tree`, from the kept plan); then one (4,3) estimate of 16 points by one seed through f and g that count
 # their calls. A message is a path's length prefix and entries, its kind byte and an
 # 8-byte digest counter, so a message with counter 0 is one hashed path however the
-# oracle batches its calls, and a count means the same at any commit.
+# oracle batches its calls or keeps its messages, and a count means the same at any commit.
 WORK_COUNTS = """
 import json
 from collections import Counter
@@ -94,18 +99,25 @@ for name in ("uniform_time", "brownian_increment"):
 oracle = pn.RandomOracle(1, 5)
 oracle._keyed = CountingKey(oracle._keyed)
 cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
-_draw_depths(cfg, pn.ROOT_PATH, oracle)
-block_calls = calls["draw"]
+
+def tree_counts():
+    paths.clear()
+    calls.clear()
+    _draw_depths(cfg, pn.ROOT_PATH, oracle)
+    return {
+        "block_calls_per_tree": calls["draw"],
+        "hashed_paths_per_tree": paths.total(),
+        "hashed_time_paths_per_tree": paths[KIND_TIME],
+        "hashed_gauss_paths_per_tree": paths[KIND_GAUSS],
+    }
+
+counts = tree_counts()
+counts["kept_tree"] = tree_counts()
+counts["warm_tree"] = tree_counts()
+calls.clear()
 fns = pn.ProblemFns(f=counted("f", lambda v: 0.1 * v), g=counted("g", lambda x: np.sum(x * x, axis=-1)))
 pn.mlp_estimate_batch(cfg, np.full((16, 5), 0.5), [1], fns)
-print(json.dumps({
-    "block_calls_per_tree": block_calls,
-    "hashed_paths_per_tree": paths.total(),
-    "hashed_time_paths_per_tree": paths[KIND_TIME],
-    "hashed_gauss_paths_per_tree": paths[KIND_GAUSS],
-    "g_calls_per_estimate": calls["g"],
-    "f_calls_per_estimate": calls["f"],
-}))
+print(json.dumps({**counts, "g_calls_per_estimate": calls["g"], "f_calls_per_estimate": calls["f"]}))
 """
 
 
@@ -124,6 +136,31 @@ oracles = [pn.RandomOracle(seed, 16) for seed in range(4)]
 tracemalloc.start()
 pn.mlp_eval(cfg, points, pn.ROOT_PATH, fns, oracles)
 print(json.dumps({"traced_peak_mb": tracemalloc.get_traced_memory()[1] / 1e6}))
+"""
+
+
+# The traced bytes still held after one estimate (one point, one seed, the result dropped)
+# and after a second one in a row, at (4,3), d = 5 and at (4,4), d = 16, after a (1,1)
+# estimate has set up what a first call sets up: what the engine keeps of a tree between
+# calls, its plan and the plan's messages.
+PLAN_MEMORY = """
+import gc
+import json
+import tracemalloc
+import numpy as np
+import picardnets as pn
+
+fns = pn.ProblemFns(f=lambda v: 0.1 * v, g=lambda x: np.sum(x * x, axis=-1))
+pn.mlp_estimate_batch(pn.MlpConfig(n=1, M=1, horizon=1.0, t=0.0, d=5), np.zeros((1, 5)), [1], fns)
+retained = {}
+for n, M, d in ((4, 3, 5), (4, 4, 16)):
+    tracemalloc.start()
+    for calls in (1, 2):
+        pn.mlp_estimate_batch(pn.MlpConfig(n=n, M=M, horizon=1.0, t=0.0, d=d), np.full((1, d), 0.5), [1], fns)
+        gc.collect()
+        retained[f"retained_mb_{n}_{M}_d{d}_after_{calls}"] = tracemalloc.get_traced_memory()[0] / 1e6
+    tracemalloc.stop()
+print(json.dumps(retained))
 """
 
 
@@ -342,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     report["workloads"].setdefault(args.workload, {}).update(entry)
     report["work_counts_4_3"] = {side: run_snippet(checkout.resolve(), WORK_COUNTS) for side, checkout in sides}
     report["mlp_eval_memory_4_4"] = {side: run_snippet(checkout.resolve(), ESTIMATE_MEMORY) for side, checkout in sides}
+    report["plan_memory"] = {side: run_snippet(checkout.resolve(), PLAN_MEMORY) for side, checkout in sides}
     for key, workload in COMPILE_MEMORY_KEYS.items():
         case = (*COMPILE_CASES[workload], "1")
         report[key] = {side: run_snippet(checkout.resolve(), COMPILE_MEMORY, *case) for side, checkout in sides}

@@ -20,7 +20,8 @@ a time, so both see the same draws by construction. The records hold only the
 draws they read: a summand of f on a level-0 recursion is f(0) whatever is
 drawn for it, so tier 0 and level-0 recursions get no draws and no nodes, and
 a (4,3) tree hashes 1,032 paths where the definition's recursion hashes
-2,544. The paths do not depend on the seed, so one tree holds the draws of S
+2,544. The paths do not depend on the seed, so a small tree drawn twice in a
+row keeps them for the next draw (`_draw_depths`), one tree holds the draws of S
 oracles side by side, and with the array-valued f and g of `ProblemFns` one
 read of it serves a whole block of S seeds by N points.
 """
@@ -34,6 +35,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .sampling import (
+    PathBlock,
     RandomOracle,
     ThetaPath,
     brownian_increment,
@@ -84,7 +86,7 @@ class ProblemFns:
 def _oracle_list(oracle: RandomOracle | Sequence[RandomOracle], d: int) -> list[RandomOracle]:
     oracles = [oracle] if isinstance(oracle, RandomOracle) else list(oracle)
     if not oracles:
-        raise ValueError("need at least one oracle")
+        raise ValueError("need at least one oracle")  # a level-0 tree draws nothing to check it
     for o in oracles:
         if o.d != d:
             raise ValueError(f"oracle dimension {o.d} != problem dimension {d}")
@@ -116,13 +118,38 @@ class _Depth(NamedTuple):
     branch. At (4,3) that is 1,032 paths: 138 times and 894 Gaussian vectors.
     """
 
-    levels: list[int]  # each node's level m >= 1, non-increasing
+    levels: tuple[int, ...]  # each node's level m >= 1, non-increasing
     scales: np.ndarray  # (tiers, S): tiers 0..m-1 of each node
     datum_moves: np.ndarray  # (shifts, 1, S, d): the M**m datum shifts of each node
     branch_moves: np.ndarray  # (branches, S, d): tiers 1..m-1 of each node, M**(m-i) a tier
     branch_owner: np.ndarray  # (branches,): the node each branch belongs to
     child: np.ndarray  # (branches,): each branch's child, a node of the next depth
     below: np.ndarray  # (branches,): each branch's `below` tree in the next depth, or -1
+
+
+class _Step(NamedTuple):
+    """The part of one depth of a sample tree that does not depend on the seed:
+    where each draw is keyed and where it goes. In a kept plan every array is
+    read-only."""
+
+    levels: tuple[int, ...]  # as in `_Depth`
+    datum_owner: np.ndarray  # (shifts,): the node each datum shift belongs to
+    tier_owner: np.ndarray  # (tiers,): the node each tier belongs to
+    divisors: np.ndarray  # (tiers,): each tier's M**(m-i)
+    branch_owner: np.ndarray  # as in `_Depth`
+    time_paths: np.ndarray  # (branches, L): each branch's path, for its time; a `PathBlock` in a kept plan
+    move_paths: np.ndarray  # (shifts + branches, L): each datum shift's path, then the branch paths
+    child: np.ndarray  # as in `_Depth`
+    below: np.ndarray  # as in `_Depth`
+    starts: np.ndarray  # (next nodes,): the branch whose time each node of the next depth starts at
+
+
+# The key (theta_bytes(theta), n, M, d) of the most recent draw, and its plan once kept.
+_recent: tuple[tuple[bytes, int, int, int] | None, tuple[_Step, ...] | None] = (None, None)
+
+# A plan is kept only while its D(n) paths, one message each per 8 coordinates
+# (see `_Depth`), make at most this many messages: a few MB of plan and messages.
+_KEEP_MESSAGES = 1 << 15
 
 
 def _draw_depths(
@@ -132,23 +159,66 @@ def _draw_depths(
     one `_Depth` record per depth of its sample tree (none for n = 0), for one
     oracle or for each of a sequence of S oracles (S = 1 for one).
 
-    The draws are made breadth first. Every path drawn at one depth of the tree
+    The paths drawn, and where each draw goes, depend on (n, M, theta) only:
+    `_plan` works them out a depth at a time. A tree drawn twice in a row (one
+    (theta, n, M, d)) is kept whole from its second draw on, path blocks and
+    their encoded messages, if it is small (`_KEEP_MESSAGES`); any other draw
+    keeps nothing and drops the kept plan first. What is left here is the
+    seed's part, made breadth first. Every path drawn at one depth of the tree
     has the same length, and a node's time is its parent's branch time, so one
     depth is two block calls for all S oracles: `uniform_time` for the times of
     all its branches, then `brownian_increment` for all its datum shifts and
-    branch displacements. The paths do not depend on the seed, so each call
-    encodes their messages once and every oracle hashes them under its own key.
-    Block rows equal per-path draws bit for bit, so seed j holds the draws that
-    the definition's recursion makes path by path with oracle j, less those of
-    tier 0 and of level-0 recursions, which no reader reads: D(n) hashed paths
-    in all (see `_Depth`).
+    branch displacements. Each call encodes the paths' messages once (or reads
+    the kept ones), and every oracle hashes them under its own key. Block rows
+    equal per-path draws bit for bit, so seed j holds the draws that the
+    definition's recursion makes path by path with oracle j, less those of tier
+    0 and of level-0 recursions, which no reader reads: D(n) hashed paths in
+    all (see `_Depth`).
     """
-    theta_bytes(theta)  # rejects entries that are not 64-bit integers
+    global _recent
+    key = (theta_bytes(theta), cfg.n, cfg.M, cfg.d)  # rejects entries that are not 64-bit integers
     oracles = _oracle_list(oracle, cfg.d)
-    M, horizon = cfg.M, cfg.horizon
+    last, plan = _recent
+    if last != key or plan is None:
+        keep = last == key and _hashed_paths(cfg.n, cfg.M) * -(-cfg.d // 8) <= _KEEP_MESSAGES
+        _recent = (key, None)  # the old plan goes before a new one is built
+        plan = _plan(key[0], cfg.n, cfg.M, keep)
+        if keep:
+            plan = tuple(plan)
+            _recent = (key, plan)
+    horizon = cfg.horizon
+    times = np.full((len(oracles), 1), cfg.t, dtype=np.float64)  # each node's time, one row per seed
+    depths = []
+    for step in plan:
+        start = times[:, step.branch_owner]
+        s = uniform_time(oracles, step.time_paths, start, horizon)
+        elapsed = np.concatenate([horizon - times[:, step.datum_owner], s - start], axis=1)
+        moves = brownian_increment(oracles, step.move_paths, elapsed).transpose(1, 0, 2)
+        scales = (horizon - times[:, step.tier_owner]) / step.divisors
+        n_datum = len(step.datum_owner)
+        draws = (scales.T, moves[:n_datum, None], moves[n_datum:])
+        depths.append(_Depth(step.levels, *draws, step.branch_owner, step.child, step.below))
+        times = s[:, step.starts]
+    return depths
+
+
+def _hashed_paths(n: int, M: int) -> int:
+    """D(n), the paths a level-n tree hashes (see `_Depth`)."""
+    D = [0]
+    for m in range(1, n + 1):
+        D.append(M**m + sum(M ** (m - i) * (2 + D[i] + D[i - 1]) for i in range(1, m)))
+    return D[n]
+
+
+def _plan(theta: bytes, n: int, M: int, keep: bool) -> Iterator[_Step]:
+    """The seed-independent part of each depth of the level-n tree along the
+    path `theta`, as `theta_bytes` encodes it: one `_Step` a depth, each made
+    when the depth before it has been read. With `keep`, every array is
+    read-only and the path blocks are `PathBlock`s, which keep their encoded
+    messages."""
     # per level m: the path suffixes of a node's datum draws (0, -k) and of its
     # branches (i >= 1, k), and the divisors M**(m-i) of its tier weights, in record order
-    levels_up = range(cfg.n + 1)
+    levels_up = range(n + 1)
     datum_sfx = [np.array([(0, -k) for k in range(1, M**m + 1)], dtype=np.int64) for m in levels_up]
     branch_sfx = [
         np.array([(i, k) for i in range(1, m) for k in range(1, M ** (m - i) + 1)], dtype=np.int64)
@@ -157,23 +227,17 @@ def _draw_depths(
     ]
     divisors = [np.array([M ** (m - i) for i in range(m)], dtype=np.int64) for m in levels_up]
 
-    # one depth of nodes: their levels, their times (one row per seed) and their paths
-    levels = np.array([cfg.n] if cfg.n else [], dtype=np.int64)
-    times = np.full((len(oracles), 1), cfg.t, dtype=np.float64)
-    paths = np.array(theta, dtype=np.int64).reshape(1, len(theta))
-    depths = []
+    # one depth of nodes: their levels and their paths
+    levels = np.array([n] if n else [], dtype=np.int64)
+    paths = np.frombuffer(theta, dtype="<i8", offset=8).reshape(1, -1)
+    block = PathBlock if keep else np.asarray
     while len(levels):
-        at = levels.tolist()
+        at = tuple(levels.tolist())
         datum_owner, datum_rows = _per_node(datum_sfx, at)
         branch_owner, branch_rows = _per_node(branch_sfx, at)
         tier_owner, tier_divisors = _per_node(divisors, at)
-        datum_paths = np.hstack([paths[datum_owner], datum_rows])
         branch_paths = np.hstack([paths[branch_owner], branch_rows])
-        start = times[:, branch_owner]
-        s = uniform_time(oracles, branch_paths, start, horizon)
-        elapsed = np.concatenate([horizon - times[:, datum_owner], s - start], axis=1)
-        moves = brownian_increment(oracles, np.vstack([datum_paths, branch_paths]), elapsed).transpose(1, 0, 2)
-        scales = (horizon - times[:, tier_owner]) / tier_divisors
+        move_paths = np.vstack([np.hstack([paths[datum_owner], datum_rows]), branch_paths])
         # the next depth: every branch's child along (theta, i, k), then the
         # level-(i-1) tree along (theta, -i, k) of every branch with i >= 2,
         # sorted by level, highest first
@@ -186,22 +250,25 @@ def _draw_depths(
         node_of[order] = np.arange(len(order))
         below_node = np.full(len(i), -1)
         below_node[below] = node_of[len(i) :]
-        n_datum = len(datum_paths)
-        draws = (scales.T, moves[:n_datum, None], moves[n_datum:])
-        depths.append(_Depth(at, *draws, branch_owner, node_of[: len(i)], below_node))
+        starts = np.concatenate([np.arange(len(i)), below])[order]
+        step = _Step(
+            at, datum_owner, tier_owner, tier_divisors, branch_owner,
+            block(branch_paths), block(move_paths), node_of[: len(i)], below_node, starts,
+        )
+        for array in step[1:] if keep else ():
+            array.flags.writeable = False
+        yield step
         levels = levels[order]
-        times = np.concatenate([s, s[:, below]], axis=1)[:, order]
         paths = np.vstack([branch_paths, below_paths])[order]
-    return depths
 
 
-def _per_node(table: list[np.ndarray], levels: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _per_node(table: list[np.ndarray], levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The rows table[m] of every node of level m, node after node, and the node each row belongs to."""
     rows = [table[m] for m in levels]
     return np.repeat(np.arange(len(rows)), [len(r) for r in rows]), np.concatenate(rows)
 
 
-def _groups(levels: list[int], M: int) -> Iterator[tuple[int, slice, slice, slice, slice]]:
+def _groups(levels: tuple[int, ...], M: int) -> Iterator[tuple[int, slice, slice, slice, slice]]:
     """Each level m of a depth's sorted nodes, with the slices of its nodes and of
     their datum rows, tier rows and branch rows in the depth's fields."""
     starts = (0, 0, 0, 0)
@@ -231,11 +298,13 @@ def mlp_eval(
     an array of shape (nodes, N, S), and (N, S) zeros for f(0). Each estimate
     equals the one its (oracle, point) pair gets alone if f and g give an
     element the same bits in a block. The built-in f and g do. A network's
-    `realize` does not quite: a row gets the same bits anywhere in a full
-    64-row tile, but can move by a few ulps in a shorter last tile, so with
-    f and g as networks (`NetworkFn`) the (3,3) estimates of 7 points read
-    as one block differed from each read alone by up to 5e-15 relative, at
-    d = 5 and 16. Points must be finite.
+    `realize` does not quite. For the CLI's datum nets and a 17-unit f net, a
+    row got the same bits anywhere in a full 64-row tile but moved by a few
+    ulps in a shorter last tile, so with f and g as networks (`NetworkFn`)
+    the (3,3) estimates of 7 points read as one block differed from each read
+    alone by up to 5e-15 relative, at d = 5 and 16. For general dense weights
+    a row can move within a full tile too (README, Determinism). Points must
+    be finite.
     """
     points = np.asarray(x, dtype=np.float64)
     if points.shape[-1:] != (cfg.d,) or points.ndim not in (1, 2):

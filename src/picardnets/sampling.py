@@ -23,6 +23,11 @@ for a block ((S,) for one path), and return (S, K) times or (S, K, d)
 increments ((S,) or (S, d)). Each message is encoded once, and every oracle
 digests it under its own key.
 
+Kept messages: a `PathBlock` is a read-only block that keeps the messages of
+each (kind, count) it is drawn with, so drawing it again, under any oracle,
+hashes them without encoding them again. Every path is still digested on
+every draw.
+
 Row (s, j) of any form equals oracle s's single-path call on
 `tuple(paths[j])` bit for bit: both hash the same bytes (the block is encoded
 by one `astype("<i8")`, each row after the shared length prefix), and every
@@ -78,6 +83,20 @@ def _is_block(paths: Paths) -> bool:
     return isinstance(paths, np.ndarray)
 
 
+class PathBlock(np.ndarray):
+    """A read-only int64 copy of a (K, L) block of paths that keeps the messages
+    of each (kind, count) it is drawn with, from its first draw on. It draws
+    what the plain block draws, bit for bit; a slice of it keeps nothing."""
+
+    messages: dict[tuple[bytes, int], list[bytes]] | None = None
+
+    def __new__(cls, paths: np.ndarray) -> PathBlock:
+        block = np.array(paths, dtype=np.int64).view(cls)
+        block.flags.writeable = False
+        block.messages = {}
+        return block
+
+
 def _block_bytes(paths: np.ndarray) -> list[bytes]:
     """Canonical encoding of every row of a (K, L) block, as `theta_bytes` gives it."""
     if paths.ndim != 2:
@@ -119,19 +138,33 @@ class RandomOracle:
         return ndtri(self.uniform01(theta, KIND_GAUSS, count))
 
 
-def _uniforms(oracles: list[RandomOracle], theta: Paths, kind: bytes, count: int) -> np.ndarray:
-    """(S, K, count) uniforms of S oracles on K paths (K = 1 for one path). The
-    messages are built once; each oracle in turn digests them all under its key
-    and converts its lanes into its slice of one preallocated block. The block
-    is laid out (K, S, count), so the (S, K, count) result is a transposed view
-    and swapping its first two axes back gives the depth records' contiguous
-    (K, S, count)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+def _messages(theta: Paths, kind: bytes, count: int) -> list[bytes]:
+    """The messages of `count` uniforms of `kind` on every path of `theta`, path
+    after path: the path's encoding, the kind and a digest counter. A `PathBlock`
+    keeps them once built."""
+    kept = theta.messages if isinstance(theta, PathBlock) else None
+    if kept is not None and (kind, count) in kept:
+        return kept[kind, count]
     rows = _block_bytes(theta) if _is_block(theta) else [theta_bytes(theta)]
     tails = [kind + struct.pack("<Q", index) for index in range((count + 7) // 8)]
     messages = [row + tail for row in rows for tail in tails]
-    u = np.empty((len(rows), len(oracles), count))
+    if kept is not None:
+        kept[kind, count] = messages
+    return messages
+
+
+def _uniforms(oracles: list[RandomOracle], theta: Paths, kind: bytes, count: int) -> np.ndarray:
+    """(S, K, count) uniforms of S oracles on K paths (K = 1 for one path). The
+    messages are built once (or kept by a `PathBlock`); each oracle in turn
+    digests them all under its key and converts its lanes into its slice of one
+    preallocated block. The block is laid out (K, S, count), so the (S, K,
+    count) result is a transposed view and swapping its first two axes back
+    gives the depth records' contiguous (K, S, count)."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    messages = _messages(theta, kind, count)
+    paths = len(theta) if _is_block(theta) else 1
+    u = np.empty((paths, len(oracles), count))
     for j, oracle in enumerate(oracles):
         copy = oracle._keyed.copy
         digests = []
@@ -139,7 +172,7 @@ def _uniforms(oracles: list[RandomOracle], theta: Paths, kind: bytes, count: int
             h = copy()
             h.update(message)
             digests.append(h.digest())
-        lanes = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(rows), 8 * len(tails))
+        lanes = np.frombuffer(b"".join(digests), dtype="<u8").reshape(paths, 8 * ((count + 7) // 8))
         u[:, j] = lanes[:, :count]
     u += 0.5
     u /= _TWO64

@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from picardnets import (
     mlp_estimate_batch,
     mlp_eval,
     relu,
+    theta_bytes,
     uniform_time,
 )
-from picardnets.sampling import KIND_GAUSS, KIND_TIME
+from picardnets.sampling import KIND_GAUSS, KIND_TIME, PathBlock
 from references import LoggingOracle, reference_tree, reference_eval
 
 
@@ -50,7 +53,7 @@ def assert_same_records(depths, tree, n, d, j):
             for i, (_, bs) in enumerate(tiers)
             for branch in bs
         ]
-        assert depth.levels == [m for m, _ in nodes]
+        assert depth.levels == tuple(m for m, _ in nodes)
         assert all(a >= b for a, b in zip(depth.levels, depth.levels[1:]))
         scales = [scale for _, (_, tiers) in nodes for scale, _ in tiers]
         assert depth.scales[:, j].tobytes() == np.array(scales).tobytes()
@@ -125,6 +128,118 @@ def test_depth_draws_reject_bad_paths():
             engine._draw_depths(cfg, theta, RandomOracle(0, 1))
 
 
+def forget_plan():
+    engine._recent = (None, None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(0, 4),
+    M=st.integers(1, 3),
+    d=st.sampled_from([1, 5, 9]),  # d = 9 needs two digests per path
+    theta=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=3).map(tuple).filter(lambda th: th != ROOT_PATH),
+    seed=st.integers(-(2**63), 2**63 - 2),
+)
+@example(n=4, M=3, d=9, theta=(0, 5, -2), seed=0)
+def test_a_kept_plan_draws_what_a_new_one_draws(n, M, d, theta, seed):
+    cfg = MlpConfig(n=n, M=M, horizon=1.0, t=0.25, d=d)
+    oracles = [RandomOracle(seed, d), RandomOracle(seed + 1, d)]
+    forget_plan()
+    # the first draw keeps nothing, the second keeps the plan and its messages, the third reads them
+    draws = [engine._draw_depths(cfg, theta, oracles) for _ in range(3)]
+    key, plan = engine._recent
+    assert key == (theta_bytes(theta), n, M, d) and len(plan) == len(draws[0])
+    assert all(step.move_paths.messages and step.time_paths.messages for step in plan)
+    for j, oracle in enumerate(oracles):
+        want = reference_tree(n, cfg.t, theta, cfg, RandomOracle(oracle.seed, d), {})
+        for depths in draws:
+            assert_same_records(depths, want, n, d, j)
+
+
+def test_a_small_tree_is_kept_from_its_second_draw_in_a_row(monkeypatch):
+    forget_plan()
+    draw = lambda n, d: engine._draw_depths(MlpConfig(n=n, M=2, horizon=1.0, t=0.0, d=d), (1,), RandomOracle(1, d))
+    draw(3, 1)
+    assert engine._recent == ((theta_bytes((1,)), 3, 2, 1), None)  # a one-off draw keeps nothing
+    draw(3, 1)
+    plan = engine._recent[1]
+    assert all(isinstance(step.move_paths, PathBlock) for step in plan)
+    draw(3, 1)
+    assert engine._recent[1] is plan
+    draw(3, 2)  # another d is another tree: the kept plan is dropped
+    assert engine._recent == ((theta_bytes((1,)), 3, 2, 2), None)
+    # a tree is kept only while its paths, one message each per 8 coordinates, fit the limit
+    paths = engine._hashed_paths(3, 2)
+    for d, limit, kept in [(8, paths, True), (8, paths - 1, False), (9, 2 * paths - 1, False), (9, 2 * paths, True)]:
+        monkeypatch.setattr(engine, "_KEEP_MESSAGES", limit)
+        forget_plan()
+        draw(3, d)
+        draw(3, d)
+        assert (engine._recent[1] is not None) == kept
+
+
+def test_plan_arrays_are_read_only_and_held_by_the_records():
+    cfg = MlpConfig(n=4, M=2, horizon=1.0, t=0.0, d=2)
+    for _ in range(3):
+        depths = engine._draw_depths(cfg, (0, 3), RandomOracle(1, 2))
+    plan = engine._recent[1]
+    assert len(plan) == len(depths)
+    for step, depth in zip(plan, depths):
+        assert depth.levels is step.levels and isinstance(step.levels, tuple)
+        assert all(a is b for a, b in zip(depth[4:], (step.branch_owner, step.child, step.below)))
+        for array in step[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_a_rejected_path_leaves_the_kept_plan():
+    cfg = MlpConfig(n=2, M=2, horizon=1.0, t=0.0, d=1)
+    for _ in range(2):
+        engine._draw_depths(cfg, (1,), RandomOracle(1, 1))
+    before = engine._recent
+    assert before[1] is not None
+    for bad in [(True,), (np.True_,), (2**63,), (1.5,)]:
+        with pytest.raises(ValueError):
+            engine._draw_depths(cfg, bad, RandomOracle(1, 1))
+    assert engine._recent is before  # no lookup was made
+
+
+def test_equal_paths_share_one_plan():
+    # the plan is keyed by the path's encoding, so (0,) and (np.int64(0),) are one path
+    cfg = MlpConfig(n=3, M=2, horizon=1.0, t=0.0, d=2)
+    forget_plan()
+    for _ in range(2):
+        first = engine._draw_depths(cfg, (0,), RandomOracle(4, 2))
+    plan = engine._recent[1]
+    for theta in [(np.int64(0),), (np.int32(0),), ROOT_PATH]:
+        again = engine._draw_depths(cfg, theta, RandomOracle(4, 2))
+        assert engine._recent[1] is plan
+        assert all(a.child is b.child for a, b in zip(first, again))
+
+
+def test_threads_sharing_a_plan_give_the_serial_bytes():
+    # more threads than cores, switching often, from no plan: at one level they
+    # keep one plan and share it and its messages; at two levels they drop each other's
+    fns = ProblemFns(f=lambda v: 0.1 * v, g=quad_g)
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(4, 5))
+    level_4_3, level_3_3 = (MlpConfig(n=n, M=3, horizon=1.0, t=0.0, d=5) for n in (4, 3))
+    seeds = [[1], [2, 3], [4], [5, 6, 7], [8], [9, 10]]
+    for cfgs in ([level_4_3], [level_4_3, level_3_3]):
+        jobs = [(cfgs[j % len(cfgs)], job) for j, job in enumerate(seeds)]
+        serial = [mlp_estimate_batch(cfg, pts, job, fns).tobytes() for cfg, job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                forget_plan()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(mlp_estimate_batch, cfg, pts, job, fns) for cfg, job in jobs]
+                    threaded = [future.result(timeout=120).tobytes() for future in futures]
+                assert threaded == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("S", [1, 3])
 @pytest.mark.parametrize("n, M", [(n, M) for n in range(1, 6) for M in (1, 2)])
 def test_depth_records_place_every_tree_once_by_level(n, M, S):
@@ -147,7 +262,7 @@ def test_depth_records_place_every_tree_once_by_level(n, M, S):
         for m, *slices in engine._groups(levels, M):
             assert [s.start for s in slices] == ends
             count = slices[0].stop - slices[0].start
-            assert count > 0 and levels[slices[0]] == [m] * count
+            assert count > 0 and levels[slices[0]] == (m,) * count
             per_node = [1, M**m, m, sum(M ** (m - i) for i in range(1, m))]
             assert [s.stop - s.start for s in slices] == [count * k for k in per_node]
             ends = [s.stop for s in slices]
@@ -235,6 +350,7 @@ def drawn_paths(n, M):
 def test_tree_hashes_the_closed_form_count_of_paths(n, M, paths, times):
     # the draw alone, and a compile, which draws the same records and nothing else
     assert drawn_paths(n, M) == (paths, times)
+    assert engine._hashed_paths(n, M) == paths
     cfg = MlpConfig(n=n, M=M, horizon=1.0, t=0.0, d=2)
 
     def compile_with(oracle):
@@ -437,8 +553,9 @@ def test_a_sequence_of_oracles_gives_a_leading_seed_axis():
     assert block.shape == (2, 3)
     one = mlp_eval(cfg, pts[1], ROOT_PATH, fns, oracles)
     assert one.shape == (2,) and np.array_equal(one, block[:, 1])
-    with pytest.raises(ValueError, match="oracle"):
-        mlp_eval(cfg, pts, ROOT_PATH, fns, [])
+    for n in (0, 2):  # a level-0 tree draws nothing, and still needs an oracle
+        with pytest.raises(ValueError, match="oracle"):
+            mlp_eval(MlpConfig(n=n, M=2, horizon=1.0, t=0.25, d=2), pts, ROOT_PATH, fns, [])
 
 
 def test_oracle_dimension_must_match_the_problem():

@@ -16,7 +16,7 @@ from picardnets import (
     theta_bytes,
     uniform_time,
 )
-from picardnets.sampling import KIND_BOX, KIND_GAUSS, KIND_PROBE, KIND_TIME
+from picardnets.sampling import KIND_BOX, KIND_GAUSS, KIND_PROBE, KIND_TIME, PathBlock
 
 
 def test_theta_bytes_layout():
@@ -248,6 +248,28 @@ def test_block_draws_equal_single_path_draws_row_for_row(paths, count, d, times)
         assert type(single) is float
         assert np.float64(single).tobytes() == times_block[j].tobytes()
         assert moves[j].tobytes() == brownian_increment(oracle, path, float(s[j])).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(path_blocks(), st.lists(INT64, min_size=1, max_size=3), st.sampled_from([1, 8, 9, 17]))
+def test_a_path_block_draws_what_the_plain_block_draws(paths, seeds, d):
+    # the first draw of each (kind, count) keeps its messages and the second reads
+    # them, under every oracle; d = 9 and 17 need two and three digests per path
+    block = PathBlock(paths)
+    assert not block.flags.writeable and block.tobytes() == paths.tobytes()
+    oracles = [RandomOracle(seed, d) for seed in seeds]
+    t = np.zeros((len(seeds), len(paths)))
+    for _ in range(2):
+        for oracle in oracles:
+            for kind in (KIND_TIME, KIND_GAUSS):
+                assert oracle.uniform01(block, kind, d).tobytes() == oracle.uniform01(paths, kind, d).tobytes()
+        assert uniform_time(oracles, block, t, 1.0).tobytes() == uniform_time(oracles, paths, t, 1.0).tobytes()
+        moves = brownian_increment(oracles, block, t + 0.5)
+        assert moves.tobytes() == brownian_increment(oracles, paths, t + 0.5).tobytes()
+    assert set(block.messages) == {(KIND_TIME, d), (KIND_GAUSS, d), (KIND_TIME, 1)}
+    # a slice of the block is a new block of paths, encoded afresh
+    tail = oracles[0].uniform01(block[1:], KIND_GAUSS, d)
+    assert tail.tobytes() == oracles[0].uniform01(paths[1:], KIND_GAUSS, d).tobytes()
 
 
 def test_block_rejects_bad_paths_and_times():
