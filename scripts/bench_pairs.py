@@ -41,6 +41,14 @@ which phase sets `peak_mb`, and as `compile_rss_W` how far a compile alone
 of W's inputs raises that mark over the set-up, at oracle seeds 1-10. An
 existing output file is updated in place, so workloads can be measured in
 separate invocations.
+
+Every child compiles every module it imports from source, so bytecode that an
+earlier run left in either checkout biases neither side: no child writes
+bytecode, and each looks for it only under an empty temporary
+`PYTHONPYCACHEPREFIX`. That holds for the stdlib and site-packages too, on
+both sides alike, which puts about 0.8 s on `setup_s` and 1-2 MB on
+`peak_mb` (Python 3.11, 2 cores), so compare a pair file's values with each
+other, not with `bench/run.py` run on its own.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -359,7 +368,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace-pairs", type=int, default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as empty:
+        os.environ.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=empty)  # for every child
+        measure(args)
+    return 0
 
+
+def measure(args: argparse.Namespace) -> None:
+    """Run the pairs and the counts of the module docstring, and write them into args.out."""
     sides = [("parent", args.parent), ("new", args.new)]
     entry: dict = {}
     for trace, count in ((0, args.pairs), (1, args.trace_pairs)):
@@ -391,7 +407,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         report[f"compile_rss_{args.workload}"] = compile_rss(sides, COMPILE_CASES[args.workload])
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0
 
 
 if __name__ == "__main__":

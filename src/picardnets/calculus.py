@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -369,8 +368,6 @@ def linear_combination_same(
 
 
 _GUARD_PROBES = np.linspace(-1.0e6, 1.0e6, 32)
-# filler -> the activations under which it passed the check; a Network is immutable
-_IDENTITY_FILLERS: WeakKeyDictionary[Network, set] = WeakKeyDictionary()
 
 
 def _check_identity_filler(filler: Network, act: Activation | Callable) -> None:
@@ -380,10 +377,7 @@ def _check_identity_filler(filler: Network, act: Activation | Callable) -> None:
     activation (the exponent for repu, 1 otherwise): algebraically exact
     identity nets accumulate float error at that scale near |x| = 1e6, while
     structurally wrong fillers deviate with O(1) constants at the same scale.
-    A pair that passed once is not probed again.
     """
-    if act in _IDENTITY_FILLERS.get(filler, ()):
-        return
     if input_dim(filler) != 1 or output_dim(filler) != 1:
         raise ValueError("depth filler must map scalars to scalars")
     if hidden_count(filler) != 1:
@@ -398,7 +392,6 @@ def _check_identity_filler(filler: Network, act: Activation | Callable) -> None:
             f"depth filler does not realize the identity: at x={_GUARD_PROBES[i]!r} "
             f"it returns {got[i]!r}"
         )
-    _IDENTITY_FILLERS.setdefault(filler, set()).add(act)
 
 
 def sum_diff_depth(
@@ -409,9 +402,9 @@ def sum_diff_depth(
     """Sum of networks with possibly different depths.
 
     Every operand is first extended to the maximum operand depth with powers
-    of `filler` (which must realize the identity under `act`, checked on probe
-    points), then the equal-depth sum applies. Operands must share input
-    width, have scalar output, and match the filler's interface.
+    of `filler` (which must realize the identity under `act`, probed on every
+    call), then the equal-depth sum applies. Operands must share input width,
+    have scalar output, and match the filler's interface.
     """
     if len(nets) == 0:
         raise ValueError("sum needs at least one operand")
@@ -420,12 +413,12 @@ def sum_diff_depth(
     for net in nets:
         if output_dim(net) != input_dim(filler):
             raise ValueError("operand output width must match the filler interface")
-    return _write(_padded_sum(nets, filler, act))
-
-
-def _padded_sum(nets: Sequence[Network | _Sum], filler: Network, act: Activation | Callable) -> Network | _Sum:
-    """sum_diff_depth of operands already checked, in pieces."""
     _check_identity_filler(filler, act)
+    return _write(_padded_sum(nets, filler))
+
+
+def _padded_sum(nets: Sequence[Network | _Sum], filler: Network) -> Network | _Sum:
+    """sum_diff_depth of operands and filler already checked, in pieces."""
     target = max(len(_dims(net)) - 1 for net in nets)
     gaps = [target - (len(_dims(net)) - 1) for net in nets]
     return _sum([_compose(power(filler, gap), net) if gap else net for gap, net in zip(gaps, nets)])

@@ -41,6 +41,7 @@ import numpy as np
 
 from .activations import Activation
 from .calculus import (
+    _check_identity_filler,
     _compose,
     _offset,
     _padded_sum,
@@ -80,7 +81,8 @@ class CompileInputs:
     The datum network maps R^d to R, the nonlinearity network maps R to R, and
     the filler network must realize the scalar identity under `activation`
     with exactly one hidden layer (its width is the padding width used when
-    summing subnetworks of different depths).
+    summing subnetworks of different depths). All of this is checked here, at
+    every level n, so the compiler does not check the filler again.
     """
 
     n: int
@@ -104,12 +106,7 @@ class CompileInputs:
             )
         if input_dim(self.f_net) != 1 or output_dim(self.f_net) != 1:
             raise ValueError(f"nonlinearity network must map R to R, has dims {dims(self.f_net)}")
-        if (
-            input_dim(self.j_net) != 1
-            or output_dim(self.j_net) != 1
-            or hidden_count(self.j_net) != 1
-        ):
-            raise ValueError(f"filler network must have dims (1, w, 1), has {dims(self.j_net)}")
+        _check_identity_filler(self.j_net, self.activation)
         if self.oracle.d != self.d:
             raise ValueError(f"oracle dimension {self.oracle.d} != problem dimension {self.d}")
 
@@ -174,7 +171,7 @@ def _compile(depths: list[_Depth], inputs: CompileInputs, f_zero: float, f_const
         return affine(np.zeros((1, inputs.d)), np.zeros(1))
     if f_constant or not np.any(depths[0].scales[1:]):
         depths = depths[:1]  # no tier of the root gets units, so nothing below it is read
-    M, act, filler = inputs.M, inputs.activation, inputs.j_net
+    M, filler = inputs.M, inputs.j_net
 
     def f_terms(pairs) -> Network | _Sum:
         # the sum of f(node(x + shift)) over (branch of `depth`, node of the depth below)
@@ -184,7 +181,7 @@ def _compile(depths: list[_Depth], inputs: CompileInputs, f_zero: float, f_const
         for b, k in pairs:
             node, nodes[k] = nodes[k], None
             terms.append(_shift(_compose(inputs.f_net, node), depth.branch_moves[b, 0]))
-        return _padded_sum(terms, filler, act)
+        return _padded_sum(terms, filler)
 
     def compile_node(m: int, shifts: np.ndarray, scales: np.ndarray, branches: np.ndarray) -> Network | _Sum:
         # a level-m node of `depth` from its datum shifts, tier scales and branches;
@@ -208,8 +205,8 @@ def _compile(depths: list[_Depth], inputs: CompileInputs, f_zero: float, f_const
                 bias -= scale * len(tier) * f_zero
             else:
                 below_terms.append(_scaled(-scale, f_terms((b, depth.below[b]) for b in tier)))
-        blocks += [_padded_sum(terms, filler, act) for terms in (level_terms, below_terms) if terms]
-        return _offset(_padded_sum(blocks, filler, act), bias)
+        blocks += [_padded_sum(terms, filler) for terms in (level_terms, below_terms) if terms]
+        return _offset(_padded_sum(blocks, filler), bias)
 
     nodes: list[Network | _Sum | None] = []  # the compiled nodes of the depth below
     for depth in reversed(depths):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import picardnets.calculus as calculus_mod
 import picardnets.compiler as compiler_mod
 from picardnets import (
     CompileInputs,
@@ -21,6 +22,7 @@ from picardnets import (
     bound_depth,
     bound_params,
     bound_width,
+    box_points,
     brownian_increment,
     compile_mlp,
     compose,
@@ -31,6 +33,7 @@ from picardnets import (
     fan_in,
     interp_net_relu,
     leaky_relu,
+    mlp_estimate_batch,
     mlp_eval,
     monomial_net,
     network,
@@ -45,11 +48,13 @@ from picardnets import (
     scalar_mul,
     shift_input,
     size_report,
+    softplus,
     sum_diff_depth,
     sum_same_depth,
     uniform_time,
     verify_equivalence,
 )
+from picardnets.engine import _draw_depths
 from references import reference_tree
 
 RNG = np.random.default_rng(555)
@@ -235,6 +240,41 @@ def test_inputs_validation():
         CompileInputs(**{**good, "oracle": RandomOracle(0, 3)})
     with pytest.raises(ValueError):
         CompileInputs(**{**good, "horizon": -1.0})
+
+
+def test_the_depth_filler_is_checked_once_where_compile_inputs_are_built(monkeypatch):
+    # the filler is a property of the inputs: refused at construction at every level, n = 0
+    # included, and never probed again by the compiler's padded sums
+    bogus = network(([[1.0], [1.0]], [0.0, 0.0]), ([[0.5, 0.6]], [0.0]))
+    for n in (0, 1, 3):
+        good = make_inputs(n=n)
+        with pytest.raises(ValueError, match="identity"):
+            replace(good, j_net=bogus)
+    for act in (relu(), softplus()):
+        replace(good, j_net=monomial_net(1), activation=act)
+    with pytest.raises(ValueError, match="identity"):  # it realizes 1.1 x there
+        replace(good, j_net=monomial_net(1), activation=leaky_relu(0.1))
+
+    inputs = make_inputs("relu", n=3, M=2)
+    depths = _draw_depths(MlpConfig(n=3, M=2, horizon=1.0, t=0.0, d=2), (0,), inputs.oracle)
+    probes = []
+    original = calculus_mod.realize
+
+    def counting(net, act, x):
+        probes.append(act)
+        return original(net, act, x)
+
+    monkeypatch.setattr(calculus_mod, "realize", counting)
+    compiler_mod._compile(depths, inputs, 0.0, False)
+    assert probes == []
+    # compile_mlp rebuilds its inputs around the pruned f and g, which probes once
+    compile_mlp(inputs, (0,), 0.0)
+    assert probes == [relu()]
+    # the public sum_diff_depth checks its filler on every call
+    nets = [affine([[1.0]], [0.0]), rand_net((1, 2, 1))]
+    for _ in range(2):
+        sum_diff_depth(nets, monomial_net(1), softplus())
+    assert probes == [relu(), softplus(), softplus()]
 
 
 def relu_datum_inputs(n, M, f_net, d=5):
@@ -438,3 +478,22 @@ def test_compiled_json_bytes_are_pinned(case):
     net = compile_mlp(inputs, (0,), 0.0, allow_large=True)
     assert dims(net) == want_dims
     assert hashlib.sha256(dumps_network(net, inputs.activation).encode()).hexdigest() == want_sha
+
+
+# sha256 of the float64 bytes of mlp_estimate_batch at (4,3), d = 5, t = 0, horizon 1, with
+# f = 0.1 u and g = |x|^2 (no transcendental, so no SIMD choice of numpy's moves a bit)
+PINNED_ESTIMATE_SHA256 = {
+    "16 seeds x 1 point": (range(1, 17), 1, "a7738f8bc016fdf87d19c8a00071f20b8ddbb0aa620b710cf84d13382b7bd48c"),
+    "1 seed x 16 points": ([1], 16, "cb4832bb99e016e895acf7cf128d514a8283e1fc77874bd254a00da13846a598"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ESTIMATE_SHA256))
+def test_estimates_are_pinned(case):
+    seeds, count, want_sha = PINNED_ESTIMATE_SHA256[case]
+    cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
+    fns = ProblemFns(f=lambda u: 0.1 * u, g=lambda x: np.sum(x * x, axis=-1))
+    points = box_points(RandomOracle(2024, 5), 16, -1.0, 1.0)[:count]
+    estimates = mlp_estimate_batch(cfg, points, seeds, fns)
+    assert estimates.shape == (len(seeds), count) and estimates.dtype == np.float64
+    assert hashlib.sha256(estimates.tobytes()).hexdigest() == want_sha

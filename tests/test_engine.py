@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -375,6 +376,29 @@ def test_heat_kernel_mean_for_zero_nonlinearity():
     mean = table.mean()
     stderr = table.std(ddof=1) / np.sqrt(30)
     assert abs(mean - exact) < 4.0 * stderr + 1e-9
+
+
+# (n, M), lambda, t at horizon 1: each level once, each (sign of lambda, t = 0 or t > 0) once
+PICARD_CASES = [((1, 1), 1.0, 0.0), ((2, 2), -3.0, 0.5), ((3, 2), 2.0, 0.5), ((3, 3), -1.5, 0.0)]
+
+
+@pytest.mark.parametrize("level, lam, t", PICARD_CASES)
+def test_the_estimate_is_unbiased_for_the_picard_iterate(level, lam, t):
+    # for f = lam * u, g = |x|^2 and c = 1/2 the tiers telescope: E U_n = V_n, the n-th
+    # Picard iterate, (|x|^2 + d tau) sum_{k<n} (lam tau)^k / k! with tau = horizon - t,
+    # and not the solution u, the full series (|x|^2 + d tau) e^(lam tau)
+    n, M = level
+    d, seeds = 3, 8192
+    x = np.array([0.5, -0.25, 1.0])
+    tau = 1.0 - t
+    picard = (x @ x + d * tau) * sum((lam * tau) ** k / math.factorial(k) for k in range(n))
+    solution = (x @ x + d * tau) * math.exp(lam * tau)
+    cfg = MlpConfig(n=n, M=M, horizon=1.0, t=t, d=d)
+    fns = ProblemFns(f=lambda v: lam * v, g=quad_g)
+    estimates = mlp_estimate_batch(cfg, x[None, :], range(seeds), fns)[:, 0]
+    stderr = estimates.std(ddof=1) / math.sqrt(seeds)
+    assert abs(estimates.mean() - picard) < 4.0 * stderr
+    assert abs(estimates.mean() - solution) > 10.0 * stderr
 
 
 def test_batch_rows_match_single_evaluations():
