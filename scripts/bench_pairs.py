@@ -42,13 +42,12 @@ of W's inputs raises that mark over the set-up, at oracle seeds 1-10. An
 existing output file is updated in place, so workloads can be measured in
 separate invocations.
 
-Every child compiles every module it imports from source, so bytecode that an
-earlier run left in either checkout biases neither side: no child writes
-bytecode, and each looks for it only under an empty temporary
-`PYTHONPYCACHEPREFIX`. That holds for the stdlib and site-packages too, on
-both sides alike, which puts about 0.8 s on `setup_s` and 1-2 MB on
-`peak_mb` (Python 3.11, 2 cores), so compare a pair file's values with each
-other, not with `bench/run.py` run on its own.
+Bytecode that an earlier run left in either checkout biases neither side: a
+checkout that holds a `__pycache__` under `src/` or `bench/` is refused (exit
+2), and no child writes bytecode, so every child compiles the checkouts'
+modules from source. The stdlib and site-packages load from their own
+bytecode, as they do when `bench/run.py` runs on its own, so `setup_s` and
+`peak_mb` read as they do there.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -66,10 +64,13 @@ from statistics import median, quantiles
 # One (4,3), d = 5 sample tree drawn through an oracle whose keyed hash counts the paths
 # it hashes, in all and by kind (time and Gaussian), with the block calls of `_draw_depths`
 # counted; the same tree drawn a second time (`kept_tree`, which keeps the plan where the
-# engine keeps one) and a third (`warm_tree`, from the kept plan); then one (4,3) estimate of 16 points by one seed through f and g that count
-# their calls. A message is a path's length prefix and entries, its kind byte and an
-# 8-byte digest counter, so a message with counter 0 is one hashed path however the
-# oracle batches its calls or keeps its messages, and a count means the same at any commit.
+# engine keeps one) and a third (`warm_tree`, from the kept plan); then one (4,3) estimate
+# of 16 points by one seed through f and g that count their calls: 10 g calls, one per 81
+# datum shifts of a depth (pair files up to BENCH_32.json read 11, one level's nodes a
+# call), and 4 f calls. A message is a path's length prefix and entries, its kind byte
+# and an 8-byte digest counter, so a message with counter 0 is one hashed path however
+# the oracle batches its calls or keeps its messages, and a count means the same at any
+# commit.
 WORK_COUNTS = """
 import json
 from collections import Counter
@@ -368,9 +369,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace-pairs", type=int, default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as empty:
-        os.environ.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=empty)  # for every child
-        measure(args)
+    for checkout in (args.parent, args.new):
+        cached = [str(path) for top in ("src", "bench") for path in (checkout / top).rglob("__pycache__")]
+        if cached:
+            parser.error(f"{checkout} holds bytecode, which a child could read: remove {', '.join(cached)}")
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # for every child
+    measure(args)
     return 0
 
 

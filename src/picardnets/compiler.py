@@ -54,7 +54,7 @@ from .calculus import (
     scalar_mul,
     shift_input,
 )
-from .engine import MlpConfig, ProblemFns, _Depth, _draw_depths, _groups, mlp_eval
+from .engine import MlpConfig, ProblemFns, _Depth, _draw_depths, mlp_eval
 from .network import (
     Network,
     NetworkFn,
@@ -211,7 +211,7 @@ def _compile(depths: list[_Depth], inputs: CompileInputs, f_zero: float, f_const
     nodes: list[Network | _Sum | None] = []  # the compiled nodes of the depth below
     for depth in reversed(depths):
         built: list[Network | _Sum | None] = []
-        for m, _, datum, tiers, branch in _groups(depth.levels, M):
+        for m, _, datum, tiers, branch in depth.runs:
             shifts = depth.datum_moves[datum, 0, 0].reshape(-1, M**m, inputs.d)
             scales = depth.scales[tiers, 0].reshape(-1, m)
             branches = np.arange(branch.start, branch.stop).reshape(len(scales), -1)

@@ -14,7 +14,8 @@ so `_draw_depths` makes every oracle call of one estimate up front, as two
 block calls per depth of the recursion, and returns the draws of each depth
 as one `_Depth` record. The estimator here reads the records a depth at a
 time: top down for the node inputs and the datum averages, with `fns.g` on
-whole nodes of one level a call, then bottom up with `fns.f` once per depth.
+whole nodes of one depth, across levels, at most M**n shifts a call, then
+bottom up with `fns.f` once per depth.
 The compiler in `compiler.py` reads the same records bottom up, one node at
 a time, so both see the same draws by construction. The records hold only the
 draws they read: a summand of f on a level-0 recursion is f(0) whatever is
@@ -104,13 +105,15 @@ class _Depth(NamedTuple):
     next depth holds each branch's `child`, the level-i tree at the branch's
     time along its path, and for i >= 2 its `below` tree, the level-(i-1) tree
     at the same time along (theta, -i, k). A tier-1 branch's subtracted term is
-    f(0) again, so it has no `below` tree (-1), every node has level m >= 1, and
-    a level-0 estimate has no depths. The nodes of a depth are sorted by level,
-    highest first, and otherwise keep the order in which the branches above
-    make them: all children in branch order, then all `below` trees. So each
-    level's nodes, and their rows of every field, are contiguous (`_groups`).
-    The drawn times enter the records only through the scales and shifts, the
-    two things read.
+    f(0) again, so it has no `below` tree (-1), every node has level m >= 1,
+    and a level-0 estimate has no depths. The nodes of a depth are sorted by
+    level, highest first, and otherwise keep the order in which the branches
+    above make them: all children in branch order, then all `below` trees. So
+    each level's nodes, and their rows of every field, are contiguous (`runs`);
+    `chunks` cuts the datum rows into whole nodes, across levels, of at most
+    M**n shifts each, and `datum_owner` and `starts` name each shift's node and
+    each next node's branch. The drawn times enter the records only through the
+    scales and shifts, the two things read.
 
     A level-n tree hashes D(n) paths: D(0) = 0 and
         D(n) = M**n + sum_{i=1}^{n-1} M**(n-i) * (2 + D(i) + D(i-1)),
@@ -125,6 +128,10 @@ class _Depth(NamedTuple):
     branch_owner: np.ndarray  # (branches,): the node each branch belongs to
     child: np.ndarray  # (branches,): each branch's child, a node of the next depth
     below: np.ndarray  # (branches,): each branch's `below` tree in the next depth, or -1
+    datum_owner: np.ndarray  # (shifts,): the node each datum shift belongs to
+    starts: np.ndarray  # (next nodes,): the branch each node of the next depth starts at
+    runs: tuple  # per level: (m, the slices of its nodes and their datum, tier and branch rows)
+    chunks: tuple  # per g call: (datum rows, per level in them (m, nodes, their rows in the call))
 
 
 class _Step(NamedTuple):
@@ -133,15 +140,17 @@ class _Step(NamedTuple):
     read-only."""
 
     levels: tuple[int, ...]  # as in `_Depth`
-    datum_owner: np.ndarray  # (shifts,): the node each datum shift belongs to
     tier_owner: np.ndarray  # (tiers,): the node each tier belongs to
     divisors: np.ndarray  # (tiers,): each tier's M**(m-i)
-    branch_owner: np.ndarray  # as in `_Depth`
     time_paths: np.ndarray  # (branches, L): each branch's path, for its time; a `PathBlock` in a kept plan
     move_paths: np.ndarray  # (shifts + branches, L): each datum shift's path, then the branch paths
-    child: np.ndarray  # as in `_Depth`
-    below: np.ndarray  # as in `_Depth`
-    starts: np.ndarray  # (next nodes,): the branch whose time each node of the next depth starts at
+    branch_owner: np.ndarray  # this and the rest as in `_Depth`; a next node starts at its branch's time
+    child: np.ndarray
+    below: np.ndarray
+    datum_owner: np.ndarray
+    starts: np.ndarray
+    runs: tuple
+    chunks: tuple
 
 
 # The key (theta_bytes(theta), n, M, d) of the most recent draw, and its plan once kept.
@@ -197,7 +206,7 @@ def _draw_depths(
         scales = (horizon - times[:, step.tier_owner]) / step.divisors
         n_datum = len(step.datum_owner)
         draws = (scales.T, moves[:n_datum, None], moves[n_datum:])
-        depths.append(_Depth(step.levels, *draws, step.branch_owner, step.child, step.below))
+        depths.append(_Depth(step.levels, *draws, *step[5:]))
         times = s[:, step.starts]
     return depths
 
@@ -251,11 +260,12 @@ def _plan(theta: bytes, n: int, M: int, keep: bool) -> Iterator[_Step]:
         below_node = np.full(len(i), -1)
         below_node[below] = node_of[len(i) :]
         starts = np.concatenate([np.arange(len(i)), below])[order]
+        runs = tuple(_groups(at, M))
         step = _Step(
-            at, datum_owner, tier_owner, tier_divisors, branch_owner,
-            block(branch_paths), block(move_paths), node_of[: len(i)], below_node, starts,
+            at, tier_owner, tier_divisors, block(branch_paths), block(move_paths), branch_owner,
+            node_of[: len(i)], below_node, datum_owner, starts, runs, _chunks(runs, M, M**n),
         )
-        for array in step[1:] if keep else ():
+        for array in step[1:-2] if keep else ():
             array.flags.writeable = False
         yield step
         levels = levels[order]
@@ -279,6 +289,22 @@ def _groups(levels: tuple[int, ...], M: int) -> Iterator[tuple[int, slice, slice
         starts = tuple(a + size for a, size in zip(starts, sizes))
 
 
+def _chunks(runs: tuple, M: int, top: int) -> tuple[tuple[slice, tuple[tuple[int, slice, slice], ...]], ...]:
+    """A depth's datum rows cut into whole nodes, across levels, of at most `top` shifts: each
+    chunk's rows and, per level in it, m, its nodes and their rows in the chunk."""
+    chunks, room = [], 0
+    for m, nodes, datum, _, _ in runs:
+        node, row = nodes.start, datum.start
+        while node < nodes.stop:
+            if not room:
+                chunks.append((row, []))
+                room = top
+            count, at = min(nodes.stop - node, room // M**m), top - room  # at: rows the chunk holds
+            chunks[-1][1].append((m, slice(node, node + count), slice(at, at + count * M**m)))
+            node, row, room = node + count, row + count * M**m, room - count * M**m
+    return tuple((slice(first, first + parts[-1][2].stop), tuple(parts)) for first, parts in chunks)
+
+
 def mlp_eval(
     cfg: MlpConfig,
     x: object,
@@ -290,21 +316,21 @@ def mlp_eval(
 
     `x` is one point of shape (d,), which gives a float, or a block of points
     of shape (N, d), which gives an array of N estimates. A sequence of S
-    oracles in place of one gives each oracle's estimates along a leading axis:
-    shape (S,) for one point, (S, N) for a block. The sample tree is drawn once
-    for all S oracles and read once for the whole block, a depth at a time.
-    `fns.g` gets (rows, d) shifted points of whole nodes of one level, at most
-    M**n * N * S rows a call; `fns.f` gets each depth's node values at once,
-    an array of shape (nodes, N, S), and (N, S) zeros for f(0). Each estimate
-    equals the one its (oracle, point) pair gets alone if f and g give an
-    element the same bits in a block. The built-in f and g do. A network's
-    `realize` does not quite. For the CLI's datum nets and a 17-unit f net, a
-    row got the same bits anywhere in a full 64-row tile but moved by a few
-    ulps in a shorter last tile, so with f and g as networks (`NetworkFn`)
-    the (3,3) estimates of 7 points read as one block differed from each read
-    alone by up to 5e-15 relative, at d = 5 and 16. For general dense weights
-    a row can move within a full tile too (README, Determinism). Points must
-    be finite.
+    oracles in place of one gives each oracle's estimates along a leading
+    axis: shape (S,) for one point, (S, N) for a block. The sample tree is
+    drawn once for all S oracles and read once for the whole block, a depth at
+    a time. `fns.g` gets (rows, d) shifted points of whole nodes of one depth,
+    across levels, at most M**n shifts (M**n * N * S rows) a call; `fns.f`
+    gets each depth's node values at once, an array of shape (nodes, N, S),
+    and (N, S) zeros for f(0). Each estimate equals the one its (oracle,
+    point) pair gets alone if f and g give an element the same bits in a
+    block. The built-in f and g do. A network's `realize` does not quite. For
+    the CLI's datum nets and a 17-unit f net, a row got the same bits anywhere
+    in a full 64-row tile but moved by a few ulps in a shorter last tile, so
+    with f and g as networks (`NetworkFn`) the (3,3) estimates of 7 points
+    read as one block differed from each read alone by up to 5e-15 relative,
+    at d = 5 and 16. For general dense weights a row can move within a full
+    tile too (README, Determinism). Points must be finite.
     """
     points = np.asarray(x, dtype=np.float64)
     if points.shape[-1:] != (cfg.d,) or points.ndim not in (1, 2):
@@ -345,46 +371,36 @@ def _read_depths(
     averages = []
     for depth in depths:
         average = np.empty((len(depth.levels), *shape))
-        for m, nodes, datum, _, _ in _groups(depth.levels, M):
-            node_inputs, node_average = inputs[nodes, None], average[nodes]
-            moves = depth.datum_moves[datum].reshape(-1, M**m, *depth.datum_moves.shape[1:])
-            # whole nodes a g call, as many as the root's M**n shifts
-            per = M ** (cfg.n - m)
-            for c in range(0, len(moves), per):
-                shifted = node_inputs[c : c + per] + moves[c : c + per]
-                g_vals = fns.g(shifted.reshape(-1, d)).reshape(len(shifted), M**m, *shape)
-                del shifted
+        for rows, parts in depth.chunks:
+            shifted = inputs.take(depth.datum_owner[rows], axis=0)
+            shifted += depth.datum_moves[rows]
+            g_vals = fns.g(shifted.reshape(-1, d)).reshape(len(shifted), *shape)
+            del shifted
+            for m, nodes, part in parts:
                 # summed over shifts in drawing order (cumsum adds sequentially; sum may pair
                 # terms up) from 0.0: a sum from the first term differs from it only when every
                 # term is -0.0, and then only in the sign, so adding 0.0 last is adding it first
-                node_average[c : c + per] = (np.cumsum(g_vals, axis=1)[:, -1] + 0.0) / M**m
+                terms = g_vals[part].reshape(nodes.stop - nodes.start, M**m, *shape)
+                average[nodes] = (terms.cumsum(axis=1)[:, -1] + 0.0) / M**m
         averages.append(average)
         if len(depth.child):
-            children = inputs[depth.branch_owner]
-            children += depth.branch_moves[:, None]
-            has_below = depth.below >= 0
-            inputs = np.empty((len(children) + np.count_nonzero(has_below), *children.shape[1:]))
-            inputs[depth.child] = children
-            inputs[depth.below[has_below]] = children[has_below]
-            del children
+            inputs = inputs.take(depth.branch_owner, axis=0)  # each branch's, then each next node's
+            inputs += depth.branch_moves[:, None]
+            inputs = inputs.take(depth.starts, axis=0)
     del inputs
 
     # bottom up: f once per depth on the values of the depth below
     f_zero = fns.f(np.zeros(shape))
-    # every level-0 recursion is identically zero, so its f term is f(0), and
-    # the level-0 sum of a node with c datum shifts is c copies of it added in order
-    counts = {M**m for m in range(1, cfg.n + 1)}
-    zero_sums = {c: acc for c, acc in enumerate(accumulate([f_zero] * M**cfg.n, initial=0.0)) if c in counts}
+    zero_sums = _zero_sums(f_zero, {M**m for m in range(1, cfg.n + 1)})
     values = None
     for depth, average in zip(reversed(depths), reversed(averages)):
         if len(depth.child):
-            f_vals = fns.f(values)
-            diffs = f_vals[depth.child] - f_zero
-            has_below = depth.below >= 0
-            diffs[has_below] = f_vals[depth.child[has_below]] - f_vals[depth.below[has_below]]
+            # a tier-1 branch has no `below` tree (-1), and its subtracted term is f(0)
+            f_vals = np.concatenate([fns.f(values), f_zero[None]])
+            diffs = f_vals.take(depth.child, axis=0) - f_vals.take(depth.below, axis=0)
             del f_vals
         values = np.empty((len(depth.levels), *shape))
-        for m, nodes, _, tiers, branches in _groups(depth.levels, M):
+        for m, nodes, _, tiers, branches in depth.runs:
             scales = depth.scales[tiers].reshape(-1, m, 1, shape[1])
             total = average[nodes] + scales[:, 0] * zero_sums[M**m]
             if m > 1:
@@ -393,11 +409,20 @@ def _read_depths(
                 for i in range(1, m):
                     # the tier's sum from 0.0: d_1 + 0.0 turns -0.0 to 0.0 as 0.0 + d_1 does
                     terms[:, first] += 0.0
-                    acc = np.cumsum(terms[:, first : first + M ** (m - i)], axis=1)[:, -1]
+                    acc = terms[:, first : first + M ** (m - i)].cumsum(axis=1)[:, -1]
                     total = total + scales[:, i] * acc
                     first += M ** (m - i)
             values[nodes] = total
     return values[0]
+
+
+def _zero_sums(f_zero: np.ndarray, counts: set[int]) -> dict[int, float | np.ndarray]:
+    """c copies of f(0), the f term of a level-0 recursion, added in order from 0.0 for each
+    c in `counts`: as a Python float, the same additions, if f(0) is one bit pattern."""
+    flat = np.ravel(f_zero)
+    if flat.dtype == np.float64 and flat.size and flat.tobytes() == flat[:1].tobytes() * flat.size:
+        f_zero = float(flat[0])
+    return {c: acc for c, acc in enumerate(accumulate([f_zero] * max(counts), initial=0.0)) if c in counts}
 
 
 # `mlp_estimate_batch` reads seeds in groups of at most this many (seed, point)

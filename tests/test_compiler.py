@@ -15,6 +15,7 @@ from picardnets import (
     Grid,
     LipschitzFn,
     MlpConfig,
+    NetworkFn,
     ProblemFns,
     RandomOracle,
     affine,
@@ -480,20 +481,52 @@ def test_compiled_json_bytes_are_pinned(case):
     assert hashlib.sha256(dumps_network(net, inputs.activation).encode()).hexdigest() == want_sha
 
 
-# sha256 of the float64 bytes of mlp_estimate_batch at (4,3), d = 5, t = 0, horizon 1, with
-# f = 0.1 u and g = |x|^2 (no transcendental, so no SIMD choice of numpy's moves a bit)
+def quadratic_fns(f):
+    return ProblemFns(f=f, g=lambda x: np.sum(x * x, axis=-1))
+
+
+def random_network_fns():
+    # a random relu datum net (5, 24, 1) and a pointwise f net (1, 6, 1): a row of g can
+    # move by an ulp with the size of the 64-row `realize` tile it falls in
+    rng = np.random.default_rng(2026)
+
+    def rand(widths, scale):
+        return network(*((scale * rng.standard_normal((b, a)), scale * rng.standard_normal(b)) for a, b in zip(widths, widths[1:])))
+
+    g_net, f_net = rand((5, 24, 1), 0.7), rand((1, 6, 1), 0.5)
+    return ProblemFns(f=NetworkFn(f_net, relu(), pointwise=True), g=NetworkFn(g_net, relu()))
+
+
+# sha256 of the float64 bytes of mlp_estimate_batch at horizon 1 on the first points of
+# box_points(RandomOracle(2024, d), 16, -1, 1): (n, M, t, d), fns, seeds, points. With g =
+# |x|^2 and f = 0.1 u no SIMD choice of numpy's moves a bit. The network pin moves when
+# each depth's g calls are cut to the shifts of its highest level's nodes, so a change
+# in how g calls block their rows shows.
 PINNED_ESTIMATE_SHA256 = {
-    "16 seeds x 1 point": (range(1, 17), 1, "a7738f8bc016fdf87d19c8a00071f20b8ddbb0aa620b710cf84d13382b7bd48c"),
-    "1 seed x 16 points": ([1], 16, "cb4832bb99e016e895acf7cf128d514a8283e1fc77874bd254a00da13846a598"),
+    "16 seeds x 1 point": (
+        (4, 3, 0.0, 5), lambda: quadratic_fns(lambda u: 0.1 * u), range(1, 17), 1,
+        "a7738f8bc016fdf87d19c8a00071f20b8ddbb0aa620b710cf84d13382b7bd48c",
+    ),
+    "1 seed x 16 points": (
+        (4, 3, 0.0, 5), lambda: quadratic_fns(lambda u: 0.1 * u), [1], 16,
+        "cb4832bb99e016e895acf7cf128d514a8283e1fc77874bd254a00da13846a598",
+    ),
+    "sin 4 seeds x 3 points": (
+        (5, 2, 0.25, 9), lambda: quadratic_fns(lambda u: np.sin(u) + 0.1 * u), range(1, 5), 3,
+        "663bb6e285f8f96e665ae50edfe5adbdd5d1b53f8d072989310f5c57e1db6338",
+    ),
+    "network 2 seeds x 5 points": (
+        (3, 3, 0.0, 5), random_network_fns, [1, 2], 5,
+        "0ab8ef683d1b24d5e20e92b54ebe3ea7d66873a3731187bf15ce51ac7ff65168",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(PINNED_ESTIMATE_SHA256))
 def test_estimates_are_pinned(case):
-    seeds, count, want_sha = PINNED_ESTIMATE_SHA256[case]
-    cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
-    fns = ProblemFns(f=lambda u: 0.1 * u, g=lambda x: np.sum(x * x, axis=-1))
-    points = box_points(RandomOracle(2024, 5), 16, -1.0, 1.0)[:count]
-    estimates = mlp_estimate_batch(cfg, points, seeds, fns)
+    (n, M, t, d), make_fns, seeds, count, want_sha = PINNED_ESTIMATE_SHA256[case]
+    cfg = MlpConfig(n=n, M=M, horizon=1.0, t=t, d=d)
+    points = box_points(RandomOracle(2024, d), 16, -1.0, 1.0)[:count]
+    estimates = mlp_estimate_batch(cfg, points, seeds, make_fns())
     assert estimates.shape == (len(seeds), count) and estimates.dtype == np.float64
     assert hashlib.sha256(estimates.tobytes()).hexdigest() == want_sha

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -186,9 +187,11 @@ def test_plan_arrays_are_read_only_and_held_by_the_records():
     plan = engine._recent[1]
     assert len(plan) == len(depths)
     for step, depth in zip(plan, depths):
-        assert depth.levels is step.levels and isinstance(step.levels, tuple)
-        assert all(a is b for a, b in zip(depth[4:], (step.branch_owner, step.child, step.below)))
-        for array in step[1:]:
+        # the seed-independent fields and the reader's layout are the plan's own objects
+        held = ("levels", "branch_owner", "child", "below", "datum_owner", "starts", "runs", "chunks")
+        assert all(getattr(depth, name) is getattr(step, name) for name in held)
+        assert all(isinstance(field, tuple) for field in (step.levels, step.runs, step.chunks))
+        for array in step[1:-2]:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
@@ -258,9 +261,9 @@ def test_depth_records_place_every_tree_once_by_level(n, M, S):
         assert depth.branch_owner.tolist() == [j for j, _ in branches]
         assert [next_levels[c] for c in depth.child] == tiers
         assert [next_levels[c] if c >= 0 else 0 for c in depth.below] == [i - 1 for i in tiers]
-        # the level groups tile the nodes and their datum, tier and branch rows once, in order
+        # the level runs tile the nodes and their datum, tier and branch rows once, in order
         ends = [0, 0, 0, 0]
-        for m, *slices in engine._groups(levels, M):
+        for m, *slices in depth.runs:
             assert [s.start for s in slices] == ends
             count = slices[0].stop - slices[0].start
             assert count > 0 and levels[slices[0]] == (m,) * count
@@ -268,6 +271,25 @@ def test_depth_records_place_every_tree_once_by_level(n, M, S):
             assert [s.stop - s.start for s in slices] == [count * k for k in per_node]
             ends = [s.stop for s in slices]
         assert ends == [len(levels), len(depth.datum_moves), len(depth.scales), len(depth.branch_moves)]
+        assert depth.datum_owner.tolist() == [j for j, m in enumerate(levels) for _ in range(M**m)]
+        # the datum chunks tile the datum rows in order, whole nodes across levels, M**n
+        # shifts each but the last, each level of a chunk one part
+        row = node = 0
+        for k, (rows, parts) in enumerate(depth.chunks):
+            assert rows.start == row and 0 < rows.stop - row <= M**n
+            assert rows.stop - row == M**n or k == len(depth.chunks) - 1
+            at = 0
+            for m, nodes, part in parts:
+                assert nodes.start == node and levels[nodes] == (m,) * (nodes.stop - node) != ()
+                assert part == slice(at, at + (nodes.stop - node) * M**m)
+                at, node = part.stop, nodes.stop
+            assert at == rows.stop - row and len({m for m, _, _ in parts}) == len(parts)
+            row = rows.stop
+        assert (row, node) == (len(depth.datum_moves), len(levels))
+        # each node of the next depth starts at its branch, which its `child` or `below` names
+        has_below = depth.below >= 0
+        assert depth.starts[depth.child].tolist() == list(range(len(depth.child)))
+        assert depth.starts[depth.below[has_below]].tolist() == np.flatnonzero(has_below).tolist()
 
 
 def test_level_zero_is_identically_zero():
@@ -521,25 +543,53 @@ def test_depth_reader_equals_the_definition(n, M, d, N, seeds, theta, t, f, g):
 
 
 def test_the_tree_is_read_a_depth_at_a_time():
-    # (4,3) has 160 nodes; the reader calls g on whole nodes of one level, at most
-    # M**n of their shifts a call, and f once per depth below the root plus f(0)
-    shapes = {"f": [], "g": []}
+    # (4,3) has 160 nodes; the reader calls g on whole nodes of one depth, across
+    # levels, at most M**n of their shifts a call, and f once per depth below the root
+    # plus f(0)
+    for n, M, N, seeds, most_g_calls in [(4, 3, 16, [7], 10), (5, 2, 3, [1, 2], None), (3, 3, 1, [4, 5, 6], None)]:
+        shapes = {"f": [], "g": []}
 
-    def recorded(name, fn):
-        def call(a):
-            shapes[name].append(a.shape)
-            return fn(a)
+        def recorded(name, fn):
+            def call(a):
+                shapes[name].append(a.shape)
+                return fn(a)
 
-        return call
+            return call
 
-    cfg = MlpConfig(n=4, M=3, horizon=1.0, t=0.0, d=5)
-    pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(16, 5))
-    mlp_estimate_batch(cfg, pts, [7], ProblemFns(f=recorded("f", lambda v: 0.1 * v), g=recorded("g", quad_g)))
-    assert len(shapes["g"]) <= 12
-    assert max(rows for rows, _ in shapes["g"]) <= 81 * 16
-    # every datum shift once: 894 Gaussian paths less the 138 branch displacements
-    assert sum(rows for rows, _ in shapes["g"]) == 756 * 16
-    assert len(shapes["f"]) <= 5
+        cfg = MlpConfig(n=n, M=M, horizon=1.0, t=0.0, d=5)
+        pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(N, 5))
+        fns = ProblemFns(f=recorded("f", lambda v: 0.1 * v), g=recorded("g", quad_g))
+        mlp_estimate_batch(cfg, pts, seeds, fns)
+        rows = [count for count, _ in shapes["g"]]
+        assert max(rows) <= M**n * N * len(seeds)
+        # the calls end on node ends and cover each depth's datum rows in order
+        depths = engine._draw_depths(cfg, ROOT_PATH, RandomOracle(7, 5))
+        node_ends = set(np.cumsum([M**m * N * len(seeds) for depth in depths for m in depth.levels]).tolist())
+        assert set(np.cumsum(rows).tolist()) <= node_ends
+        depth_ends = np.cumsum([len(depth.datum_moves) * N * len(seeds) for depth in depths]).tolist()
+        assert set(depth_ends) <= set(np.cumsum(rows).tolist())
+        assert sum(rows) == depth_ends[-1] and len(shapes["f"]) == len(depths)
+        if most_g_calls:
+            # every datum shift once: 894 Gaussian paths less the 138 branch displacements
+            assert len(rows) <= most_g_calls and sum(rows) == 756 * N
+
+
+@pytest.mark.parametrize(
+    "f_zero",
+    [np.zeros((4, 3)), np.full((4, 3), -0.0), np.full((4, 3), 0.1), 0.1 + 1e-3 * np.arange(12.0).reshape(4, 3),
+     np.array([[0.0, -0.0]])],
+    ids=["zero", "minus-zero", "one-tenth", "varies", "signed-zeros"],
+)
+def test_level_zero_sums_are_the_array_sums(f_zero):
+    # f(0) of one bit pattern is summed as a Python float: the same bits as the
+    # sum of (N, S) arrays, for every level count M**m up to 81
+    want = list(accumulate([f_zero] * 81, initial=0.0))
+    for M, n in [(1, 2), (2, 6), (3, 4), (4, 3), (9, 2), (81, 1)]:
+        counts = {M**m for m in range(1, n + 1)}
+        sums = engine._zero_sums(f_zero, counts)
+        assert sorted(sums) == sorted(counts)
+        for c, got in sums.items():
+            assert np.broadcast_to(got, f_zero.shape).tobytes() == want[c].tobytes()
 
 
 def test_reading_a_tree_bounds_peak_memory():
@@ -577,6 +627,7 @@ def test_a_sequence_of_oracles_gives_a_leading_seed_axis():
     assert block.shape == (2, 3)
     one = mlp_eval(cfg, pts[1], ROOT_PATH, fns, oracles)
     assert one.shape == (2,) and np.array_equal(one, block[:, 1])
+    assert mlp_eval(MlpConfig(n=1, M=2, horizon=1.0, t=0.25, d=2), pts[:0], ROOT_PATH, fns, oracles).shape == (2, 0)
     for n in (0, 2):  # a level-0 tree draws nothing, and still needs an oracle
         with pytest.raises(ValueError, match="oracle"):
             mlp_eval(MlpConfig(n=n, M=2, horizon=1.0, t=0.25, d=2), pts, ROOT_PATH, fns, [])
